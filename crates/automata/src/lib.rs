@@ -15,35 +15,30 @@
 //!   single bit test. Cross-class entries are trivially `false` because
 //!   units are per-class — two operations of different classes never
 //!   share a physical unit.
-//! * [`HazardFsa`] — the cyclic hazard **finite-state automaton** whose
-//!   states are OR-ed rotations of `C` (the forbidden-residue mask of
-//!   one unit), interned and deduplicated so the transition function is
-//!   a table lookup.
-//! * [`HazardAutomaton`] — both of the above for one `(machine, T)`,
-//!   plus the per-unit packing capacity derived from the conflict
-//!   closure (used to tighten `ResMII` before any solver runs).
-//!   Construction is memoized per `(machine_fingerprint, T)` in a
+//! * [`HazardAutomaton`] — the matrix for one `(machine, T)`, plus per
+//!   class the forbidden-latency closure and the per-unit packing
+//!   capacity derived from it (used to tighten `ResMII` before any solver
+//!   runs). Construction is memoized per `(machine_fingerprint, T)` in a
 //!   process-wide registry ([`HazardAutomaton::for_machine`]), so a
 //!   corpus run builds each automaton once and every loop shares it.
 //!
-//! The oracle is wired into three consumers: the IMS modulo reservation
-//! table in `swp-heuristics` (slot probing becomes a bit test), the
-//! branch-and-bound pruner in `swp-milp` (a partial assignment dies the
-//! moment the automaton rejects a fixed class/offset pair), and the
-//! cycle-accurate checker in `swp-machine` (fast path with an exact-scan
-//! fallback, debug-asserted equivalent). [`stats`] counts automaton hits
-//! versus fallback scans for harness telemetry.
+//! Two consumers remain: the CP engine of `swp-cpsat`, whose structural
+//! propagator prunes domains with the rotated closures and sizes units
+//! with the capacities, and [`res_mii`], which the fuzz harness checks
+//! against `Machine::t_res`. The cycle-accurate checker of `swp-machine`
+//! deliberately does not consult the automata: it scans reservation
+//! tables itself, so a wrong matrix cannot fool both the CP engine and
+//! the checker that validates its answers. [`stats`] counts matrix
+//! probes and registry use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod automaton;
 mod bits;
-mod fsa;
 mod matrix;
 pub mod stats;
 
 pub use automaton::{res_mii, HazardAutomaton};
-pub use fsa::{HazardFsa, StateId, MAX_FSA_STATES};
 pub use matrix::CollisionMatrix;
 pub use stats::OracleCounters;

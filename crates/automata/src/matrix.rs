@@ -20,6 +20,7 @@
 //! for that reason, but only the diagonal stores bits.
 
 use crate::bits;
+use crate::stats;
 use swp_ddg::OpClass;
 use swp_machine::Machine;
 
@@ -86,6 +87,7 @@ impl CollisionMatrix {
     /// Returns `None` if either class is outside this machine.
     #[inline]
     pub fn collides(&self, a: OpClass, b: OpClass, delta: u32) -> Option<bool> {
+        stats::count_matrix_queries(1);
         if a.index() >= self.conflict.len() || b.index() >= self.conflict.len() {
             return None;
         }

@@ -1,4 +1,4 @@
-//! Process-wide oracle telemetry: automaton hits versus fallback scans.
+//! Process-wide hazard-automaton telemetry: matrix probes and memo use.
 //!
 //! Counters are plain relaxed atomics — they are *observability only*
 //! and never feed back into scheduling decisions, so cross-thread (and
@@ -8,22 +8,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-static FSA_QUERIES: AtomicU64 = AtomicU64::new(0);
 static MATRIX_QUERIES: AtomicU64 = AtomicU64::new(0);
-static FALLBACK_SCANS: AtomicU64 = AtomicU64::new(0);
 static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static MEMO_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the oracle counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleCounters {
-    /// Slot probes answered by an FSA state bit test.
-    pub fsa_queries: u64,
     /// Pairwise probes answered by a collision-matrix bit test.
     pub matrix_queries: u64,
-    /// Queries that fell back to an exact reservation-table scan
-    /// (oracle disagreement path or detected-conflict re-derivation).
-    pub fallback_scans: u64,
     /// Automata served from the `(machine_fingerprint, T)` registry.
     pub memo_hits: u64,
     /// Automata constructed from scratch.
@@ -35,9 +28,7 @@ impl OracleCounters {
     /// stale snapshot never underflows).
     pub fn since(&self, earlier: &OracleCounters) -> OracleCounters {
         OracleCounters {
-            fsa_queries: self.fsa_queries.saturating_sub(earlier.fsa_queries),
             matrix_queries: self.matrix_queries.saturating_sub(earlier.matrix_queries),
-            fallback_scans: self.fallback_scans.saturating_sub(earlier.fallback_scans),
             memo_hits: self.memo_hits.saturating_sub(earlier.memo_hits),
             memo_builds: self.memo_builds.saturating_sub(earlier.memo_builds),
         }
@@ -45,41 +36,23 @@ impl OracleCounters {
 
     /// Whether any counter is nonzero.
     pub fn any(&self) -> bool {
-        self.fsa_queries != 0
-            || self.matrix_queries != 0
-            || self.fallback_scans != 0
-            || self.memo_hits != 0
-            || self.memo_builds != 0
+        self.matrix_queries != 0 || self.memo_hits != 0 || self.memo_builds != 0
     }
 }
 
 /// Reads the current counter values.
 pub fn snapshot() -> OracleCounters {
     OracleCounters {
-        fsa_queries: FSA_QUERIES.load(Ordering::Relaxed),
         matrix_queries: MATRIX_QUERIES.load(Ordering::Relaxed),
-        fallback_scans: FALLBACK_SCANS.load(Ordering::Relaxed),
         memo_hits: MEMO_HITS.load(Ordering::Relaxed),
         memo_builds: MEMO_BUILDS.load(Ordering::Relaxed),
     }
 }
 
-/// Records `n` FSA bit-test queries.
-#[inline]
-pub fn count_fsa_queries(n: u64) {
-    FSA_QUERIES.fetch_add(n, Ordering::Relaxed);
-}
-
 /// Records `n` collision-matrix bit-test queries.
 #[inline]
-pub fn count_matrix_queries(n: u64) {
+pub(crate) fn count_matrix_queries(n: u64) {
     MATRIX_QUERIES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Records `n` exact reservation-table fallback scans.
-#[inline]
-pub fn count_fallback_scans(n: u64) {
-    FALLBACK_SCANS.fetch_add(n, Ordering::Relaxed);
 }
 
 pub(crate) fn count_memo_hit() {
@@ -123,9 +96,7 @@ pub fn reset_for_test() -> TelemetryResetGuard {
         // atomics and about to be zeroed anyway.
         Err(poisoned) => poisoned.into_inner(),
     };
-    FSA_QUERIES.store(0, Ordering::Relaxed);
     MATRIX_QUERIES.store(0, Ordering::Relaxed);
-    FALLBACK_SCANS.store(0, Ordering::Relaxed);
     MEMO_HITS.store(0, Ordering::Relaxed);
     MEMO_BUILDS.store(0, Ordering::Relaxed);
     crate::automaton::clear_registry_for_test();
@@ -139,12 +110,12 @@ mod tests {
     #[test]
     fn delta_is_saturating_and_monotone() {
         let before = snapshot();
-        count_fsa_queries(3);
-        count_fallback_scans(1);
+        count_matrix_queries(3);
+        count_memo_hit();
         let delta = snapshot().since(&before);
         // Other tests may run concurrently; deltas are at least ours.
-        assert!(delta.fsa_queries >= 3);
-        assert!(delta.fallback_scans >= 1);
+        assert!(delta.matrix_queries >= 3);
+        assert!(delta.memo_hits >= 1);
         assert!(delta.any());
         assert_eq!(before.since(&snapshot()), OracleCounters::default());
     }

@@ -1,14 +1,15 @@
-//! The subsystem's headline property: automaton verdicts are
-//! bit-identical to the naive reservation-table scan — and consistent
-//! with the cycle-accurate simulator — on random machines, random
-//! periods, and random placements.
+//! The subsystem's headline property: collision-matrix verdicts are
+//! bit-identical to the naive reservation-table scan on random machines
+//! and periods, and the automaton's `res_mii` equals the exact packing
+//! bound. Alongside, the production checker is held to the
+//! cycle-accurate simulator on random placements.
 
 use proptest::prelude::*;
-use swp_automata::{res_mii, CollisionMatrix, HazardAutomaton, HazardFsa};
+use swp_automata::{res_mii, CollisionMatrix};
 use swp_ddg::{Ddg, OpClass};
 use swp_machine::{
-    check_fixed_assignment, check_fixed_assignment_with, simulate, FuType, Machine,
-    PipelinedSchedule, PlacedOp, ReservationTable, SimError, UnitPolicy,
+    check_fixed_assignment, simulate, FuType, Machine, PipelinedSchedule, PlacedOp,
+    ReservationTable, SimError, UnitPolicy,
 };
 
 /// Arbitrary well-formed reservation table (1–4 stages, 1–6 columns,
@@ -80,72 +81,11 @@ proptest! {
         }
     }
 
-    /// FSA verdicts agree with pairwise matrix probes along any residue
-    /// sequence: `can_issue` after placing a set of residues is exactly
-    /// "no placed residue is at a forbidden distance".
-    #[test]
-    fn fsa_matches_matrix_along_random_sequences(
-        machine in arb_machine(),
-        t in 1u32..=10,
-        residues in proptest::collection::vec(0u32..10, 0..6),
-        probe in 0u32..10,
-    ) {
-        let automaton = HazardAutomaton::for_machine(&machine, t);
-        for (i, _) in machine.types().iter().enumerate() {
-            let class = OpClass::new(i);
-            let fsa = automaton.fsa(class).expect("per-class FSA");
-            prop_assert!(fsa.is_complete(), "small tables must build fully");
-            let mut state = HazardFsa::START;
-            let mut placed: Vec<u32> = Vec::new();
-            for &r in &residues {
-                let r = r % t;
-                if fsa.can_issue(state, r) {
-                    state = fsa.issue(state, r);
-                    placed.push(r);
-                }
-            }
-            let r = probe % t;
-            let pairwise_free = automaton.matrix().self_collides(class) == Some(false)
-                && placed.iter().all(|&q| {
-                    automaton.matrix().collides(class, class, (r + t - q) % t) == Some(false)
-                });
-            prop_assert_eq!(
-                fsa.can_issue(state, r),
-                pairwise_free,
-                "class {} residues {:?} probe {} at T={}", i, placed, r, t
-            );
-        }
-    }
-
-    /// The checker's oracle fast path returns byte-identical results to
-    /// the exact scan — same acceptance, same first error — on random
-    /// placements (valid and colliding alike).
-    #[test]
-    fn oracle_checker_matches_exact_checker(
-        machine in arb_machine(),
-        t in 1u32..=8,
-        raw in proptest::collection::vec((0usize..3, 0u32..16, 0u32..2), 1..6),
-    ) {
-        let num_classes = machine.types().len();
-        let ops: Vec<PlacedOp> = raw
-            .iter()
-            .map(|&(c, offset, fu)| {
-                let class = OpClass::new(c % num_classes);
-                let count = machine.types()[c % num_classes].count;
-                PlacedOp { class, offset: offset % t, fu: Some(fu % count) }
-            })
-            .collect();
-        let automaton = HazardAutomaton::for_machine(&machine, t);
-        let exact = check_fixed_assignment(&machine, t, &ops);
-        let oracle = check_fixed_assignment_with(&machine, t, &ops, Some(&*automaton));
-        prop_assert_eq!(oracle, exact);
-    }
-
     /// Checker-accepted schedules survive the cycle-accurate simulator,
     /// and simulator-detected collisions are always checker-rejected —
-    /// the automaton cannot certify a schedule the hardware would break.
+    /// the checker cannot certify a schedule the hardware would break.
     #[test]
-    fn oracle_accepts_iff_simulator_survives(
+    fn checker_accepts_iff_simulator_survives(
         machine in arb_machine(),
         t in 1u32..=8,
         raw in proptest::collection::vec((0usize..3, 0u32..16, 0u32..2), 1..5),
@@ -163,16 +103,15 @@ proptest! {
             assignment.push(Some(fu % count));
             ops.push(PlacedOp { class, offset: offset % t, fu: Some(fu % count) });
         }
-        let automaton = HazardAutomaton::for_machine(&machine, t);
-        let verdict = check_fixed_assignment_with(&machine, t, &ops, Some(&*automaton));
+        let verdict = check_fixed_assignment(&machine, t, &ops);
         let schedule = PipelinedSchedule::new(t, starts, assignment);
         // Enough iterations that every modulo-periodic overlap manifests.
         let sim = simulate(&machine, &ddg, &schedule, 8, UnitPolicy::Fixed);
         if verdict.is_ok() {
-            prop_assert!(sim.is_ok(), "oracle accepted but simulator found {:?}", sim.err());
+            prop_assert!(sim.is_ok(), "checker accepted but simulator found {:?}", sim.err());
         }
         if matches!(sim, Err(SimError::Collision { .. })) {
-            prop_assert!(verdict.is_err(), "simulator collided but oracle accepted");
+            prop_assert!(verdict.is_err(), "simulator collided but checker accepted");
         }
     }
 

@@ -4,10 +4,9 @@
 //! [`Engine`] — with the IMS incumbent *off*, so the exact engines
 //! settle every period themselves (with the heuristic on, most loops
 //! close on an IMS certificate and the comparison measures nothing).
-//! Methodology follows `bench_automata`: one worker, deterministic tick
-//! budgets, interleaved repetitions with the per-loop **minimum** solve
-//! time kept (`AB_REPS` reps), decision identity asserted across
-//! engines.
+//! Methodology: one worker, deterministic tick budgets, interleaved
+//! repetitions with the per-loop **minimum** solve time kept (`AB_REPS`
+//! reps), decision identity asserted across engines.
 //!
 //! The artifact records, per loop, the min solve time under each engine
 //! and the portfolio's ratio against `min(ILP, CP)` — the acceptance
@@ -50,10 +49,8 @@ fn run_engine(machine: &Machine, loops: &[GeneratedLoop], engine: Engine, ticks:
             per_loop_ticks: Some(ticks),
             max_t_above_lb: 8,
             heuristic_incumbent: false,
-            conflict_oracle: Default::default(),
             engine,
             warm: true,
-            layout: Default::default(),
             max_live: None,
         },
         HarnessConfig {

@@ -19,24 +19,6 @@ pub use gantt::{flat_gantt, kernel_gantt};
 pub use suite_run::{run_suite, LoopRecord, SuiteOutcome, SuiteRunConfig};
 pub use tables::render_table;
 
-/// Parses the shared `--conflict-oracle scan|automaton` harness flag
-/// (default `scan`).
-///
-/// # Errors
-///
-/// A usage message when the value is neither `scan` nor `automaton`.
-pub fn parse_conflict_oracle(
-    flags: &swp_harness::Flags,
-) -> Result<swp_harness::ConflictOracleMode, String> {
-    match flags.get("conflict-oracle").unwrap_or("scan") {
-        "scan" => Ok(swp_harness::ConflictOracleMode::Scan),
-        "automaton" => Ok(swp_harness::ConflictOracleMode::Automaton),
-        other => Err(format!(
-            "flag --conflict-oracle: unknown engine `{other}` (expected `scan` or `automaton`)"
-        )),
-    }
-}
-
 /// Parses the shared `--engine ilp|cp|portfolio` harness flag (default
 /// `ilp`), selecting the exact engine that settles each period.
 ///

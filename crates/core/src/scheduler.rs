@@ -29,15 +29,13 @@
 
 use crate::formulation::{self, FormulationOptions, MappingMode, Objective};
 use crate::ScheduleError;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
-use swp_automata::HazardAutomaton;
 use swp_cpsat::{CpError, CpOptions, CpOutcome};
-use swp_ddg::{Ddg, OpClass};
+use swp_ddg::Ddg;
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
-use swp_machine::Machine;
-use swp_machine::{DataLayout, PipelinedSchedule, ValidationError};
-use swp_milp::{Budget, Exhaustion, NodePruner, SolveError, SolveLimits};
+use swp_machine::{Machine, PipelinedSchedule, ValidationError};
+use swp_milp::{Budget, Exhaustion, SolveError, SolveLimits};
 
 /// Tick allowance for the best-effort heuristic pass that runs after the
 /// main budget is exhausted. Ticks (one per IMS placement) rather than
@@ -72,25 +70,6 @@ pub struct FaultPlan {
     /// embedders like the `swpd` daemon without corrupting any engine
     /// state: the panic fires before any solver structure is built.
     pub panic_in_solver: bool,
-}
-
-/// Which engine answers structural-conflict queries throughout the
-/// pipeline (`T_res` refinement, IMS slot probing, branch-and-bound
-/// pruning, and final schedule verification).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictOracleMode {
-    /// Naive reservation-table cell scans everywhere (the seed
-    /// behaviour). Always available; the reference semantics.
-    #[default]
-    Scan,
-    /// Precomputed hazard automata ([`swp_automata`]): pairwise modulo
-    /// collision matrices plus a cyclic hazard FSA per class, memoized
-    /// per `(machine, T)`. Answers the same queries in O(1) per probe.
-    /// Decision-equivalent to [`ConflictOracleMode::Scan`] — every
-    /// fast-path answer is `debug_assert`-checked against the exact scan
-    /// in test builds, and the checker falls back to the exact scan
-    /// whenever the automaton cannot answer.
-    Automaton,
 }
 
 /// Which exact engine settles each candidate period (after the optional
@@ -145,9 +124,6 @@ pub struct SchedulerConfig {
     /// period has still been refuted exactly. Turn off to measure pure
     /// ILP behaviour (Table 5).
     pub heuristic_incumbent: bool,
-    /// Conflict-query engine for the whole pipeline (default: naive
-    /// scans). See [`ConflictOracleMode`].
-    pub conflict_oracle: ConflictOracleMode,
     /// Which exact engine settles each candidate period (default: the
     /// ILP). See [`Engine`].
     pub engine: Engine,
@@ -157,13 +133,6 @@ pub struct SchedulerConfig {
     /// change a verdict; turn off for a strictly cold, hint-free solve —
     /// the pre-warm-start behaviour, byte for byte.
     pub warm_sweep: bool,
-    /// Cell layout of the reservation-table hot paths — the IMS modulo
-    /// reservation table and the independent collision checker (default:
-    /// [`DataLayout::Flat`], word-parallel bitsets). Decisions are
-    /// bit-identical across layouts; only probe cost changes. Select
-    /// [`DataLayout::Legacy`] for the seed's per-cell scan, e.g. for A/B
-    /// timing.
-    pub data_layout: DataLayout,
     /// Register-pressure cap (default: none). When set, every engine —
     /// ILP rows, CP propagation, the IMS incumbent probe — bounds the
     /// number of simultaneously live values per pattern residue by this
@@ -188,10 +157,8 @@ impl Default for SchedulerConfig {
             symmetry_breaking: true,
             packing_bound: true,
             heuristic_incumbent: true,
-            conflict_oracle: ConflictOracleMode::default(),
             engine: Engine::default(),
             warm_sweep: true,
-            data_layout: DataLayout::default(),
             max_live: None,
             faults: FaultPlan::default(),
         }
@@ -614,16 +581,9 @@ impl RateOptimalScheduler {
         &self.config
     }
 
-    fn use_automaton(&self) -> bool {
-        self.config.conflict_oracle == ConflictOracleMode::Automaton
-    }
-
-    /// An IMS instance honouring the configured conflict oracle.
+    /// An IMS instance honouring the configured register-pressure cap.
     fn ims(&self) -> IterativeModuloScheduler {
-        IterativeModuloScheduler::new(self.machine.clone())
-            .with_automaton(self.use_automaton())
-            .with_layout(self.config.data_layout)
-            .with_max_live(self.config.max_live)
+        IterativeModuloScheduler::new(self.machine.clone()).with_max_live(self.config.max_live)
     }
 
     /// Finds a schedule at the smallest feasible period `≥ T_lb`, under a
@@ -682,8 +642,7 @@ impl RateOptimalScheduler {
     /// Warm hooks apply to the [`Engine::Ilp`] and [`Engine::Cp`] paths;
     /// a [`Engine::Portfolio`] race runs its arms cold (the race's
     /// wall-clock nondeterminism would otherwise leak into which hints
-    /// get consumed), still benefiting from the hint-fed incumbent probe
-    /// and the hoisted conflict oracle.
+    /// get consumed), still benefiting from the hint-fed incumbent probe.
     ///
     /// # Errors
     ///
@@ -700,20 +659,7 @@ impl RateOptimalScheduler {
         let t_dep = ddg.t_dep().ok_or(ScheduleError::NoFinitePeriod)?;
         let t_res = match (self.config.mapping, self.config.packing_bound) {
             // Fixed-assignment problem: counting bound, optionally
-            // strengthened by the exact packing capacity. Under the
-            // automaton oracle the same bound comes from the
-            // forbidden-latency closure (per-unit capacity = maximum
-            // independent set in the circulant conflict graph), which the
-            // automaton registry then reuses for every candidate period.
-            (MappingMode::UnifiedColoring, true) if self.use_automaton() => {
-                let bound = swp_automata::res_mii(&self.machine, ddg);
-                debug_assert_eq!(
-                    bound,
-                    self.machine.t_res(ddg),
-                    "automaton ResMII drifted from the exact packing bound"
-                );
-                bound
-            }
+            // strengthened by the exact packing capacity.
             (MappingMode::UnifiedColoring, true) => self.machine.t_res(ddg),
             (MappingMode::UnifiedColoring, false) => self.machine.t_res_counting(ddg),
             // Run-time unit choice: instances may rotate across units, so
@@ -856,29 +802,11 @@ impl RateOptimalScheduler {
     }
 
     /// Independent re-check of a candidate schedule (with fault hooks).
-    /// Fetches the conflict oracle itself; period-loop callers go
-    /// through [`Self::verify_with`] with the hoisted oracle instead.
     fn verify(
         &self,
         schedule: &PipelinedSchedule,
         ddg: &Ddg,
         engine: SolvedBy,
-    ) -> Result<(), ValidationError> {
-        let oracle = self
-            .use_automaton()
-            .then(|| HazardAutomaton::for_machine(&self.machine, schedule.initiation_interval()));
-        self.verify_with(schedule, ddg, engine, oracle.as_deref())
-    }
-
-    /// Independent re-check against a caller-provided conflict oracle
-    /// (hoisted once per `(machine, T)` by the sweep loop; `None` means
-    /// exact-scan checking).
-    fn verify_with(
-        &self,
-        schedule: &PipelinedSchedule,
-        ddg: &Ddg,
-        engine: SolvedBy,
-        oracle: Option<&HazardAutomaton>,
     ) -> Result<(), ValidationError> {
         let injected = match engine {
             SolvedBy::Ilp => self.config.faults.reject_ilp_schedule,
@@ -892,15 +820,7 @@ impl RateOptimalScheduler {
                 ddg: ddg.num_nodes(),
             });
         }
-        // Checker fast path: automaton verdicts with exact-scan fallback
-        // on any query it cannot answer; otherwise the configured cell
-        // layout decides between word-parallel and per-cell scans.
-        schedule.validate_layout(
-            ddg,
-            &self.machine,
-            oracle.map(|o| o as &dyn swp_machine::ConflictOracle),
-            self.config.data_layout,
-        )?;
+        schedule.validate(ddg, &self.machine)?;
         if let Some(limit) = self.config.max_live {
             schedule.validate_pressure(ddg, limit)?;
         }
@@ -919,12 +839,6 @@ impl RateOptimalScheduler {
         let started = std::time::Instant::now();
         let period_budget = budget.restrict(self.config.time_limit_per_t, None);
         let ims = self.ims();
-        // Hoisted conflict oracle: one registry fetch per (machine, T)
-        // for this whole period — incumbent probe verification, node
-        // pruner, and schedule verification all share it.
-        let oracle = self
-            .use_automaton()
-            .then(|| HazardAutomaton::for_machine(&self.machine, period));
 
         // The heuristic produces *mapped* schedules; under CapacityOnly
         // the point is to study the capacity-only ILP, so skip it there.
@@ -942,10 +856,7 @@ impl RateOptimalScheduler {
                     if hint == Some(&schedule) {
                         warm.reuse.ims_hint_hits += 1;
                     }
-                    if self
-                        .verify_with(&schedule, ddg, SolvedBy::Heuristic, oracle.as_deref())
-                        .is_ok()
-                    {
+                    if self.verify(&schedule, ddg, SolvedBy::Heuristic).is_ok() {
                         attempts.push(PeriodAttempt {
                             period,
                             outcome: PeriodOutcome::Feasible(SolvedBy::Heuristic),
@@ -1004,13 +915,8 @@ impl RateOptimalScheduler {
         let hot = self.config.warm_sweep;
         match self.effective_engine() {
             Engine::Ilp => {
-                let verdict = self.run_ilp_exact(
-                    ddg,
-                    period,
-                    &period_budget,
-                    oracle.as_ref(),
-                    hot.then_some(&mut *warm),
-                );
+                let verdict =
+                    self.run_ilp_exact(ddg, period, &period_budget, hot.then_some(&mut *warm));
                 self.settle_exact(
                     ddg,
                     period,
@@ -1021,7 +927,6 @@ impl RateOptimalScheduler {
                     &period_budget,
                     attempts,
                     started,
-                    oracle.as_deref(),
                 )
             }
             Engine::Cp => {
@@ -1036,7 +941,6 @@ impl RateOptimalScheduler {
                                 ddg,
                                 period,
                                 &period_budget,
-                                oracle.as_ref(),
                                 hot.then_some(&mut *warm),
                             ),
                             SolvedBy::Ilp,
@@ -1053,12 +957,10 @@ impl RateOptimalScheduler {
                     &period_budget,
                     attempts,
                     started,
-                    oracle.as_deref(),
                 )
             }
             Engine::Portfolio => {
-                let (verdict, engine, race) =
-                    self.race_period(ddg, period, budget, &period_budget, oracle.as_ref());
+                let (verdict, engine, race) = self.race_period(ddg, period, budget, &period_budget);
                 self.settle_exact(
                     ddg,
                     period,
@@ -1069,7 +971,6 @@ impl RateOptimalScheduler {
                     &period_budget,
                     attempts,
                     started,
-                    oracle.as_deref(),
                 )
             }
         }
@@ -1097,7 +998,6 @@ impl RateOptimalScheduler {
         ddg: &Ddg,
         period: u32,
         period_budget: &Budget,
-        oracle: Option<&Arc<HazardAutomaton>>,
         warm: Option<&mut WarmState>,
     ) -> ExactVerdict {
         let f = match formulation::build_with(
@@ -1129,21 +1029,10 @@ impl RateOptimalScheduler {
         let mut limits = SolveLimits {
             time_limit: self.config.time_limit_per_t,
             budget: period_budget.clone(),
-            // Both pivot layouts take identical pivot sequences (see
-            // swp-milp's simplex docs), so this keeps the whole solve
-            // decision-identical across `data_layout` while moving the
-            // LP inner loop onto the matching layout.
-            pivot_layout: match self.config.data_layout {
-                DataLayout::Legacy => swp_milp::PivotLayout::Dense,
-                DataLayout::Flat => swp_milp::PivotLayout::SparseRow,
-            },
             ..SolveLimits::default()
         };
         if self.config.objective == Objective::Feasible {
             limits.stop_at_first_incumbent = true;
-        }
-        if self.use_automaton() {
-            limits.node_pruner = Some(self.build_node_pruner(ddg, &f, oracle));
         }
         if let Some(w) = warm.as_deref_mut() {
             if let Some(names) = &w.basis_names {
@@ -1268,7 +1157,6 @@ impl RateOptimalScheduler {
         period: u32,
         budget: &Budget,
         period_budget: &Budget,
-        oracle: Option<&Arc<HazardAutomaton>>,
     ) -> (ExactVerdict, SolvedBy, RaceReport) {
         let (ilp_budget, ilp_token) = period_budget.fork_racer();
         let (cp_budget, cp_token) = period_budget.fork_racer();
@@ -1291,7 +1179,7 @@ impl RateOptimalScheduler {
             });
             let ilp_budget = &ilp_budget;
             scope.spawn(move || {
-                let v = self.run_ilp_exact(ddg, period, ilp_budget, oracle, None);
+                let v = self.run_ilp_exact(ddg, period, ilp_budget, None);
                 let _ = tx.send((RaceEngine::Ilp, v, ilp_budget.ticks_used()));
             });
             let mut received = 0;
@@ -1389,7 +1277,6 @@ impl RateOptimalScheduler {
         period_budget: &Budget,
         attempts: &mut Vec<PeriodAttempt>,
         started: std::time::Instant,
-        oracle: Option<&HazardAutomaton>,
     ) -> Result<PeriodResult, ScheduleError> {
         match verdict {
             ExactVerdict::Feasible {
@@ -1402,7 +1289,7 @@ impl RateOptimalScheduler {
             } => {
                 let assignment = self.complete_assignment(ddg, period, &starts, &units)?;
                 let schedule = PipelinedSchedule::new(period, starts, assignment);
-                match self.verify_with(&schedule, ddg, engine, oracle) {
+                match self.verify(&schedule, ddg, engine) {
                     Ok(()) => {
                         attempts.push(PeriodAttempt {
                             period,
@@ -1419,14 +1306,8 @@ impl RateOptimalScheduler {
                     Err(error) => {
                         // Checker rejected the exact schedule: fall back
                         // to the heuristic at this same period.
-                        match self.heuristic_fallback(
-                            ddg,
-                            period,
-                            period_budget,
-                            attempts,
-                            started,
-                            oracle,
-                        ) {
+                        match self.heuristic_fallback(ddg, period, period_budget, attempts, started)
+                        {
                             Some(result) => result,
                             None => Err(ScheduleError::VerificationFailed {
                                 period,
@@ -1496,100 +1377,13 @@ impl RateOptimalScheduler {
                 // The exact engine lost traction: degrade to the heuristic
                 // at this period. Its success is a certificate; its failure
                 // proves nothing, so the period stays undecided.
-                match self.heuristic_fallback(ddg, period, period_budget, attempts, started, oracle)
-                {
+                match self.heuristic_fallback(ddg, period, period_budget, attempts, started) {
                     Some(result) => result,
                     None => Ok(PeriodResult::Undecided),
                 }
             }
             ExactVerdict::Error(e) => Err(e),
         }
-    }
-
-    /// Builds a branch-and-bound [`NodePruner`] from the hazard
-    /// automaton's collision matrix.
-    ///
-    /// A node (subproblem box) is pruned only when its variable bounds
-    /// already *force* a structural conflict: two same-class ops whose
-    /// issue offsets are fixed (exactly one step `t` with `hi[a_{t,i}] >
-    /// 0.5` — the `Σ_t a_{t,i} = 1` row then forces that step) and whose
-    /// unit is known (both colors fixed to the same value, or the class
-    /// has a single unit), at an offset distance the collision matrix
-    /// marks forbidden. Every integer point in such a box violates a
-    /// capacity or overlap row, so discarding the box is sound; the LP
-    /// relaxation is simply skipped.
-    fn build_node_pruner(
-        &self,
-        ddg: &Ddg,
-        f: &formulation::Formulation,
-        oracle: Option<&Arc<HazardAutomaton>>,
-    ) -> NodePruner {
-        struct OpInfo {
-            class: OpClass,
-            single_unit: bool,
-            a_row: Vec<usize>,
-            color: Option<usize>,
-        }
-        let ops: Vec<OpInfo> = ddg
-            .nodes()
-            .map(|(id, node)| OpInfo {
-                class: node.class,
-                single_unit: self
-                    .machine
-                    .fu_type(node.class)
-                    .map(|fu| fu.count == 1)
-                    .unwrap_or(false),
-                a_row: f.a[id.index()].iter().map(|v| v.index()).collect(),
-                color: f.color[id.index()].map(|v| v.index()),
-            })
-            .collect();
-        // Same-class pairs, precomputed so the per-node closure is a
-        // flat scan.
-        let pairs: Vec<(usize, usize)> = (0..ops.len())
-            .flat_map(|i| ((i + 1)..ops.len()).map(move |j| (i, j)))
-            .filter(|&(i, j)| ops[i].class == ops[j].class)
-            .collect();
-        // The period loop hoists the registry fetch; direct callers (race
-        // arms get the caller's Arc too) fall back to fetching here.
-        let automaton = oracle
-            .cloned()
-            .unwrap_or_else(|| HazardAutomaton::for_machine(&self.machine, f.period));
-        let period = f.period;
-        NodePruner::new(move |lo: &[f64], hi: &[f64]| {
-            let fixed_offset = |op: &OpInfo| -> Option<u32> {
-                let mut found = None;
-                for (t, &v) in op.a_row.iter().enumerate() {
-                    if hi[v] > 0.5 {
-                        if found.is_some() {
-                            return None;
-                        }
-                        found = Some(t as u32);
-                    }
-                }
-                found
-            };
-            let fixed_color = |op: &OpInfo| -> Option<i64> {
-                let v = op.color?;
-                let (l, h) = (lo[v].ceil() as i64, hi[v].floor() as i64);
-                (l == h).then_some(l)
-            };
-            for &(i, j) in &pairs {
-                let (a, b) = (&ops[i], &ops[j]);
-                let same_unit = a.single_unit
-                    || matches!((fixed_color(a), fixed_color(b)), (Some(x), Some(y)) if x == y);
-                if !same_unit {
-                    continue;
-                }
-                let (Some(ta), Some(tb)) = (fixed_offset(a), fixed_offset(b)) else {
-                    continue;
-                };
-                let delta = (ta + period - tb) % period;
-                if automaton.matrix().collides(a.class, b.class, delta) == Some(true) {
-                    return true;
-                }
-            }
-            false
-        })
     }
 
     /// Runs IMS at `period` as the fallback engine and verifies the
@@ -1602,15 +1396,11 @@ impl RateOptimalScheduler {
         period_budget: &Budget,
         attempts: &mut Vec<PeriodAttempt>,
         started: std::time::Instant,
-        oracle: Option<&HazardAutomaton>,
     ) -> Option<Result<PeriodResult, ScheduleError>> {
         let ims = self.ims();
         match ims.schedule_at_with(ddg, period, period_budget) {
             Ok(Some(schedule)) => {
-                if self
-                    .verify_with(&schedule, ddg, SolvedBy::Heuristic, oracle)
-                    .is_ok()
-                {
+                if self.verify(&schedule, ddg, SolvedBy::Heuristic).is_ok() {
                     attempts.push(PeriodAttempt {
                         period,
                         outcome: PeriodOutcome::Feasible(SolvedBy::Heuristic),
@@ -1910,67 +1700,6 @@ mod tests {
         assert!(matches!(err, ScheduleError::Cancelled));
         // The token handle type is exported for callers.
         let _t: CancelToken = budget.cancel_token();
-    }
-
-    #[test]
-    fn automaton_oracle_matches_scan_oracle() {
-        // The automaton is a pure query accelerator: schedules, bounds,
-        // and attempt outcomes must be identical to the scan oracle.
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-        ] {
-            let g = fp_loop();
-            let scan = RateOptimalScheduler::new(machine.clone(), SchedulerConfig::default())
-                .schedule(&g)
-                .expect("scan oracle schedulable");
-            let auto_cfg = SchedulerConfig {
-                conflict_oracle: ConflictOracleMode::Automaton,
-                ..Default::default()
-            };
-            let auto = RateOptimalScheduler::new(machine.clone(), auto_cfg)
-                .schedule(&g)
-                .expect("automaton oracle schedulable");
-            assert_eq!(scan.schedule, auto.schedule, "machine {machine:?}");
-            assert_eq!(scan.t_dep, auto.t_dep);
-            assert_eq!(scan.t_res, auto.t_res);
-            assert_eq!(
-                scan.attempts.iter().map(|a| &a.outcome).collect::<Vec<_>>(),
-                auto.attempts.iter().map(|a| &a.outcome).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn automaton_pruner_keeps_pure_ilp_path_equivalent() {
-        // Force the ILP to do the work (no heuristic incumbent) so the
-        // branch-and-bound pruner actually runs; the result must still be
-        // a valid proven-optimal schedule at the same period.
-        let machine = Machine::example_pldi95();
-        let g = fp_loop();
-        let base = SchedulerConfig {
-            heuristic_incumbent: false,
-            ..Default::default()
-        };
-        let scan = RateOptimalScheduler::new(machine.clone(), base.clone())
-            .schedule(&g)
-            .expect("scan oracle schedulable");
-        let auto = RateOptimalScheduler::new(
-            machine.clone(),
-            SchedulerConfig {
-                conflict_oracle: ConflictOracleMode::Automaton,
-                ..base
-            },
-        )
-        .schedule(&g)
-        .expect("automaton oracle schedulable");
-        assert_eq!(
-            scan.schedule.initiation_interval(),
-            auto.schedule.initiation_interval()
-        );
-        assert!(auto.is_proven_optimal());
-        assert_eq!(auto.schedule.validate(&g, &machine), Ok(()));
     }
 
     #[test]

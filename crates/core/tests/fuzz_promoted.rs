@@ -5,51 +5,37 @@
 //! Each case is a minimized structure the fuzzer's shrinker produced
 //! while exercising the oracle properties; the assertions mirror what
 //! the differential runner checks — schedules validate, simulate at
-//! rate `1/T`, respect the lower bounds, and both conflict oracles
-//! agree on the proven optimum.
+//! rate `1/T`, respect the lower bounds, and are proven optimal.
 
-use swp_core::{
-    ConflictOracleMode, Optimality, RateOptimalScheduler, ScheduleResult, SchedulerConfig,
-};
+use swp_core::{Optimality, RateOptimalScheduler, SchedulerConfig};
 use swp_ddg::{Ddg, OpClass};
 use swp_machine::{simulate, FuType, Machine, ReservationTable, UnitPolicy};
 
-fn schedule(machine: &Machine, ddg: &Ddg, oracle: ConflictOracleMode) -> ScheduleResult {
+/// Schedules `ddg`, checks the result the way the differential runner
+/// does, and returns the proven-optimal period.
+fn check_case(machine: &Machine, ddg: &Ddg) -> u32 {
     let config = SchedulerConfig {
         time_limit_per_t: None,
-        conflict_oracle: oracle,
         ..Default::default()
     };
-    RateOptimalScheduler::new(machine.clone(), config)
+    let r = RateOptimalScheduler::new(machine.clone(), config)
         .schedule(ddg)
-        .expect("promoted cases schedule")
-}
-
-fn check_both_oracles(machine: &Machine, ddg: &Ddg) -> u32 {
-    let scan = schedule(machine, ddg, ConflictOracleMode::Scan);
-    let auto = schedule(machine, ddg, ConflictOracleMode::Automaton);
-    for r in [&scan, &auto] {
-        let s = &r.schedule;
-        let t = s.initiation_interval();
-        assert!(t >= r.t_lb(), "period below the lower bound");
-        s.validate(ddg, machine).expect("schedule validates");
-        let policy = if s.is_mapped() {
-            UnitPolicy::Fixed
-        } else {
-            UnitPolicy::Dynamic
-        };
-        simulate(machine, ddg, s, 4, policy).expect("schedule simulates");
-        assert!(
-            matches!(r.optimality, Optimality::Proven),
-            "promoted cases are small enough to prove"
-        );
-    }
-    assert_eq!(
-        scan.schedule.initiation_interval(),
-        auto.schedule.initiation_interval(),
-        "conflict oracles disagree on the proven optimum"
+        .expect("promoted cases schedule");
+    let s = &r.schedule;
+    let t = s.initiation_interval();
+    assert!(t >= r.t_lb(), "period below the lower bound");
+    s.validate(ddg, machine).expect("schedule validates");
+    let policy = if s.is_mapped() {
+        UnitPolicy::Fixed
+    } else {
+        UnitPolicy::Dynamic
+    };
+    simulate(machine, ddg, s, 4, policy).expect("schedule simulates");
+    assert!(
+        matches!(r.optimality, Optimality::Proven),
+        "promoted cases are small enough to prove"
     );
-    scan.schedule.initiation_interval()
+    t
 }
 
 /// Shrunk by the fuzzer from a fault-injection campaign (seed 11): a
@@ -72,7 +58,7 @@ fn promoted_three_node_recurrence() {
     g.add_edge(a, b, 0).expect("valid");
     g.add_edge(b, c, 0).expect("valid");
     g.add_edge(c, a, 2).expect("valid");
-    let t = check_both_oracles(&machine, &g);
+    let t = check_case(&machine, &g);
     // ceil((1+4+4)/2) = 5 from the recurrence; 3 ops on 1 unit give 3.
     assert_eq!(t, 5);
 }
@@ -90,7 +76,7 @@ fn promoted_singleton() {
     .expect("valid machine");
     let mut g = Ddg::new();
     g.add_node("n0", OpClass::new(0), 1);
-    assert_eq!(check_both_oracles(&machine, &g), 1);
+    assert_eq!(check_case(&machine, &g), 1);
 }
 
 /// Curated fuzz structure: an unclean pipeline revisiting stage 0 two
@@ -114,6 +100,6 @@ fn promoted_unclean_table_recurrence() {
     g.add_edge(a, b, 0).expect("valid");
     g.add_edge(b, c, 0).expect("valid");
     g.add_edge(c, a, 2).expect("valid");
-    let t = check_both_oracles(&machine, &g);
+    let t = check_case(&machine, &g);
     assert!(t >= 5, "recurrence bound ceil(9/2) = 5, got {t}");
 }

@@ -1,14 +1,14 @@
 //! The differential runner: one case, every engine, every oracle
 //! property.
 //!
-//! Each generated `(machine, ddg)` pair is scheduled under every
-//! engine × conflict-oracle configuration:
+//! Each generated `(machine, ddg)` pair is scheduled under every engine
+//! configuration:
 //!
-//! * the full driver (ILP + IMS incumbent) under `Scan` and `Automaton`;
-//! * the pure-ILP driver (Table 5 mode) under both oracles;
-//! * the CP backend (Table 5 mode) under both oracles;
-//! * the ILP-vs-CP portfolio racer under both oracles;
-//! * iterative modulo scheduling alone, under both oracles.
+//! * the full driver (ILP + IMS incumbent);
+//! * the pure-ILP driver (Table 5 mode);
+//! * the CP backend (Table 5 mode);
+//! * the ILP-vs-CP portfolio racer;
+//! * iterative modulo scheduling alone.
 //!
 //! and the results are cross-checked:
 //!
@@ -21,9 +21,7 @@
 //!    configuration certified feasible;
 //! 5. accepted periods respect `max(T_dep, T_res)`, and the hazard-
 //!    automaton `res_mii` equals the exact `Machine::t_res`;
-//! 6. the IMS produces bit-identical schedules under both oracles (a
-//!    documented contract of `swp-heuristics`);
-//! 7. guaranteed-schedulable cases that run to completion (no budget
+//! 6. guaranteed-schedulable cases that run to completion (no budget
 //!    trips) must schedule.
 //!
 //! Metamorphic relations (checked against the baseline configuration):
@@ -53,10 +51,9 @@ use swp_core::{
     ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy,
 };
 use swp_ddg::{Ddg, OpClass};
-use swp_harness::ConflictOracleMode;
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
 use swp_machine::{
-    simulate, BundleSpec, DataLayout, FuType, Machine, PipelinedSchedule, SlotGroup, UnitPolicy,
+    simulate, BundleSpec, FuType, Machine, PipelinedSchedule, SlotGroup, UnitPolicy,
 };
 use swp_milp::Budget;
 
@@ -80,8 +77,6 @@ pub enum ViolationKind {
     /// Configurations disagree on `T_dep`/`T_res`, or the automaton
     /// `res_mii` disagrees with the exact `t_res`.
     BoundsMismatch,
-    /// IMS schedules differ between conflict oracles.
-    ImsDiverged,
     /// An engine returned an internal-invariant error
     /// (verification failure, mapping gap, solver breakdown).
     EngineError,
@@ -101,10 +96,6 @@ pub enum ViolationKind {
     /// decision (achieved period, optimality claim, or schedule
     /// acceptance) at some step of an edit script.
     IncrementalDiverged,
-    /// The legacy and flat data layouts made different decisions — a
-    /// breach of the documented bit-identity contract (same schedules,
-    /// same attempt logs, same node/pivot counts).
-    LayoutDiverged,
 }
 
 impl ViolationKind {
@@ -118,7 +109,6 @@ impl ViolationKind {
             ViolationKind::FalseRefutation => "false-refutation",
             ViolationKind::BoundViolated => "bound-violated",
             ViolationKind::BoundsMismatch => "bounds-mismatch",
-            ViolationKind::ImsDiverged => "ims-diverged",
             ViolationKind::EngineError => "engine-error",
             ViolationKind::Unschedulable => "unschedulable",
             ViolationKind::MetamorphicRelabel => "metamorphic-relabel",
@@ -126,7 +116,6 @@ impl ViolationKind {
             ViolationKind::MetamorphicScaling => "metamorphic-scaling",
             ViolationKind::MetamorphicTPlusOne => "metamorphic-t-plus-1",
             ViolationKind::IncrementalDiverged => "incremental-diverged",
-            ViolationKind::LayoutDiverged => "layout-diverged",
         }
     }
 
@@ -141,7 +130,6 @@ impl ViolationKind {
             FalseRefutation,
             BoundViolated,
             BoundsMismatch,
-            ImsDiverged,
             EngineError,
             Unschedulable,
             MetamorphicRelabel,
@@ -149,7 +137,6 @@ impl ViolationKind {
             MetamorphicScaling,
             MetamorphicTPlusOne,
             IncrementalDiverged,
-            LayoutDiverged,
         ] {
             if k.as_str() == s {
                 return Some(k);
@@ -204,7 +191,7 @@ impl Default for DiffOptions {
 /// Compact, timing-free outcome of one configuration.
 #[derive(Debug, Clone)]
 pub struct ConfigOutcome {
-    /// Configuration name (`"ilp+ims/scan"`, …).
+    /// Configuration name (`"ilp+ims"`, …).
     pub config: &'static str,
     /// Accepted period, when a schedule was produced.
     pub period: Option<u32>,
@@ -250,93 +237,21 @@ impl CaseReport {
     }
 }
 
-/// The driver matrix:
-/// `(name, heuristic_incumbent, oracle, engine, layout)`. Index 0 is
-/// the *baseline* every cross-check and metamorphic relation compares
-/// against (and the only slot faults are injected into). The CP and
-/// portfolio rows run without the IMS incumbent so the exact engines —
-/// not a heuristic certificate — settle every period. The two
-/// `…/legacy` rows re-run their flat twin under [`DataLayout::Legacy`]
-/// and must be *decision-identical* to it (schedule, attempt log, node
-/// and pivot counts) — see [`ViolationKind::LayoutDiverged`].
-const SCHEDULER_CONFIGS: [(&str, bool, ConflictOracleMode, Engine, DataLayout); 10] = [
-    (
-        "ilp+ims/scan",
-        true,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Flat,
-    ),
-    (
-        "ilp+ims/auto",
-        true,
-        ConflictOracleMode::Automaton,
-        Engine::Ilp,
-        DataLayout::Flat,
-    ),
-    (
-        "ilp+ims/scan/legacy",
-        true,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Legacy,
-    ),
-    (
-        "ilp/scan",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Flat,
-    ),
-    (
-        "ilp/auto",
-        false,
-        ConflictOracleMode::Automaton,
-        Engine::Ilp,
-        DataLayout::Flat,
-    ),
-    (
-        "ilp/scan/legacy",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Ilp,
-        DataLayout::Legacy,
-    ),
-    (
-        "cp/scan",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Cp,
-        DataLayout::Flat,
-    ),
-    (
-        "cp/auto",
-        false,
-        ConflictOracleMode::Automaton,
-        Engine::Cp,
-        DataLayout::Flat,
-    ),
-    (
-        "race/scan",
-        false,
-        ConflictOracleMode::Scan,
-        Engine::Portfolio,
-        DataLayout::Flat,
-    ),
-    (
-        "race/auto",
-        false,
-        ConflictOracleMode::Automaton,
-        Engine::Portfolio,
-        DataLayout::Flat,
-    ),
+/// The driver matrix: `(name, heuristic_incumbent, engine)`. Index 0
+/// is the *baseline* every cross-check and metamorphic relation
+/// compares against (and the only slot faults are injected into). The
+/// CP and portfolio rows run without the IMS incumbent so the exact
+/// engines — not a heuristic certificate — settle every period.
+const SCHEDULER_CONFIGS: [(&str, bool, Engine); 4] = [
+    ("ilp+ims", true, Engine::Ilp),
+    ("ilp", false, Engine::Ilp),
+    ("cp", false, Engine::Cp),
+    ("race", false, Engine::Portfolio),
 ];
 
 fn scheduler_config(
     heuristic_incumbent: bool,
-    oracle: ConflictOracleMode,
     engine: Engine,
-    layout: DataLayout,
     faults: FaultPlan,
     max_live: Option<u32>,
 ) -> SchedulerConfig {
@@ -346,9 +261,7 @@ fn scheduler_config(
         time_limit_per_t: None,
         time_limit_total: None,
         heuristic_incumbent,
-        conflict_oracle: oracle,
         engine,
-        data_layout: layout,
         faults,
         max_live,
         ..SchedulerConfig::default()
@@ -490,10 +403,10 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     let t_dep = case.ddg.t_dep().unwrap_or(0);
     let t_lb = t_dep.max(t_res);
 
-    // Stage 1: the driver configurations (engine × oracle matrix).
+    // Stage 1: the driver configurations (the engine matrix).
     let mut driver_outcomes: Vec<(usize, DriverOutcome)> = Vec::new();
     let mut outcomes: Vec<ConfigOutcome> = Vec::new();
-    for (i, (name, incumbent, oracle, engine, layout)) in SCHEDULER_CONFIGS.iter().enumerate() {
+    for (i, (name, incumbent, engine)) in SCHEDULER_CONFIGS.iter().enumerate() {
         // The baseline (index 0) always runs: every cross-check and
         // metamorphic relation is anchored to it.
         if i != 0 && opts.engine_filter.is_some_and(|f| f != *engine) {
@@ -506,7 +419,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         };
         let outcome = run_driver(
             case,
-            scheduler_config(*incumbent, *oracle, *engine, *layout, faults, case.max_live),
+            scheduler_config(*incumbent, *engine, faults, case.max_live),
             opts.ticks_per_config,
         );
         let (period, proven, timed_out) = match &outcome {
@@ -528,33 +441,6 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
             summary: summarize(&outcome, matches!(engine, Engine::Portfolio)),
         });
         driver_outcomes.push((i, outcome));
-    }
-
-    // Property 8: the legacy-layout rows are decision-identical to
-    // their flat twins — schedule, optimality, and the full attempt log
-    // (periods, verdicts, node and pivot counts). Skipped under fault
-    // injection, where the faulted baseline differs by construction.
-    if !faulted {
-        for (i, outcome) in &driver_outcomes {
-            let name = SCHEDULER_CONFIGS[*i].0;
-            let Some(twin_name) = name.strip_suffix("/legacy") else {
-                continue;
-            };
-            let Some((_, twin)) = driver_outcomes
-                .iter()
-                .find(|(j, _)| SCHEDULER_CONFIGS[*j].0 == twin_name)
-            else {
-                continue;
-            };
-            let (legacy_sig, flat_sig) = (layout_signature(outcome), layout_signature(twin));
-            if legacy_sig != flat_sig {
-                violations.push(Violation {
-                    kind: ViolationKind::LayoutDiverged,
-                    config: name.to_string(),
-                    details: format!("legacy {legacy_sig} != flat {flat_sig}"),
-                });
-            }
-        }
     }
 
     // Property 1: accepted schedules verify. Property 5a: bounds hold.
@@ -689,90 +575,70 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
         }
     }
 
-    // Stage 2: iterative modulo scheduling alone, under both oracles.
-    let mut ims_schedules: Vec<Option<PipelinedSchedule>> = Vec::new();
-    for (name, automaton) in [("ims/scan", false), ("ims/auto", true)] {
-        let budget = Budget::with_tick_limit(opts.ticks_per_config);
-        let ims = IterativeModuloScheduler::new(case.machine.clone())
-            .with_automaton(automaton)
-            .with_max_live(case.max_live);
-        match ims.schedule_with(&case.ddg, &budget) {
-            Ok(hr) => {
-                let ii = hr.schedule.initiation_interval();
-                check_schedule(
-                    name,
-                    &hr.schedule,
-                    &case.ddg,
-                    &case.machine,
-                    case.max_live,
-                    opts.sim_iterations,
-                    &mut violations,
-                );
-                if ii < t_lb {
+    // Stage 2: iterative modulo scheduling alone.
+    let name = "ims";
+    let budget = Budget::with_tick_limit(opts.ticks_per_config);
+    let ims = IterativeModuloScheduler::new(case.machine.clone()).with_max_live(case.max_live);
+    match ims.schedule_with(&case.ddg, &budget) {
+        Ok(hr) => {
+            let ii = hr.schedule.initiation_interval();
+            check_schedule(
+                name,
+                &hr.schedule,
+                &case.ddg,
+                &case.machine,
+                case.max_live,
+                opts.sim_iterations,
+                &mut violations,
+            );
+            if ii < t_lb {
+                violations.push(Violation {
+                    kind: ViolationKind::BoundViolated,
+                    config: name.to_string(),
+                    details: format!("IMS II={ii} below lower bound {t_lb}"),
+                });
+            }
+            if let Some(t_star) = proven_t {
+                if ii < t_star {
                     violations.push(Violation {
-                        kind: ViolationKind::BoundViolated,
+                        kind: ViolationKind::BelowProven,
                         config: name.to_string(),
-                        details: format!("IMS II={ii} below lower bound {t_lb}"),
+                        details: format!("IMS II={ii} beats proven optimum {t_star}"),
                     });
                 }
-                if let Some(t_star) = proven_t {
-                    if ii < t_star {
-                        violations.push(Violation {
-                            kind: ViolationKind::BelowProven,
-                            config: name.to_string(),
-                            details: format!("IMS II={ii} beats proven optimum {t_star}"),
-                        });
-                    }
-                }
-                outcomes.push(ConfigOutcome {
-                    config: name,
-                    period: Some(ii),
-                    proven: false,
-                    timed_out: false,
-                    summary: format!("II={ii}"),
-                });
-                ims_schedules.push(Some(hr.schedule));
             }
-            Err(e) => {
-                match &e {
-                    HeuristicError::NotFound { .. }
-                    | HeuristicError::BudgetExhausted
-                    | HeuristicError::Cancelled => {}
-                    other => violations.push(Violation {
-                        kind: ViolationKind::EngineError,
-                        config: name.to_string(),
-                        details: format!("IMS error: {other}"),
-                    }),
-                }
-                outcomes.push(ConfigOutcome {
-                    config: name,
-                    period: None,
-                    proven: false,
-                    timed_out: matches!(
-                        e,
-                        HeuristicError::BudgetExhausted | HeuristicError::Cancelled
-                    ),
-                    summary: format!("ims-{e:?}")
-                        .to_lowercase()
-                        .chars()
-                        .filter(|c| !c.is_whitespace())
-                        .collect(),
-                });
-                ims_schedules.push(None);
-            }
+            outcomes.push(ConfigOutcome {
+                config: name,
+                period: Some(ii),
+                proven: false,
+                timed_out: false,
+                summary: format!("II={ii}"),
+            });
         }
-    }
-    // Property 6: the two oracles yield bit-identical IMS schedules.
-    if let [Some(scan), Some(auto)] = &ims_schedules[..] {
-        if scan != auto {
-            violations.push(Violation {
-                kind: ViolationKind::ImsDiverged,
-                config: "ims".to_string(),
-                details: format!(
-                    "scan II={} vs automaton II={} (or placements differ)",
-                    scan.initiation_interval(),
-                    auto.initiation_interval()
+        Err(e) => {
+            match &e {
+                HeuristicError::NotFound { .. }
+                | HeuristicError::BudgetExhausted
+                | HeuristicError::Cancelled => {}
+                other => violations.push(Violation {
+                    kind: ViolationKind::EngineError,
+                    config: name.to_string(),
+                    details: format!("IMS error: {other}"),
+                }),
+            }
+            outcomes.push(ConfigOutcome {
+                config: name,
+                period: None,
+                proven: false,
+                timed_out: matches!(
+                    e,
+                    HeuristicError::BudgetExhausted | HeuristicError::Cancelled
                 ),
+                summary: format!("ims-{e:?}")
+                    .to_lowercase()
+                    .chars()
+                    .filter(|c| !c.is_whitespace())
+                    .collect(),
             });
         }
     }
@@ -803,42 +669,6 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     }
 }
 
-/// Exhaustive decision signature of a driver outcome, for the layout
-/// bit-identity property: schedule placements, optimality claim, and
-/// the per-period attempt log down to branch-and-bound node and simplex
-/// pivot counts (everything except wall-clock). Tick budgets make both
-/// runs deterministic, so any difference is a real divergence.
-fn layout_signature(outcome: &DriverOutcome) -> String {
-    let fmt_attempts = |attempts: &[PeriodAttempt]| -> String {
-        attempts
-            .iter()
-            .map(|a| {
-                format!(
-                    "[T={} {:?} nodes={} pivots={} vars={} constrs={}]",
-                    a.period, a.outcome, a.nodes, a.lp_iterations, a.num_vars, a.num_constrs
-                )
-            })
-            .collect()
-    };
-    match outcome {
-        DriverOutcome::Ok(r) => format!(
-            "T={} opt={:?} times={:?} units={:?} {}",
-            r.schedule.initiation_interval(),
-            r.optimality,
-            r.schedule.start_times(),
-            r.schedule.assignment(),
-            fmt_attempts(&r.attempts)
-        ),
-        DriverOutcome::Failed(ScheduleError::NotFound {
-            t_lb,
-            t_max,
-            attempts,
-            ..
-        }) => format!("notfound[{t_lb}..{t_max}] {}", fmt_attempts(attempts)),
-        DriverOutcome::Failed(e) => format!("error:{e}"),
-    }
-}
-
 /// `(T, proven)` of a conclusive outcome; `None` when the run tripped a
 /// budget anywhere (in which case comparisons would be unsound).
 fn conclusive_signature(outcome: &DriverOutcome) -> Option<(Option<u32>, bool)> {
@@ -864,14 +694,7 @@ fn conclusive_signature(outcome: &DriverOutcome) -> Option<(Option<u32>, bool)> 
 fn rerun_baseline(case: &FuzzCase, opts: &DiffOptions) -> DriverOutcome {
     run_driver(
         case,
-        scheduler_config(
-            true,
-            ConflictOracleMode::Scan,
-            Engine::Ilp,
-            DataLayout::Flat,
-            FaultPlan::default(),
-            case.max_live,
-        ),
+        scheduler_config(true, Engine::Ilp, FaultPlan::default(), case.max_live),
         opts.ticks_per_config,
     )
 }
@@ -908,7 +731,7 @@ fn metamorphic_relabel(
     if sig != base_sig {
         violations.push(Violation {
             kind: ViolationKind::MetamorphicRelabel,
-            config: "ilp+ims/scan".to_string(),
+            config: "ilp+ims".to_string(),
             details: format!(
                 "relabeled outcome {} != original {}",
                 summarize(&outcome, false),
@@ -987,7 +810,7 @@ fn metamorphic_permute_classes(
     if sig != base_sig {
         violations.push(Violation {
             kind: ViolationKind::MetamorphicRenaming,
-            config: "ilp+ims/scan".to_string(),
+            config: "ilp+ims".to_string(),
             details: format!(
                 "class-permuted outcome {} != original {}",
                 summarize(&outcome, false),
@@ -1055,7 +878,7 @@ fn metamorphic_scale(
     if t_scaled < t_orig {
         violations.push(Violation {
             kind: ViolationKind::MetamorphicScaling,
-            config: "ilp+ims/scan".to_string(),
+            config: "ilp+ims".to_string(),
             details: format!("latency ×2 decreased proven T: {t_orig} -> {t_scaled}"),
         });
     }
@@ -1148,14 +971,8 @@ mod tests {
             let names: Vec<&str> = report.outcomes.iter().map(|o| o.config).collect();
             assert_eq!(
                 names,
-                [
-                    "ilp+ims/scan",
-                    "race/scan",
-                    "race/auto",
-                    "ims/scan",
-                    "ims/auto"
-                ],
-                "filtered matrix should be baseline + portfolio rows + IMS stages"
+                ["ilp+ims", "race", "ims"],
+                "filtered matrix should be baseline + portfolio row + IMS stage"
             );
             assert!(report.passed(), "{}: {:?}", case.name, report.violations);
         }

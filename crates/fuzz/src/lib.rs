@@ -12,8 +12,8 @@
 //! * [`gen`] — seeded generators for random DDGs and random machines
 //!   (unclean pipelines, multi-stage collisions, non-pipelined units),
 //!   in guaranteed-schedulable and adversarial modes;
-//! * [`diff`] — the differential runner: every engine × conflict-oracle
-//!   configuration per case, with the oracle properties (checker +
+//! * [`diff`] — the differential runner: every engine configuration
+//!   per case, with the oracle properties (checker +
 //!   simulator acceptance, proven-`T` agreement, lower-bound respect,
 //!   no false refutations) and the metamorphic relations (relabeling
 //!   and unit-renaming invariance, latency-scaling monotonicity,

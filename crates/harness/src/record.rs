@@ -19,7 +19,7 @@
 
 use crate::json::{parse_object, ObjectWriter};
 use std::time::Duration;
-use swp_core::{ConflictOracleMode, DataLayout, Engine, ReuseStats, SolvedBy};
+use swp_core::{Engine, ReuseStats, SolvedBy};
 use swp_loops::fingerprint::{from_hex, to_hex, Fnv64};
 
 /// Schema version stamped into every artifact line. v2 added the
@@ -47,15 +47,10 @@ pub struct SuiteRunConfig {
     /// Let iterative modulo scheduling certify feasible periods
     /// (rate-optimality is unaffected; see `SchedulerConfig`).
     pub heuristic_incumbent: bool,
-    /// Conflict-query engine: naive reservation-table scans or the
-    /// precomputed hazard automaton ([`ConflictOracleMode`]). The two
-    /// are decision-equivalent, so records fingerprint differently only
-    /// to keep A/B comparisons honest about which engine produced them.
-    pub conflict_oracle: ConflictOracleMode,
     /// Exact engine per candidate period: the unified ILP, the CP
     /// backend, or a portfolio race of both ([`Engine`]). All three are
-    /// decision-equivalent on proven outcomes; like the oracle, the
-    /// fingerprint still distinguishes them so A/B records never mix.
+    /// decision-equivalent on proven outcomes; the fingerprint still
+    /// distinguishes them so A/B records never mix.
     pub engine: Engine,
     /// Warm-start each loop's `T`-sweep: carry the simplex basis, the
     /// IMS schedule hint, and the CP no-good store from period `T` into
@@ -63,11 +58,6 @@ pub struct SuiteRunConfig {
     /// cold sweep — warm facts are hints re-validated before use — but
     /// fingerprinted anyway so warm-vs-cold A/B records never mix.
     pub warm: bool,
-    /// Reservation-table cell layout for the IMS MRT and the collision
-    /// checker (`SchedulerConfig::data_layout`). Decision-identical
-    /// across layouts but fingerprinted, like the oracle and engine, so
-    /// layout A/B records never mix.
-    pub layout: DataLayout,
     /// Register-pressure cap (`SchedulerConfig::max_live`). Changes
     /// which periods are feasible, so it is part of the fingerprint:
     /// capped and uncapped sweeps never share cached records.
@@ -82,10 +72,8 @@ impl Default for SuiteRunConfig {
             per_loop_ticks: None,
             max_t_above_lb: 8,
             heuristic_incumbent: true,
-            conflict_oracle: ConflictOracleMode::default(),
             engine: Engine::default(),
             warm: true,
-            layout: DataLayout::default(),
             max_live: None,
         }
     }
@@ -105,20 +93,12 @@ impl SuiteRunConfig {
         h.write_u64(self.per_loop_ticks.unwrap_or(u64::MAX));
         h.write_u64(u64::from(self.max_t_above_lb));
         h.write_u64(u64::from(self.heuristic_incumbent));
-        h.write_u64(match self.conflict_oracle {
-            ConflictOracleMode::Scan => 0,
-            ConflictOracleMode::Automaton => 1,
-        });
         h.write_u64(match self.engine {
             Engine::Ilp => 0,
             Engine::Cp => 1,
             Engine::Portfolio => 2,
         });
         h.write_u64(u64::from(self.warm));
-        h.write_u64(match self.layout {
-            DataLayout::Legacy => 0,
-            DataLayout::Flat => 1,
-        });
         h.write_u64(self.max_live.map_or(u64::MAX, u64::from));
         h.finish()
     }
@@ -525,10 +505,6 @@ mod tests {
                 ..base.clone()
             },
             SuiteRunConfig {
-                conflict_oracle: ConflictOracleMode::Automaton,
-                ..base.clone()
-            },
-            SuiteRunConfig {
                 engine: Engine::Cp,
                 ..base.clone()
             },
@@ -538,10 +514,6 @@ mod tests {
             },
             SuiteRunConfig {
                 warm: false,
-                ..base.clone()
-            },
-            SuiteRunConfig {
-                layout: DataLayout::Legacy,
                 ..base.clone()
             },
             SuiteRunConfig {

@@ -228,10 +228,8 @@ impl Harness {
                 time_limit_per_t: self.solve.time_limit_per_t,
                 max_t_above_lb: self.solve.max_t_above_lb,
                 heuristic_incumbent: self.solve.heuristic_incumbent,
-                conflict_oracle: self.solve.conflict_oracle,
                 engine: self.solve.engine,
                 warm_sweep: self.solve.warm,
-                data_layout: self.solve.layout,
                 max_live: self.solve.max_live,
                 ..Default::default()
             },
@@ -434,10 +432,8 @@ mod tests {
             per_loop_ticks: None,
             max_t_above_lb: 8,
             heuristic_incumbent: true,
-            conflict_oracle: Default::default(),
             engine: Default::default(),
             warm: true,
-            layout: Default::default(),
             max_live: None,
         }
     }

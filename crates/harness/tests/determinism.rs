@@ -10,9 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use swp_harness::{
-    ConflictOracleMode, Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome, SuiteRunConfig,
-};
+use swp_harness::{Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome, SuiteRunConfig};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
 
@@ -31,25 +29,16 @@ fn deterministic_solve() -> SuiteRunConfig {
         per_loop_ticks: Some(50_000),
         max_t_above_lb: 8,
         heuristic_incumbent: true,
-        conflict_oracle: ConflictOracleMode::Scan,
         engine: Default::default(),
         warm: true,
-        layout: Default::default(),
         max_live: None,
     }
 }
 
-fn run_with_oracle(
-    loops: &[GeneratedLoop],
-    workers: usize,
-    oracle: ConflictOracleMode,
-) -> Vec<LoopRecord> {
+fn run_with_workers(loops: &[GeneratedLoop], workers: usize) -> Vec<LoopRecord> {
     let harness = Harness::new(
         Machine::example_pldi95(),
-        SuiteRunConfig {
-            conflict_oracle: oracle,
-            ..deterministic_solve()
-        },
+        deterministic_solve(),
         HarnessConfig {
             workers,
             record_timing: false,
@@ -61,10 +50,6 @@ fn run_with_oracle(
         .expect("artifact-less run");
     assert!(!report.interrupted);
     report.records
-}
-
-fn run_with_workers(loops: &[GeneratedLoop], workers: usize) -> Vec<LoopRecord> {
-    run_with_oracle(loops, workers, ConflictOracleMode::Scan)
 }
 
 /// Table-4 bucketing: slack above the counting `T_lb` → (count, nodes).
@@ -107,38 +92,6 @@ fn worker_count_does_not_change_the_records() {
             "{workers}-worker Table-4 buckets differ from sequential"
         );
     }
-}
-
-#[test]
-fn automaton_oracle_is_deterministic_and_outcome_identical_to_scan() {
-    // The hazard-automaton oracle must (a) keep the worker-count
-    // bit-identity guarantee, and (b) produce records whose outcomes
-    // match the scan oracle's line for line (only the config
-    // fingerprint, which names the oracle, may differ).
-    let loops = corpus(64);
-    let scan = run_with_oracle(&loops, 1, ConflictOracleMode::Scan);
-    let seq = run_with_oracle(&loops, 1, ConflictOracleMode::Automaton);
-    assert_eq!(seq.len(), 64);
-
-    let lines = |v: &[LoopRecord]| v.iter().map(LoopRecord::to_json_line).collect::<Vec<_>>();
-    let seq_lines = lines(&seq);
-    for workers in [4usize, 8] {
-        let par = run_with_oracle(&loops, workers, ConflictOracleMode::Automaton);
-        assert_eq!(
-            lines(&par),
-            seq_lines,
-            "{workers}-worker automaton run differs from sequential"
-        );
-    }
-
-    for (s, a) in scan.iter().zip(&seq) {
-        assert_eq!(s.outcome, a.outcome, "loop {}", s.name);
-        assert_eq!(s.period, a.period, "loop {}", s.name);
-        assert_eq!(s.t_lb, a.t_lb, "loop {}", s.name);
-        assert_eq!(s.proven, a.proven, "loop {}", s.name);
-        assert_eq!(s.ticks, a.ticks, "loop {}", s.name);
-    }
-    assert_eq!(table4_buckets(&scan), table4_buckets(&seq));
 }
 
 #[test]

@@ -5,8 +5,7 @@ use crate::mrt::ModuloReservationTable;
 use std::error::Error;
 use std::fmt;
 use swp_ddg::{Ddg, NodeId};
-use swp_machine::PipelinedSchedule;
-use swp_machine::{DataLayout, Machine};
+use swp_machine::{Machine, PipelinedSchedule};
 use swp_milp::budget::{Budget, Exhaustion};
 
 /// Why a heuristic gave up.
@@ -102,10 +101,6 @@ pub struct IterativeModuloScheduler {
     budget_ratio: u32,
     /// Give up after `MII + ii_span`.
     ii_span: u32,
-    /// Probe MRT slots through the memoized hazard automaton.
-    use_automaton: bool,
-    /// Cell layout of the MRT and of the final self-audit.
-    layout: DataLayout,
     /// Register-pressure cap audited on every produced schedule.
     max_live: Option<u32>,
 }
@@ -118,8 +113,6 @@ impl IterativeModuloScheduler {
             machine,
             budget_ratio: 6,
             ii_span: 32,
-            use_automaton: false,
-            layout: DataLayout::default(),
             max_live: None,
         }
     }
@@ -133,24 +126,6 @@ impl IterativeModuloScheduler {
     /// Overrides the II search span.
     pub fn with_ii_span(mut self, span: u32) -> Self {
         self.ii_span = span;
-        self
-    }
-
-    /// Routes MRT slot probes through the memoized [`HazardAutomaton`]
-    /// of `(machine, II)` and takes `ResMII` from its conflict closure.
-    /// Schedules are bit-identical either way (debug-asserted in the
-    /// MRT); only the probe cost changes.
-    ///
-    /// [`HazardAutomaton`]: swp_automata::HazardAutomaton
-    pub fn with_automaton(mut self, enabled: bool) -> Self {
-        self.use_automaton = enabled;
-        self
-    }
-
-    /// Selects the MRT cell layout ([`DataLayout::Flat`] by default).
-    /// Schedules are bit-identical either way; only probe cost changes.
-    pub fn with_layout(mut self, layout: DataLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -192,8 +167,6 @@ impl IterativeModuloScheduler {
             self.ii_span,
             Some(self.budget_ratio),
             budget,
-            self.use_automaton,
-            self.layout,
             self.max_live,
         )
     }
@@ -232,8 +205,6 @@ impl IterativeModuloScheduler {
             Some(self.budget_ratio),
             &mut evictions,
             budget,
-            self.use_automaton,
-            self.layout,
             self.max_live,
             &mut scratch,
         )
@@ -264,8 +235,7 @@ impl IterativeModuloScheduler {
         if let Some(h) = hint {
             if h.initiation_interval() == ii
                 && h.num_ops() == ddg.num_nodes()
-                && h.validate_layout(ddg, &self.machine, None, self.layout)
-                    .is_ok()
+                && h.validate(ddg, &self.machine).is_ok()
                 && self.max_live.map_or(true, |ml| h.max_live(ddg) <= ml)
             {
                 return Ok(Some(h.clone()));
@@ -281,8 +251,6 @@ impl IterativeModuloScheduler {
 pub struct ListModuloScheduler {
     machine: Machine,
     ii_span: u32,
-    use_automaton: bool,
-    layout: DataLayout,
 }
 
 impl ListModuloScheduler {
@@ -291,23 +259,7 @@ impl ListModuloScheduler {
         ListModuloScheduler {
             machine,
             ii_span: 32,
-            use_automaton: false,
-            layout: DataLayout::default(),
         }
-    }
-
-    /// Routes MRT slot probes through the memoized hazard automaton;
-    /// see [`IterativeModuloScheduler::with_automaton`].
-    pub fn with_automaton(mut self, enabled: bool) -> Self {
-        self.use_automaton = enabled;
-        self
-    }
-
-    /// Selects the MRT cell layout; see
-    /// [`IterativeModuloScheduler::with_layout`].
-    pub fn with_layout(mut self, layout: DataLayout) -> Self {
-        self.layout = layout;
-        self
     }
 
     /// Schedules `ddg` without backtracking.
@@ -329,16 +281,7 @@ impl ListModuloScheduler {
         ddg: &Ddg,
         budget: &Budget,
     ) -> Result<HeuristicResult, HeuristicError> {
-        run(
-            &self.machine,
-            ddg,
-            self.ii_span,
-            None,
-            budget,
-            self.use_automaton,
-            self.layout,
-            None,
-        )
+        run(&self.machine, ddg, self.ii_span, None, budget, None)
     }
 }
 
@@ -387,15 +330,12 @@ struct ImsScratch {
     evict_victims: Vec<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run(
     machine: &Machine,
     ddg: &Ddg,
     ii_span: u32,
     budget_ratio: Option<u32>,
     budget: &Budget,
-    use_automaton: bool,
-    layout: DataLayout,
     max_live: Option<u32>,
 ) -> Result<HeuristicResult, HeuristicError> {
     let t_dep = ddg.t_dep().ok_or(HeuristicError::NoFinitePeriod)?;
@@ -405,15 +345,7 @@ fn run(
         // built Machine; fold them into the generic no-period error.
         _ => HeuristicError::NoFinitePeriod,
     };
-    let t_res = if use_automaton {
-        // The automaton's ResMII mirrors `Machine::t_res` exactly (same
-        // refinement loop over the memoized per-unit capacities).
-        let r = swp_automata::res_mii(machine, ddg).map_err(map_err)?;
-        debug_assert_eq!(Ok(r), machine.t_res(ddg), "automaton ResMII drifted");
-        r
-    } else {
-        machine.t_res(ddg).map_err(map_err)?
-    };
+    let t_res = machine.t_res(ddg).map_err(map_err)?;
     let mii = t_dep.max(t_res);
     let mut tried = Vec::new();
     let mut evictions = 0u64;
@@ -428,8 +360,6 @@ fn run(
             budget_ratio,
             &mut evictions,
             budget,
-            use_automaton,
-            layout,
             max_live,
             &mut scratch,
         )? {
@@ -455,8 +385,6 @@ fn try_ii(
     budget_ratio: Option<u32>,
     evictions: &mut u64,
     budget: &Budget,
-    use_automaton: bool,
-    layout: DataLayout,
     max_live: Option<u32>,
     scratch: &mut ImsScratch,
 ) -> Result<Option<PipelinedSchedule>, Exhaustion> {
@@ -493,12 +421,7 @@ fn try_ii(
     order.extend(0..n);
     order.sort_by_key(|&i| std::cmp::Reverse(h[i]));
 
-    let mut mrt = if use_automaton {
-        let automaton = swp_automata::HazardAutomaton::for_machine(machine, ii);
-        ModuloReservationTable::with_automaton_layout(machine, ii, automaton, layout)
-    } else {
-        ModuloReservationTable::with_layout(machine, ii, layout)
-    };
+    let mut mrt = ModuloReservationTable::new(machine, ii);
     time.clear();
     time.resize(n, None);
     unit.clear();
@@ -564,20 +487,20 @@ fn try_ii(
                     return Ok(None);
                 };
                 let Some(fu) = (0..fu_type.count).min_by_key(|&fu| {
-                    mrt.conflicting_ops_into(machine, node.class, fu, t, evict_probe);
+                    mrt.conflicting_ops_into(node.class, fu, t, evict_probe);
                     evict_probe.len()
                 }) else {
                     // A class with zero units can never be placed.
                     return Ok(None);
                 };
-                mrt.conflicting_ops_into(machine, node.class, fu, t, evict_victims);
+                mrt.conflicting_ops_into(node.class, fu, t, evict_victims);
                 for k in 0..evict_victims.len() {
                     let victim = evict_victims[k];
                     let vid = NodeId::from_index(victim);
                     // Conflicting ops are scheduled by construction; if the
                     // MRT ever disagrees, skip the victim rather than panic.
                     let Some(vt) = time[victim] else { continue };
-                    mrt.remove(machine, ddg.node(vid).class, unit[victim], vt, victim);
+                    mrt.remove(ddg.node(vid).class, unit[victim], vt, victim);
                     time[victim] = None;
                     pending.push(victim);
                     *evictions += 1;
@@ -586,7 +509,7 @@ fn try_ii(
             }
         };
 
-        mrt.place(machine, node.class, fu, t, i);
+        mrt.place(node.class, fu, t, i);
         time[i] = Some(t);
         unit[i] = fu;
         prev_time[i] = Some(t);
@@ -598,7 +521,7 @@ fn try_ii(
                 if (ts as i64) < need {
                     let j = e.dst.index();
                     let jd = NodeId::from_index(j);
-                    mrt.remove(machine, ddg.node(jd).class, unit[j], ts, j);
+                    mrt.remove(ddg.node(jd).class, unit[j], ts, j);
                     time[j] = None;
                     pending.push(j);
                     *evictions += 1;
@@ -620,10 +543,7 @@ fn try_ii(
     let schedule = PipelinedSchedule::new(ii, starts, assignment);
     // The eviction loop guarantees dependences w.r.t. scheduled ops, but a
     // final audit keeps the heuristic honest (and catches budget races).
-    if schedule
-        .validate_layout(ddg, machine, None, layout)
-        .is_err()
-    {
+    if schedule.validate(ddg, machine).is_err() {
         return Ok(None);
     }
     // Pressure audit: IMS places by resources and dependences only, so
@@ -758,95 +678,6 @@ mod tests {
             .schedule(&g)
             .expect("empty ok");
         assert_eq!(res.schedule.num_ops(), 0);
-    }
-
-    #[test]
-    fn automaton_probing_yields_identical_schedules() {
-        // The automaton accelerates probes but must not change a single
-        // decision: both runs produce the same schedule, tried list and
-        // eviction count, on clean, hazard and non-pipelined machines.
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            let g = fp_loop();
-            let plain = IterativeModuloScheduler::new(machine.clone())
-                .schedule(&g)
-                .expect("plain");
-            let fast = IterativeModuloScheduler::new(machine.clone())
-                .with_automaton(true)
-                .schedule(&g)
-                .expect("automaton");
-            assert_eq!(plain.schedule, fast.schedule);
-            assert_eq!(plain.mii, fast.mii);
-            assert_eq!(plain.tried, fast.tried);
-            assert_eq!(plain.evictions, fast.evictions);
-
-            let plain_list = ListModuloScheduler::new(machine.clone())
-                .schedule(&g)
-                .expect("plain list");
-            let fast_list = ListModuloScheduler::new(machine)
-                .with_automaton(true)
-                .schedule(&g)
-                .expect("automaton list");
-            assert_eq!(plain_list.schedule, fast_list.schedule);
-        }
-    }
-
-    #[test]
-    fn layout_choice_yields_identical_schedules() {
-        // Flat and Legacy MRT layouts must agree on every decision: same
-        // schedule, same tried list, same eviction count, for both the
-        // backtracking and the list scheduler, on all example machines.
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            let g = fp_loop();
-            let legacy = IterativeModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g)
-                .expect("legacy");
-            let flat = IterativeModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Flat)
-                .schedule(&g)
-                .expect("flat");
-            assert_eq!(legacy.schedule, flat.schedule);
-            assert_eq!(legacy.mii, flat.mii);
-            assert_eq!(legacy.tried, flat.tried);
-            assert_eq!(legacy.evictions, flat.evictions);
-
-            // A starved eviction budget forces the backtracking path so
-            // both layouts exercise forced placement, not just probing.
-            let legacy_tight = IterativeModuloScheduler::new(machine.clone())
-                .with_budget_ratio(1)
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g)
-                .expect("legacy tight");
-            let flat_tight = IterativeModuloScheduler::new(machine.clone())
-                .with_budget_ratio(1)
-                .with_layout(DataLayout::Flat)
-                .schedule(&g)
-                .expect("flat tight");
-            assert_eq!(legacy_tight.schedule, flat_tight.schedule);
-            assert_eq!(legacy_tight.tried, flat_tight.tried);
-            assert_eq!(legacy_tight.evictions, flat_tight.evictions);
-
-            let legacy_list = ListModuloScheduler::new(machine.clone())
-                .with_layout(DataLayout::Legacy)
-                .schedule(&g)
-                .expect("legacy list");
-            let flat_list = ListModuloScheduler::new(machine)
-                .with_layout(DataLayout::Flat)
-                .schedule(&g)
-                .expect("flat list");
-            assert_eq!(legacy_list.schedule, flat_list.schedule);
-            assert_eq!(legacy_list.tried, flat_list.tried);
-        }
     }
 
     #[test]

@@ -7,31 +7,20 @@
 //! cells of one concrete unit, which is exactly the fixed FU assignment
 //! the paper's ILP computes via coloring — done greedily here.
 //!
-//! Two cell layouts back the table, selected by [`DataLayout`]:
-//!
-//! * **Legacy** — the original `cells[class][fu][stage][residue]`
-//!   nested-`Vec` nest, probed cell by cell;
-//! * **Flat** (default) — one stride-indexed owner arena per class plus
-//!   per-unit u64 occupancy words: a slot probe is one AND per word
-//!   against the class's precomputed claimed-cell mask for the issue
-//!   residue, instead of a stage×offset scan.
-//!
-//! Both layouts make identical decisions — same probe answers, same
-//! eviction sets in the same order, same double-claim panics — which
-//! the equivalence tests and proptests enforce.
+//! Each class keeps one stride-indexed owner arena plus per-unit u64
+//! occupancy words: a slot probe is one AND per word against the class's
+//! precomputed claimed-cell mask for the issue residue, instead of a
+//! stage×offset scan.
 
-use std::sync::Arc;
-use swp_automata::{stats, HazardAutomaton, HazardFsa, StateId};
 use swp_ddg::OpClass;
-use swp_machine::{DataLayout, Machine, ReservationTable};
+use swp_machine::{Machine, ReservationTable};
 
 /// Occupancy of all units of all classes over one period.
 #[derive(Debug, Clone)]
 pub struct ModuloReservationTable {
     period: u32,
-    cells: MrtCells,
-    /// Optional hazard-automaton acceleration, shadowing the cells.
-    fast: Option<FastState>,
+    /// Per-class cell arenas, indexed by class.
+    classes: Vec<ClassArena>,
     /// Issue-bundle counters, present when the machine declares bundle
     /// limits.
     bundle: Option<BundleState>,
@@ -54,7 +43,7 @@ struct BundleState {
     /// Issues per `(group, residue)`, flattened `g * period + r`.
     group_counts: Vec<u32>,
     /// `(op, class index)` issued at each residue, in placement order —
-    /// kept in order so eviction lists are layout-independent.
+    /// kept in order so eviction lists are deterministic.
     issued: Vec<Vec<(usize, usize)>>,
 }
 
@@ -86,28 +75,15 @@ impl BundleState {
     }
 }
 
-/// The cell store behind the MRT, one variant per [`DataLayout`].
-#[derive(Debug, Clone)]
-enum MrtCells {
-    /// `cells[class][fu][stage][residue]` = occupying op index, or `NONE`.
-    Legacy(Vec<Vec<Vec<Vec<usize>>>>),
-    Flat(FlatCells),
-}
-
-/// Flat per-class arenas: owners keyed `fu * cells_per_unit + cell`
-/// where `cell = stage * period + residue`, with per-unit occupancy
-/// words for word-parallel probes.
-#[derive(Debug, Clone)]
-struct FlatCells {
-    classes: Vec<ClassArena>,
-}
-
+/// One class's cells: owners keyed `fu * cells_per_unit + cell` where
+/// `cell = stage * period + residue`, with per-unit occupancy words for
+/// word-parallel probes.
 #[derive(Debug, Clone)]
 struct ClassArena {
     /// Per issue residue: claimed-cell mask (`cell_mask_words` words).
     masks: Vec<Vec<u64>>,
-    /// Per issue residue: claimed cells in legacy scan order
-    /// (stage-major, marked offsets ascending).
+    /// Per issue residue: claimed cells in scan order (stage-major,
+    /// marked offsets ascending).
     lists: Vec<Vec<usize>>,
     /// u64 words per unit occupancy run.
     words: usize,
@@ -143,145 +119,30 @@ impl ClassArena {
     }
 }
 
-/// The automaton-side mirror of the MRT: one FSA state (or residue list)
-/// per physical unit. The cell store stays authoritative — it still
-/// answers *which op* occupies a cell (for eviction) — while slot
-/// probing goes through the automaton.
-#[derive(Debug, Clone)]
-struct FastState {
-    automaton: Arc<HazardAutomaton>,
-    /// `units[class][fu]`.
-    units: Vec<Vec<UnitFast>>,
-}
-
-#[derive(Debug, Clone)]
-struct UnitFast {
-    /// Interned FSA state — meaningful while the class FSA is complete.
-    state: StateId,
-    /// Issue residues currently on this unit, for two purposes: replaying
-    /// the FSA state after a removal (OR-states are order-independent),
-    /// and the pairwise collision-matrix probe when the FSA hit its
-    /// state cap.
-    residues: Vec<u32>,
-}
-
 const NONE: usize = usize::MAX;
 
 impl ModuloReservationTable {
-    /// An empty MRT for `machine` at the given period, in the default
-    /// (flat) layout.
+    /// An empty MRT for `machine` at the given period.
     ///
     /// # Panics
     ///
     /// Panics if `period == 0`.
     pub fn new(machine: &Machine, period: u32) -> Self {
-        Self::with_layout(machine, period, DataLayout::default())
-    }
-
-    /// An empty MRT in an explicit [`DataLayout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_layout(machine: &Machine, period: u32, layout: DataLayout) -> Self {
         assert!(period > 0, "period must be positive");
-        let cells = match layout {
-            DataLayout::Legacy => MrtCells::Legacy(
-                machine
-                    .types()
-                    .iter()
-                    .map(|t| {
-                        vec![
-                            vec![vec![NONE; period as usize]; t.reservation.stages()];
-                            t.count as usize
-                        ]
-                    })
-                    .collect(),
-            ),
-            DataLayout::Flat => MrtCells::Flat(FlatCells {
-                classes: machine
-                    .types()
-                    .iter()
-                    .map(|t| ClassArena::new(&t.reservation, t.count, period))
-                    .collect(),
-            }),
-        };
         ModuloReservationTable {
             period,
-            cells,
-            fast: None,
-            bundle: BundleState::new(machine, period),
-        }
-    }
-
-    /// An empty MRT accelerated by a precompiled [`HazardAutomaton`]:
-    /// slot probes become one FSA bit test per unit instead of a
-    /// stage×offset cell scan. Decisions are bit-identical to the plain
-    /// MRT (the forbidden-residue mask of a unit equals "some needed
-    /// cell is taken" — debug-asserted on every probe), so schedules do
-    /// not change, only the time to find them. An automaton compiled
-    /// for a different period is ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_automaton(machine: &Machine, period: u32, automaton: Arc<HazardAutomaton>) -> Self {
-        Self::with_automaton_layout(machine, period, automaton, DataLayout::default())
-    }
-
-    /// [`ModuloReservationTable::with_automaton`] in an explicit
-    /// [`DataLayout`] for the authoritative cell store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_automaton_layout(
-        machine: &Machine,
-        period: u32,
-        automaton: Arc<HazardAutomaton>,
-        layout: DataLayout,
-    ) -> Self {
-        let mut mrt = Self::with_layout(machine, period, layout);
-        debug_assert_eq!(
-            automaton.period(),
-            period,
-            "automaton compiled for a different period"
-        );
-        if automaton.period() == period {
-            let units = machine
+            classes: machine
                 .types()
                 .iter()
-                .map(|t| {
-                    vec![
-                        UnitFast {
-                            state: HazardFsa::START,
-                            residues: Vec::new(),
-                        };
-                        t.count as usize
-                    ]
-                })
-                .collect();
-            mrt.fast = Some(FastState { automaton, units });
+                .map(|t| ClassArena::new(&t.reservation, t.count, period))
+                .collect(),
+            bundle: BundleState::new(machine, period),
         }
-        mrt
     }
 
     /// The period this table wraps at.
     pub fn period(&self) -> u32 {
         self.period
-    }
-
-    /// Whether probes go through a hazard automaton.
-    pub fn uses_automaton(&self) -> bool {
-        self.fast.is_some()
-    }
-
-    /// The cell layout backing this table.
-    pub fn layout(&self) -> DataLayout {
-        match self.cells {
-            MrtCells::Legacy(_) => DataLayout::Legacy,
-            MrtCells::Flat(_) => DataLayout::Flat,
-        }
     }
 
     /// Finds a unit of `class` whose cells are all free for an operation
@@ -295,69 +156,9 @@ impl ModuloReservationTable {
                 return None;
             }
         }
-        let rt = &fu_type.reservation;
-        let Some(fast) = &self.fast else {
-            return (0..fu_type.count).find(|&fu| self.cells_free(rt, class, fu, time));
-        };
-        let r = time % self.period;
-        (0..fu_type.count).find(|&fu| match self.unit_free_fast(fast, class, fu, r) {
-            Some(free) => {
-                // The fast path refuses self-colliding classes outright
-                // (the cell scan would accept and then double-claim);
-                // everywhere else the two predicates must agree.
-                debug_assert!(
-                    fast.automaton
-                        .fsa(class)
-                        .is_some_and(HazardFsa::self_collides)
-                        || free == self.cells_free(rt, class, fu, time),
-                    "automaton probe disagrees with cell scan"
-                );
-                free
-            }
-            None => self.cells_free(rt, class, fu, time),
-        })
-    }
-
-    /// The layout-dispatched probe: every cell the reservation table
-    /// needs is free. One AND per occupancy word in the flat layout; a
-    /// per-cell scan in the legacy one. Identical answers.
-    fn cells_free(&self, rt: &ReservationTable, class: OpClass, fu: u32, time: u32) -> bool {
-        match &self.cells {
-            MrtCells::Legacy(cells) => (0..rt.stages()).all(|s| {
-                rt.stage_offset_iter(s).all(|l| {
-                    let r = ((time + l as u32) % self.period) as usize;
-                    cells[class.index()][fu as usize][s][r] == NONE
-                })
-            }),
-            MrtCells::Flat(flat) => {
-                let arena = &flat.classes[class.index()];
-                let mask = &arena.masks[(time % self.period) as usize];
-                mask.iter().zip(arena.unit_occ(fu)).all(|(m, o)| m & o == 0)
-            }
-        }
-    }
-
-    /// The automaton probe: residue `r` is not forbidden on this unit.
-    /// `None` when the automaton does not know the class (caller falls
-    /// back to the cell scan).
-    fn unit_free_fast(&self, fast: &FastState, class: OpClass, fu: u32, r: u32) -> Option<bool> {
-        let fsa = fast.automaton.fsa(class)?;
-        if fsa.self_collides() {
-            return Some(false);
-        }
-        let unit = fast.units.get(class.index())?.get(fu as usize)?;
-        if fsa.is_complete() {
-            stats::count_fsa_queries(1);
-            Some(fsa.can_issue(unit.state, r))
-        } else {
-            // State-capped FSA: probe pairwise through the collision
-            // matrix (still allocation-free, one bit test per placed op).
-            stats::count_matrix_queries(unit.residues.len() as u64);
-            let matrix = fast.automaton.matrix();
-            Some(unit.residues.iter().all(|&q| {
-                matrix.collides(class, class, (r + self.period - q) % self.period) == Some(false)
-            }))
-        }
+        let arena = &self.classes[class.index()];
+        let mask = &arena.masks[(time % self.period) as usize];
+        (0..fu_type.count).find(|&fu| mask.iter().zip(arena.unit_occ(fu)).all(|(m, o)| m & o == 0))
     }
 
     /// Claims the cells of `op` (an arbitrary caller-chosen tag) issued
@@ -367,47 +168,22 @@ impl ModuloReservationTable {
     ///
     /// Panics if any needed cell is already occupied (callers must use
     /// [`ModuloReservationTable::find_free_unit`] first).
-    pub fn place(&mut self, machine: &Machine, class: OpClass, fu: u32, time: u32, op: usize) {
-        let rt = &machine.fu_type(class).expect("known class").reservation;
+    pub fn place(&mut self, class: OpClass, fu: u32, time: u32, op: usize) {
         let period = self.period;
-        match &mut self.cells {
-            MrtCells::Legacy(cells) => {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offset_iter(s) {
-                        let r = ((time + l as u32) % period) as usize;
-                        let cell = &mut cells[class.index()][fu as usize][s][r];
-                        assert_eq!(*cell, NONE, "cell already occupied");
-                        *cell = op;
-                    }
-                }
-            }
-            MrtCells::Flat(flat) => {
-                let arena = &mut flat.classes[class.index()];
-                let residue = (time % period) as usize;
-                let base = fu as usize * arena.cells_per_unit;
-                for &cell in &arena.lists[residue] {
-                    let cell = &mut arena.owner[base + cell];
-                    assert_eq!(*cell, NONE, "cell already occupied");
-                    *cell = op;
-                }
-                let wbase = fu as usize * arena.words;
-                for (w, m) in arena.masks[residue].iter().enumerate() {
-                    arena.occ[wbase + w] |= m;
-                }
-            }
+        let arena = &mut self.classes[class.index()];
+        let residue = (time % period) as usize;
+        let base = fu as usize * arena.cells_per_unit;
+        for &cell in &arena.lists[residue] {
+            let cell = &mut arena.owner[base + cell];
+            assert_eq!(*cell, NONE, "cell already occupied");
+            *cell = op;
         }
-        if let Some(fast) = &mut self.fast {
-            let r = time % period;
-            if let Some(fsa) = fast.automaton.fsa(class) {
-                let unit = &mut fast.units[class.index()][fu as usize];
-                unit.residues.push(r);
-                if fsa.is_complete() {
-                    unit.state = fsa.issue(unit.state, r);
-                }
-            }
+        let wbase = fu as usize * arena.words;
+        for (w, m) in arena.masks[residue].iter().enumerate() {
+            arena.occ[wbase + w] |= m;
         }
         if let Some(b) = &mut self.bundle {
-            let r = (time % period) as usize;
+            let r = residue;
             debug_assert!(
                 b.has_headroom(class, r, period),
                 "bundle overflow: callers must probe or evict first"
@@ -421,58 +197,24 @@ impl ModuloReservationTable {
     }
 
     /// Releases the cells of `op` issued at `time` on `fu`.
-    pub fn remove(&mut self, machine: &Machine, class: OpClass, fu: u32, time: u32, op: usize) {
-        let rt = &machine.fu_type(class).expect("known class").reservation;
+    pub fn remove(&mut self, class: OpClass, fu: u32, time: u32, op: usize) {
         let period = self.period;
-        match &mut self.cells {
-            MrtCells::Legacy(cells) => {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offset_iter(s) {
-                        let r = ((time + l as u32) % period) as usize;
-                        let cell = &mut cells[class.index()][fu as usize][s][r];
-                        debug_assert_eq!(*cell, op, "removing someone else's reservation");
-                        *cell = NONE;
-                    }
-                }
-            }
-            MrtCells::Flat(flat) => {
-                let arena = &mut flat.classes[class.index()];
-                let residue = (time % period) as usize;
-                let base = fu as usize * arena.cells_per_unit;
-                for &cell in &arena.lists[residue] {
-                    let cell = &mut arena.owner[base + cell];
-                    debug_assert_eq!(*cell, op, "removing someone else's reservation");
-                    *cell = NONE;
-                }
-                // Every bit of the mask was exclusively this op's (place
-                // asserts cell exclusivity), so AND-NOT releases exactly
-                // its cells.
-                let wbase = fu as usize * arena.words;
-                for (w, m) in arena.masks[residue].iter().enumerate() {
-                    arena.occ[wbase + w] &= !m;
-                }
-            }
+        let arena = &mut self.classes[class.index()];
+        let residue = (time % period) as usize;
+        let base = fu as usize * arena.cells_per_unit;
+        for &cell in &arena.lists[residue] {
+            let cell = &mut arena.owner[base + cell];
+            debug_assert_eq!(*cell, op, "removing someone else's reservation");
+            *cell = NONE;
         }
-        if let Some(fast) = &mut self.fast {
-            let r = time % period;
-            if let Some(fsa) = fast.automaton.fsa(class) {
-                let unit = &mut fast.units[class.index()][fu as usize];
-                if let Some(pos) = unit.residues.iter().position(|&q| q == r) {
-                    unit.residues.swap_remove(pos);
-                }
-                if fsa.is_complete() {
-                    // OR-ed masks are order-independent, so replaying the
-                    // surviving residues from the start state lands on
-                    // exactly the mask of the remaining occupancy.
-                    unit.state = unit
-                        .residues
-                        .iter()
-                        .fold(HazardFsa::START, |s, &q| fsa.issue(s, q));
-                }
-            }
+        // Every bit of the mask was exclusively this op's (place asserts
+        // cell exclusivity), so AND-NOT releases exactly its cells.
+        let wbase = fu as usize * arena.words;
+        for (w, m) in arena.masks[residue].iter().enumerate() {
+            arena.occ[wbase + w] &= !m;
         }
         if let Some(b) = &mut self.bundle {
-            let r = (time % period) as usize;
+            let r = residue;
             b.total[r] -= 1;
             for &g in &b.groups_of[class.index()] {
                 b.group_counts[g * period as usize + r] -= 1;
@@ -488,55 +230,25 @@ impl ModuloReservationTable {
     /// Ops occupying any cell that an operation of `class` issued at
     /// `time` on `fu` would need — the eviction set for a forced
     /// placement.
-    pub fn conflicting_ops(
-        &self,
-        machine: &Machine,
-        class: OpClass,
-        fu: u32,
-        time: u32,
-    ) -> Vec<usize> {
+    pub fn conflicting_ops(&self, class: OpClass, fu: u32, time: u32) -> Vec<usize> {
         let mut out = Vec::new();
-        self.conflicting_ops_into(machine, class, fu, time, &mut out);
+        self.conflicting_ops_into(class, fu, time, &mut out);
         out
     }
 
     /// [`ModuloReservationTable::conflicting_ops`] into a caller-owned
     /// scratch vector (cleared first), so hot eviction loops allocate
     /// nothing. Owners appear in first-claimed-cell scan order, each
-    /// distinct op once — both layouts produce the identical sequence,
-    /// which matters because the IMS picks eviction victims by the
-    /// *distinct-owner count* of this list.
-    pub fn conflicting_ops_into(
-        &self,
-        machine: &Machine,
-        class: OpClass,
-        fu: u32,
-        time: u32,
-        out: &mut Vec<usize>,
-    ) {
+    /// distinct op once — the order matters because the IMS picks
+    /// eviction victims by the *distinct-owner count* of this list.
+    pub fn conflicting_ops_into(&self, class: OpClass, fu: u32, time: u32, out: &mut Vec<usize>) {
         out.clear();
-        let rt = &machine.fu_type(class).expect("known class").reservation;
-        match &self.cells {
-            MrtCells::Legacy(cells) => {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offset_iter(s) {
-                        let r = ((time + l as u32) % self.period) as usize;
-                        let cell = cells[class.index()][fu as usize][s][r];
-                        if cell != NONE && !out.contains(&cell) {
-                            out.push(cell);
-                        }
-                    }
-                }
-            }
-            MrtCells::Flat(flat) => {
-                let arena = &flat.classes[class.index()];
-                let owner = arena.unit_owner(fu);
-                for &cell in &arena.lists[(time % self.period) as usize] {
-                    let op = owner[cell];
-                    if op != NONE && !out.contains(&op) {
-                        out.push(op);
-                    }
-                }
+        let arena = &self.classes[class.index()];
+        let owner = arena.unit_owner(fu);
+        for &cell in &arena.lists[(time % self.period) as usize] {
+            let op = owner[cell];
+            if op != NONE && !out.contains(&op) {
+                out.push(op);
             }
         }
         if let Some(b) = &self.bundle {
@@ -568,7 +280,6 @@ impl ModuloReservationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swp_automata::HazardAutomaton;
     use swp_machine::Machine;
 
     const FP: OpClass = OpClass::new(1);
@@ -576,177 +287,44 @@ mod tests {
     #[test]
     fn place_find_remove_roundtrip() {
         let m = Machine::example_pldi95();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            assert_eq!(mrt.layout(), layout);
-            let fu = mrt.find_free_unit(&m, FP, 0).expect("free");
-            mrt.place(&m, FP, fu, 0, 7);
-            // Offset 1 collides on stage 3 with offset 0 on the same unit...
-            let fu2 = mrt.find_free_unit(&m, FP, 1).expect("second unit free");
-            assert_ne!(fu, fu2);
-            mrt.remove(&m, FP, fu, 0, 7);
-            assert_eq!(mrt.find_free_unit(&m, FP, 1), Some(0));
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        let fu = mrt.find_free_unit(&m, FP, 0).expect("free");
+        mrt.place(FP, fu, 0, 7);
+        // Offset 1 collides on stage 3 with offset 0 on the same unit...
+        let fu2 = mrt.find_free_unit(&m, FP, 1).expect("second unit free");
+        assert_ne!(fu, fu2);
+        mrt.remove(FP, fu, 0, 7);
+        assert_eq!(mrt.find_free_unit(&m, FP, 1), Some(0));
     }
 
     #[test]
     fn exhausted_units_return_none() {
         let m = Machine::example_pldi95();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            mrt.place(&m, FP, 0, 0, 1);
-            mrt.place(&m, FP, 1, 0, 2);
-            // Offset 1 overlaps offset 0 on stage 3 for both units.
-            assert_eq!(mrt.find_free_unit(&m, FP, 1), None);
-            // Offset 2 does not overlap offset 0.
-            assert!(mrt.find_free_unit(&m, FP, 2).is_some());
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        mrt.place(FP, 0, 0, 1);
+        mrt.place(FP, 1, 0, 2);
+        // Offset 1 overlaps offset 0 on stage 3 for both units.
+        assert_eq!(mrt.find_free_unit(&m, FP, 1), None);
+        // Offset 2 does not overlap offset 0.
+        assert!(mrt.find_free_unit(&m, FP, 2).is_some());
     }
 
     #[test]
     fn conflicting_ops_lists_evictees() {
         let m = Machine::example_pldi95();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            mrt.place(&m, FP, 0, 0, 1);
-            assert_eq!(mrt.conflicting_ops(&m, FP, 0, 1), vec![1]);
-            assert!(mrt.conflicting_ops(&m, FP, 0, 2).is_empty());
-        }
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        mrt.place(FP, 0, 0, 1);
+        assert_eq!(mrt.conflicting_ops(FP, 0, 1), vec![1]);
+        assert!(mrt.conflicting_ops(FP, 0, 2).is_empty());
     }
 
     #[test]
     fn wrapping_claims_respected() {
         let m = Machine::example_non_pipelined();
-        for layout in [DataLayout::Legacy, DataLayout::Flat] {
-            let mut mrt = ModuloReservationTable::with_layout(&m, 4, layout);
-            // lat-2 non-pipelined at offset 3 wraps into residues {3, 0}.
-            mrt.place(&m, FP, 0, 3, 9);
-            assert_eq!(mrt.conflicting_ops(&m, FP, 0, 0), vec![9]);
-        }
-    }
-
-    /// Replays a probe/place/remove trace on a legacy-layout MRT and a
-    /// flat one; every probe and every eviction list must answer
-    /// identically.
-    #[test]
-    fn flat_mrt_matches_legacy_mrt_decisions() {
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            for period in 2u32..=9 {
-                let mut legacy =
-                    ModuloReservationTable::with_layout(&machine, period, DataLayout::Legacy);
-                let mut flat =
-                    ModuloReservationTable::with_layout(&machine, period, DataLayout::Flat);
-                let mut placed: Vec<(OpClass, u32, u32, usize)> = Vec::new();
-                let mut op = 0usize;
-                for round in 0..3u32 {
-                    for c in 0..machine.num_classes() {
-                        let class = OpClass::new(c);
-                        if !machine.types()[c].reservation.modulo_feasible(period) {
-                            continue;
-                        }
-                        for time in 0..period + 2 {
-                            let a = legacy.find_free_unit(&machine, class, time);
-                            let b = flat.find_free_unit(&machine, class, time);
-                            assert_eq!(a, b, "T={period} class={c} t={time}");
-                            let count = machine.types()[c].count;
-                            for fu in 0..count {
-                                assert_eq!(
-                                    legacy.conflicting_ops(&machine, class, fu, time),
-                                    flat.conflicting_ops(&machine, class, fu, time),
-                                    "eviction list T={period} class={c} fu={fu} t={time}"
-                                );
-                            }
-                            if let (Some(fu), true) = (a, round != 1) {
-                                legacy.place(&machine, class, fu, time, op);
-                                flat.place(&machine, class, fu, time, op);
-                                placed.push((class, fu, time, op));
-                                op += 1;
-                            }
-                        }
-                    }
-                    let mut keep = Vec::new();
-                    for (k, &(class, fu, time, op)) in placed.iter().enumerate() {
-                        if k % 2 == 0 {
-                            legacy.remove(&machine, class, fu, time, op);
-                            flat.remove(&machine, class, fu, time, op);
-                        } else {
-                            keep.push((class, fu, time, op));
-                        }
-                    }
-                    placed = keep;
-                }
-            }
-        }
-    }
-
-    /// Replays a probe/place/remove trace on a plain MRT and an
-    /// automaton-backed one; every probe must answer identically.
-    #[test]
-    fn automaton_mrt_matches_plain_mrt_decisions() {
-        for machine in [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ] {
-            for period in 2u32..=9 {
-                let automaton = HazardAutomaton::for_machine(&machine, period);
-                let mut plain = ModuloReservationTable::new(&machine, period);
-                let mut fast = ModuloReservationTable::with_automaton(&machine, period, automaton);
-                assert!(fast.uses_automaton());
-                let mut placed: Vec<(OpClass, u32, u32, usize)> = Vec::new();
-                let mut op = 0usize;
-                for round in 0..3u32 {
-                    for c in 0..machine.num_classes() {
-                        let class = OpClass::new(c);
-                        if !machine.types()[c].reservation.modulo_feasible(period) {
-                            continue;
-                        }
-                        for time in 0..period + 2 {
-                            let a = plain.find_free_unit(&machine, class, time);
-                            let b = fast.find_free_unit(&machine, class, time);
-                            assert_eq!(a, b, "T={period} class={c} t={time}");
-                            if let (Some(fu), true) = (a, round != 1) {
-                                plain.place(&machine, class, fu, time, op);
-                                fast.place(&machine, class, fu, time, op);
-                                placed.push((class, fu, time, op));
-                                op += 1;
-                            }
-                        }
-                    }
-                    // Free every other op and keep probing: exercises the
-                    // replay-on-remove path of the FSA mirror.
-                    let mut keep = Vec::new();
-                    for (k, &(class, fu, time, op)) in placed.iter().enumerate() {
-                        if k % 2 == 0 {
-                            plain.remove(&machine, class, fu, time, op);
-                            fast.remove(&machine, class, fu, time, op);
-                        } else {
-                            keep.push((class, fu, time, op));
-                        }
-                    }
-                    placed = keep;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn automaton_probe_counts_telemetry() {
-        // Hold the process-wide telemetry reset guard instead of doing
-        // snapshot/delta arithmetic by hand (swp-automata satellite).
-        let _guard = swp_automata::stats::reset_for_test();
-        let machine = Machine::example_pldi95();
-        let automaton = HazardAutomaton::for_machine(&machine, 4);
-        let mrt = ModuloReservationTable::with_automaton(&machine, 4, automaton);
-        let _ = mrt.find_free_unit(&machine, FP, 0);
-        let after = swp_automata::stats::snapshot();
-        assert!(after.fsa_queries + after.matrix_queries >= 1);
+        let mut mrt = ModuloReservationTable::new(&m, 4);
+        // lat-2 non-pipelined at offset 3 wraps into residues {3, 0}.
+        mrt.place(FP, 0, 3, 9);
+        assert_eq!(mrt.conflicting_ops(FP, 0, 0), vec![9]);
     }
 
     #[test]
@@ -756,8 +334,8 @@ mod tests {
         let int = OpClass::new(0);
         let mem = OpClass::new(2);
         let mut mrt = ModuloReservationTable::new(&m, 4);
-        mrt.place(&m, int, 0, 0, 1);
-        mrt.place(&m, mem, 0, 0, 2);
+        mrt.place(int, 0, 0, 1);
+        mrt.place(mem, 0, 0, 2);
         // Residue 0 is issue-full: every class is refused there...
         assert_eq!(mrt.find_free_unit(&m, int, 0), None);
         assert_eq!(
@@ -768,7 +346,7 @@ mod tests {
         // ...but residue 1 still has room.
         assert!(mrt.find_free_unit(&m, int, 1).is_some());
         // A forced placement at residue 0 must evict the whole cycle.
-        let evict = mrt.conflicting_ops(&m, int, 0, 4);
+        let evict = mrt.conflicting_ops(int, 0, 4);
         assert!(
             evict.contains(&1) && evict.contains(&2),
             "evictees: {evict:?}"
@@ -781,13 +359,13 @@ mod tests {
         let int = OpClass::new(0);
         let mem = OpClass::new(2);
         let mut mrt = ModuloReservationTable::new(&m, 4);
-        mrt.place(&m, mem, 0, 1, 5);
+        mrt.place(mem, 0, 1, 5);
         // The mem slot at residue 1 is taken: more mem is refused, but
         // the bundle still has width for an int op.
         assert_eq!(mrt.find_free_unit(&m, mem, 1), None);
         assert!(mrt.find_free_unit(&m, int, 1).is_some());
-        assert!(mrt.conflicting_ops(&m, mem, 0, 1).contains(&5));
-        mrt.remove(&m, mem, 0, 1, 5);
+        assert!(mrt.conflicting_ops(mem, 0, 1).contains(&5));
+        mrt.remove(mem, 0, 1, 5);
         assert!(mrt.find_free_unit(&m, mem, 1).is_some());
     }
 
@@ -796,28 +374,19 @@ mod tests {
     fn double_placement_panics() {
         let m = Machine::example_pldi95();
         let mut mrt = ModuloReservationTable::new(&m, 4);
-        mrt.place(&m, FP, 0, 0, 1);
-        mrt.place(&m, FP, 0, 1, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cell already occupied")]
-    fn double_placement_panics_legacy() {
-        let m = Machine::example_pldi95();
-        let mut mrt = ModuloReservationTable::with_layout(&m, 4, DataLayout::Legacy);
-        mrt.place(&m, FP, 0, 0, 1);
-        mrt.place(&m, FP, 0, 1, 2);
+        mrt.place(FP, 0, 0, 1);
+        mrt.place(FP, 0, 1, 2);
     }
 
     #[test]
     fn conflicting_ops_into_reuses_scratch() {
         let m = Machine::example_pldi95();
         let mut mrt = ModuloReservationTable::new(&m, 4);
-        mrt.place(&m, FP, 0, 0, 1);
+        mrt.place(FP, 0, 0, 1);
         let mut scratch = vec![99, 98, 97];
-        mrt.conflicting_ops_into(&m, FP, 0, 1, &mut scratch);
+        mrt.conflicting_ops_into(FP, 0, 1, &mut scratch);
         assert_eq!(scratch, vec![1]);
-        mrt.conflicting_ops_into(&m, FP, 0, 2, &mut scratch);
+        mrt.conflicting_ops_into(FP, 0, 2, &mut scratch);
         assert!(scratch.is_empty());
     }
 }

@@ -7,8 +7,6 @@
 //! time step.
 
 use crate::machine::{Machine, MachineError};
-use crate::DataLayout;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use swp_ddg::OpClass;
@@ -155,49 +153,11 @@ impl From<MachineError> for ConflictError {
     }
 }
 
-/// A precompiled structural-conflict oracle for one period.
-///
-/// Implementors (the hazard automata of `swp-automata`) answer the
-/// checker's pairwise question — *do two operations on the same
-/// physical unit, issued `delta` cycles apart, collide on some stage?* —
-/// in O(1) instead of a reservation-table scan. The trait lives here,
-/// not in the automata crate, because the checker is the consumer and
-/// the machine crate sits below the automata crate in the dependency
-/// order.
-///
-/// Contract: a `Some(verdict)` must agree exactly with the naive
-/// reservation-table scan for the machine the oracle was compiled from;
-/// `None` means "I don't know this class" and forces a fallback scan.
-/// [`check_fixed_assignment_with`] debug-asserts the agreement on every
-/// query path, and re-derives the authoritative error by exact scan
-/// whenever the oracle reports any conflict, so oracle acceleration can
-/// never change an answer — only the time to compute it.
-pub trait ConflictOracle: Sync {
-    /// The period the oracle was compiled for. A checker invoked with a
-    /// different period ignores the oracle entirely.
-    fn period(&self) -> u32;
-
-    /// Whether two ops of classes `a` and `b` on the same physical
-    /// unit, issued `delta` cycles apart (callers reduce mod period),
-    /// collide on some stage. `None` if a class is unknown.
-    fn same_unit_collides(&self, a: OpClass, b: OpClass, delta: u32) -> Option<bool>;
-
-    /// Whether a single op of `class` collides with its own periodic
-    /// repetitions at this period. `None` if the class is unknown.
-    fn self_collides(&self, class: OpClass) -> Option<bool>;
-
-    /// Telemetry hook: invoked once each time a checker abandons this
-    /// oracle for an exact reservation-table scan.
-    fn record_fallback(&self) {}
-}
-
-/// Issue-bundle pre-pass shared by every checker entry point: in steady
+/// Issue-bundle pre-pass shared by both checker entry points: in steady
 /// state the issues of one cycle are the ops at one pattern residue, so
 /// the per-cycle width and slot-group caps become per-residue counts.
 /// Offsets are reduced mod `period`; class indices outside the machine
 /// count toward the total width only (the per-op scans report them).
-/// Running this identically before every entry point keeps all checker
-/// paths byte-identical to each other on bundle machines.
 fn check_bundle(machine: &Machine, period: u32, ops: &[PlacedOp]) -> Result<(), ConflictError> {
     let Some(bundle) = machine.bundle() else {
         return Ok(());
@@ -242,96 +202,14 @@ fn check_bundle(machine: &Machine, period: u32, ops: &[PlacedOp]) -> Result<(), 
 ///
 /// # Errors
 ///
-/// The first [`ConflictError`] found, scanning ops in order.
+/// The first [`ConflictError`] found, scanning ops in order; a collision
+/// is reported at its first claimed cell in stage-major, offset-ascending
+/// order.
+///
+/// Each (class, unit) keeps u64 occupancy words probed with one AND per
+/// word, plus a flat owner array consulted only to name the earlier op of
+/// a collision.
 pub fn check_fixed_assignment(
-    machine: &Machine,
-    period: u32,
-    ops: &[PlacedOp],
-) -> Result<(), ConflictError> {
-    assert!(period > 0, "period must be positive");
-    check_bundle(machine, period, ops)?;
-    // (class, fu, stage, residue) -> op index that holds it
-    let mut usage: HashMap<(usize, u32, usize, u32), usize> = HashMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        let fu_type = machine
-            .fu_type(op.class)
-            .map_err(|_| ConflictError::UnknownClass { op: i })?;
-        let fu = op.fu.ok_or(ConflictError::MissingAssignment { op: i })?;
-        if fu >= fu_type.count {
-            return Err(ConflictError::FuOutOfRange {
-                op: i,
-                fu,
-                available: fu_type.count,
-            });
-        }
-        if op.offset >= period {
-            return Err(ConflictError::OffsetOutOfRange {
-                op: i,
-                offset: op.offset,
-            });
-        }
-        let rt = &fu_type.reservation;
-        for s in 0..rt.stages() {
-            for l in rt.stage_offset_iter(s) {
-                let residue = (op.offset + l as u32) % period;
-                let key = (op.class.index(), fu, s, residue);
-                if let Some(&other) = usage.get(&key) {
-                    return Err(ConflictError::StageCollision {
-                        class: op.class,
-                        fu,
-                        stage: s,
-                        residue,
-                        ops: (other, i),
-                    });
-                }
-                usage.insert(key, i);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Per-class modulo tables shared by the flat checker paths: for each
-/// unit class, the word-parallel claimed-cell masks and the claimed-cell
-/// lists in exact legacy scan order (stage-major, offsets ascending).
-struct FlatTables {
-    masks: Vec<Vec<Vec<u64>>>,
-    lists: Vec<Vec<Vec<usize>>>,
-    /// u64 words per per-unit occupancy run, per class.
-    words: Vec<usize>,
-    /// `stages * period` flat cells per unit, per class.
-    cells: Vec<usize>,
-    /// Whether one op of the class repeats without self-collision.
-    self_ok: Vec<bool>,
-}
-
-impl FlatTables {
-    fn new(machine: &Machine, period: u32) -> Self {
-        let t = period as usize;
-        let mut ft = FlatTables {
-            masks: Vec::with_capacity(machine.num_classes()),
-            lists: Vec::with_capacity(machine.num_classes()),
-            words: Vec::with_capacity(machine.num_classes()),
-            cells: Vec::with_capacity(machine.num_classes()),
-            self_ok: Vec::with_capacity(machine.num_classes()),
-        };
-        for fu_type in machine.types() {
-            let rt = &fu_type.reservation;
-            ft.masks.push(rt.modulo_cell_masks(period));
-            ft.lists.push(rt.modulo_cell_lists(period));
-            ft.words.push(rt.cell_mask_words(period));
-            ft.cells.push(rt.stages() * t);
-            ft.self_ok.push(rt.modulo_feasible(period));
-        }
-        ft
-    }
-}
-
-/// The flat-layout twin of [`check_fixed_assignment`]: per-(class, fu)
-/// u64 occupancy words probed with one AND per word, plus a flat owner
-/// array used only to reconstruct the exact legacy error. Byte-identical
-/// results — same first error in the naive checker's scan order.
-fn check_fixed_assignment_flat(
     machine: &Machine,
     period: u32,
     ops: &[PlacedOp],
@@ -385,8 +263,8 @@ fn check_fixed_assignment_flat(
             }
         } else {
             // Word probe hit (or the class self-collides at this period):
-            // walk the claimed cells in legacy scan order so the first
-            // collision reported matches the naive checker exactly.
+            // walk the claimed cells in scan order to name the first
+            // collision.
             for &cell in &ft.lists[c][off] {
                 if unit_owner[cell] != usize::MAX {
                     return Err(ConflictError::StageCollision {
@@ -409,111 +287,40 @@ fn check_fixed_assignment_flat(
     Ok(())
 }
 
-/// [`check_fixed_assignment`] dispatched on [`DataLayout`]: `Legacy`
-/// runs the original per-cell hash-map scan, `Flat` the word-parallel
-/// occupancy probe. Both return byte-identical results; the equivalence
-/// proptests enforce it.
-///
-/// # Errors
-///
-/// The first [`ConflictError`] found, scanning ops in order.
-pub fn check_fixed_assignment_layout(
-    machine: &Machine,
-    period: u32,
-    ops: &[PlacedOp],
-    layout: DataLayout,
-) -> Result<(), ConflictError> {
-    match layout {
-        DataLayout::Legacy => check_fixed_assignment(machine, period, ops),
-        DataLayout::Flat => check_fixed_assignment_flat(machine, period, ops),
-    }
+/// Per-class modulo tables shared by the checker and the greedy mapper:
+/// for each unit class, the word-parallel claimed-cell masks and the
+/// claimed-cell lists in scan order (stage-major, offsets ascending).
+struct FlatTables {
+    masks: Vec<Vec<Vec<u64>>>,
+    lists: Vec<Vec<Vec<usize>>>,
+    /// u64 words per per-unit occupancy run, per class.
+    words: Vec<usize>,
+    /// `stages * period` flat cells per unit, per class.
+    cells: Vec<usize>,
+    /// Whether one op of the class repeats without self-collision.
+    self_ok: Vec<bool>,
 }
 
-/// [`check_fixed_assignment`] with an optional [`ConflictOracle`] fast
-/// path: per-op sanity checks run in the same scan order as the naive
-/// checker, but the quadratic stage-overlap test collapses to one
-/// collision-matrix bit test per same-unit pair.
-///
-/// Result fidelity is exact, not approximate. The first error of the
-/// naive checker for op `i` is either a per-op sanity error (checked
-/// here identically, in order) or a stage collision in which `i` is the
-/// later op — and the oracle's pairwise verdict agrees with the scan on
-/// precisely that predicate. On the first oracle-reported conflict (or
-/// `None` verdict, or period mismatch) the whole check re-runs as an
-/// exact scan, whose error is returned verbatim; a clean oracle run is
-/// debug-asserted against the exact scan. Either way the result is
-/// byte-identical to [`check_fixed_assignment`].
-///
-/// # Errors
-///
-/// The first [`ConflictError`] found, scanning ops in order.
-pub fn check_fixed_assignment_with(
-    machine: &Machine,
-    period: u32,
-    ops: &[PlacedOp],
-    oracle: Option<&dyn ConflictOracle>,
-) -> Result<(), ConflictError> {
-    let Some(oracle) = oracle else {
-        return check_fixed_assignment(machine, period, ops);
-    };
-    assert!(period > 0, "period must be positive");
-    check_bundle(machine, period, ops)?;
-    if oracle.period() != period {
-        oracle.record_fallback();
-        return check_fixed_assignment(machine, period, ops);
+impl FlatTables {
+    fn new(machine: &Machine, period: u32) -> Self {
+        let t = period as usize;
+        let mut ft = FlatTables {
+            masks: Vec::with_capacity(machine.num_classes()),
+            lists: Vec::with_capacity(machine.num_classes()),
+            words: Vec::with_capacity(machine.num_classes()),
+            cells: Vec::with_capacity(machine.num_classes()),
+            self_ok: Vec::with_capacity(machine.num_classes()),
+        };
+        for fu_type in machine.types() {
+            let rt = &fu_type.reservation;
+            ft.masks.push(rt.modulo_cell_masks(period));
+            ft.lists.push(rt.modulo_cell_lists(period));
+            ft.words.push(rt.cell_mask_words(period));
+            ft.cells.push(rt.stages() * t);
+            ft.self_ok.push(rt.modulo_feasible(period));
+        }
+        ft
     }
-    // Offsets already placed on each (class, fu) physical unit.
-    let mut units: HashMap<(usize, u32), Vec<u32>> = HashMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        let fu_type = machine
-            .fu_type(op.class)
-            .map_err(|_| ConflictError::UnknownClass { op: i })?;
-        let fu = op.fu.ok_or(ConflictError::MissingAssignment { op: i })?;
-        if fu >= fu_type.count {
-            return Err(ConflictError::FuOutOfRange {
-                op: i,
-                fu,
-                available: fu_type.count,
-            });
-        }
-        if op.offset >= period {
-            return Err(ConflictError::OffsetOutOfRange {
-                op: i,
-                offset: op.offset,
-            });
-        }
-        let self_verdict = oracle.self_collides(op.class);
-        if self_verdict != Some(false) {
-            oracle.record_fallback();
-            let exact = check_fixed_assignment(machine, period, ops);
-            debug_assert!(
-                self_verdict != Some(true) || exact.is_err(),
-                "oracle reported self-collision but exact scan found none"
-            );
-            return exact;
-        }
-        let placed = units.entry((op.class.index(), fu)).or_default();
-        for &earlier in placed.iter() {
-            let delta = (op.offset + period - earlier) % period;
-            let verdict = oracle.same_unit_collides(op.class, op.class, delta);
-            if verdict != Some(false) {
-                oracle.record_fallback();
-                let exact = check_fixed_assignment(machine, period, ops);
-                debug_assert!(
-                    verdict != Some(true) || exact.is_err(),
-                    "oracle reported a pair collision but exact scan found none"
-                );
-                return exact;
-            }
-        }
-        placed.push(op.offset);
-    }
-    debug_assert_eq!(
-        check_fixed_assignment(machine, period, ops),
-        Ok(()),
-        "oracle accepted a schedule the exact scan rejects"
-    );
-    Ok(())
 }
 
 /// Verifies a schedule under *run-time unit choice*: operations are not
@@ -720,75 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_checker_matches_naive_on_every_fixture() {
-        // Every fixture the naive checker is tested with, plus wraparound
-        // self-collision and mixed-class schedules: the flat layout must
-        // return the byte-identical result (same variant, same fields,
-        // same first error in scan order).
-        let machines = [
-            Machine::example_pldi95(),
-            Machine::example_clean(),
-            Machine::example_non_pipelined(),
-            Machine::ppc604(),
-        ];
-        let int = |offset, fu| PlacedOp {
-            class: OpClass::new(0),
-            offset,
-            fu,
-        };
-        let cases: Vec<Vec<PlacedOp>> = vec![
-            vec![fp(0, Some(0)), fp(0, Some(1))],
-            vec![fp(0, Some(0)), fp(1, Some(0))],
-            vec![fp(0, Some(0)), fp(1, Some(0)), fp(9, Some(0))],
-            vec![fp(0, None)],
-            vec![fp(9, Some(0))],
-            vec![fp(0, Some(7))],
-            vec![
-                fp(0, Some(0)),
-                int(0, Some(0)),
-                fp(2, Some(0)),
-                int(1, Some(0)),
-            ],
-            vec![
-                fp(0, Some(0)),
-                fp(2, Some(1)),
-                fp(3, Some(0)),
-                fp(1, Some(1)),
-            ],
-            vec![PlacedOp {
-                class: OpClass::new(9),
-                offset: 0,
-                fu: Some(0),
-            }],
-        ];
-        for m in &machines {
-            for period in 1u32..7 {
-                for ops in &cases {
-                    assert_eq!(
-                        check_fixed_assignment_layout(m, period, ops, DataLayout::Flat),
-                        check_fixed_assignment_layout(m, period, ops, DataLayout::Legacy),
-                        "period {period}, ops {ops:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn flat_checker_reports_wraparound_self_collision_identically() {
-        let m = Machine::example_non_pipelined();
-        let ops = [fp(0, Some(0))];
-        let legacy = check_fixed_assignment_layout(&m, 1, &ops, DataLayout::Legacy);
-        let flat = check_fixed_assignment_layout(&m, 1, &ops, DataLayout::Flat);
-        assert!(matches!(
-            legacy,
-            Err(ConflictError::StageCollision { ops: (0, 0), .. })
-        ));
-        assert_eq!(flat, legacy);
-    }
-
-    #[test]
-    fn bundle_width_enforced_by_every_entry_point() {
+    fn bundle_width_enforced_by_both_entry_points() {
         use crate::machine::BundleSpec;
         let m = Machine::example_clean()
             .with_bundle(BundleSpec::width(1))
@@ -803,20 +542,11 @@ mod tests {
             cap: 1,
         });
         assert_eq!(check_fixed_assignment(&m, 4, &ops), expected);
-        assert_eq!(
-            check_fixed_assignment_layout(&m, 4, &ops, DataLayout::Flat),
-            expected
-        );
-        assert_eq!(check_fixed_assignment_with(&m, 4, &ops, None), expected);
         let unmapped = [fp(0, None), fp(0, None)];
         assert_eq!(check_capacity_only(&m, 4, &unmapped), expected);
         // Staggered issues pass everywhere.
         let ok = [fp(0, Some(0)), fp(1, Some(1))];
         assert_eq!(check_fixed_assignment(&m, 4, &ok), Ok(()));
-        assert_eq!(
-            check_fixed_assignment_layout(&m, 4, &ok, DataLayout::Flat),
-            Ok(())
-        );
     }
 
     #[test]
@@ -859,134 +589,6 @@ mod tests {
             op.fu = Some(*fu);
         }
         assert_eq!(check_fixed_assignment(&m, 4, &ops), Ok(()));
-    }
-
-    /// An exact-by-construction oracle: answers by scanning the machine's
-    /// reservation tables, so it is always right; `strict` poisons the
-    /// verdicts to `None` to force the fallback path.
-    struct ScanOracle {
-        machine: Machine,
-        period: u32,
-        mute: bool,
-        fallbacks: std::sync::atomic::AtomicU32,
-    }
-
-    impl ScanOracle {
-        fn new(machine: Machine, period: u32) -> Self {
-            ScanOracle {
-                machine,
-                period,
-                mute: false,
-                fallbacks: std::sync::atomic::AtomicU32::new(0),
-            }
-        }
-
-        fn fallback_count(&self) -> u32 {
-            self.fallbacks.load(std::sync::atomic::Ordering::Relaxed)
-        }
-    }
-
-    impl ConflictOracle for ScanOracle {
-        fn period(&self) -> u32 {
-            self.period
-        }
-        fn same_unit_collides(&self, a: OpClass, b: OpClass, delta: u32) -> Option<bool> {
-            if self.mute {
-                return None;
-            }
-            if a != b {
-                return Some(false);
-            }
-            let rt = &self.machine.fu_type(a).ok()?.reservation;
-            let mut hit = false;
-            for s in 0..rt.stages() {
-                let offs = rt.stage_offsets(s);
-                for &l1 in &offs {
-                    for &l2 in &offs {
-                        let d = (l1 as i64 - l2 as i64).rem_euclid(i64::from(self.period));
-                        hit |= d as u32 == delta % self.period;
-                    }
-                }
-            }
-            Some(hit)
-        }
-        fn self_collides(&self, class: OpClass) -> Option<bool> {
-            if self.mute {
-                return None;
-            }
-            let rt = &self.machine.fu_type(class).ok()?.reservation;
-            Some(!rt.modulo_feasible(self.period))
-        }
-        fn record_fallback(&self) {
-            self.fallbacks
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn oracle_path_matches_naive_on_clean_and_colliding_schedules() {
-        let m = Machine::example_pldi95();
-        let oracle = ScanOracle::new(m.clone(), 4);
-        for ops in [
-            vec![fp(0, Some(0)), fp(0, Some(1))],
-            vec![fp(0, Some(0)), fp(1, Some(0))],
-            vec![fp(0, Some(0)), fp(2, Some(0)), fp(1, Some(1))],
-            vec![fp(0, None)],
-            vec![fp(9, Some(0))],
-            vec![fp(0, Some(7))],
-        ] {
-            assert_eq!(
-                check_fixed_assignment_with(&m, 4, &ops, Some(&oracle)),
-                check_fixed_assignment(&m, 4, &ops),
-            );
-        }
-    }
-
-    #[test]
-    fn oracle_error_fidelity_preserves_scan_order_first_error() {
-        // Ops 0 and 1 collide; op 2 has a bad offset. The naive scan
-        // reports the collision (found while scanning op 1, before op
-        // 2's sanity checks run) — the oracle path must match.
-        let m = Machine::example_pldi95();
-        let oracle = ScanOracle::new(m.clone(), 4);
-        let ops = [fp(0, Some(0)), fp(1, Some(0)), fp(9, Some(0))];
-        let exact = check_fixed_assignment(&m, 4, &ops);
-        assert!(matches!(exact, Err(ConflictError::StageCollision { .. })));
-        assert_eq!(
-            check_fixed_assignment_with(&m, 4, &ops, Some(&oracle)),
-            exact
-        );
-        assert!(oracle.fallback_count() >= 1);
-    }
-
-    #[test]
-    fn period_mismatch_and_unknown_verdicts_fall_back() {
-        let m = Machine::example_pldi95();
-        let stale = ScanOracle::new(m.clone(), 6); // compiled for T=6
-        let ops = [fp(0, Some(0)), fp(1, Some(0))];
-        assert_eq!(
-            check_fixed_assignment_with(&m, 4, &ops, Some(&stale)),
-            check_fixed_assignment(&m, 4, &ops)
-        );
-        assert_eq!(stale.fallback_count(), 1);
-        let mut mute = ScanOracle::new(m.clone(), 4);
-        mute.mute = true;
-        assert_eq!(
-            check_fixed_assignment_with(&m, 4, &ops, Some(&mute)),
-            check_fixed_assignment(&m, 4, &ops)
-        );
-        assert_eq!(mute.fallback_count(), 1);
-    }
-
-    #[test]
-    fn oracle_detects_wraparound_self_collision() {
-        let m = Machine::example_non_pipelined();
-        let oracle = ScanOracle::new(m.clone(), 1);
-        let ops = [fp(0, Some(0))];
-        assert_eq!(
-            check_fixed_assignment_with(&m, 1, &ops, Some(&oracle)),
-            check_fixed_assignment(&m, 1, &ops)
-        );
     }
 
     #[test]

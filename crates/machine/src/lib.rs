@@ -31,31 +31,10 @@ mod restable;
 mod schedule;
 pub mod sim;
 
-pub use checker::{
-    check_capacity_only, check_fixed_assignment, check_fixed_assignment_layout,
-    check_fixed_assignment_with, ConflictError, ConflictOracle, PlacedOp,
-};
+pub use checker::{check_capacity_only, check_fixed_assignment, ConflictError, PlacedOp};
 pub use collision::CollisionInfo;
 pub use machine::{BundleSpec, FuType, Machine, MachineError, SlotGroup};
 pub use parse::{parse_machine, write_machine, MachineParseError};
 pub use restable::ReservationTable;
 pub use schedule::{Matrices, PipelinedSchedule, ValidationError};
 pub use sim::{simulate, SimError, SimReport, UnitPolicy};
-
-/// Memory layout used by the hot-path conflict structures: the modulo
-/// reservation table's cells, the fixed-assignment checker's usage map,
-/// and related inner loops.
-///
-/// Both layouts are decision-identical — same accept/reject verdicts,
-/// same first error in scan order, same eviction metrics — which the
-/// equivalence proptests enforce. `Flat` replaces nested-`Vec` per-cell
-/// scans with stride-indexed arenas probed via u64 occupancy words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DataLayout {
-    /// The original nested-`Vec` per-cell layout, kept as a selectable
-    /// fallback and as the reference arm of A/B benchmarks.
-    Legacy,
-    /// Flat stride-indexed arenas with word-parallel occupancy tests.
-    #[default]
-    Flat,
-}

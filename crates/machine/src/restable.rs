@@ -250,10 +250,9 @@ impl ReservationTable {
 
     /// Per-residue modulo cell lists for `period`: `lists[o]` holds the
     /// flat cell indices `s * period + (o + l) % period` claimed by an
-    /// issue at residue `o`, in exactly the scan order of the legacy
-    /// per-cell loops (stage-major, then marked offsets ascending).
-    /// Consumers that must report the *first* colliding cell in legacy
-    /// order walk this list.
+    /// issue at residue `o`, in scan order (stage-major, then marked
+    /// offsets ascending). Consumers that must report the *first*
+    /// colliding cell walk this list.
     pub fn modulo_cell_lists(&self, period: u32) -> Vec<Vec<usize>> {
         assert!(period > 0, "period must be positive");
         let t = period as usize;

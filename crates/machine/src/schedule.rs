@@ -14,12 +14,8 @@
 //! reproduces exactly this factoring; Figure 3 of the paper is
 //! regenerated from it.
 
-use crate::checker::{
-    check_capacity_only, check_fixed_assignment_layout, check_fixed_assignment_with, ConflictError,
-    ConflictOracle, PlacedOp,
-};
+use crate::checker::{check_capacity_only, check_fixed_assignment, ConflictError, PlacedOp};
 use crate::machine::Machine;
-use crate::DataLayout;
 use std::fmt;
 use swp_ddg::{Ddg, NodeId};
 
@@ -221,45 +217,6 @@ impl PipelinedSchedule {
     ///
     /// The first [`ValidationError`] found.
     pub fn validate(&self, ddg: &Ddg, machine: &Machine) -> Result<(), ValidationError> {
-        self.validate_with(ddg, machine, None)
-    }
-
-    /// [`PipelinedSchedule::validate`] with an optional precompiled
-    /// [`ConflictOracle`] accelerating the mapped-conflict check (the
-    /// oracle is ignored for unmapped schedules and for periods it was
-    /// not compiled for). Results are byte-identical to `validate`; see
-    /// [`crate::checker::check_fixed_assignment_with`].
-    ///
-    /// # Errors
-    ///
-    /// The first [`ValidationError`] found.
-    pub fn validate_with(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        oracle: Option<&dyn ConflictOracle>,
-    ) -> Result<(), ValidationError> {
-        self.validate_layout(ddg, machine, oracle, DataLayout::default())
-    }
-
-    /// [`PipelinedSchedule::validate_with`] with an explicit
-    /// [`DataLayout`] for the mapped-conflict check when no oracle
-    /// applies: `Flat` probes per-unit u64 occupancy words, `Legacy`
-    /// runs the original per-cell hash scan. When an oracle is supplied
-    /// it takes the oracle fast path regardless of layout (its exact
-    /// fallback is the legacy scan). All combinations return
-    /// byte-identical results.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ValidationError`] found.
-    pub fn validate_layout(
-        &self,
-        ddg: &Ddg,
-        machine: &Machine,
-        oracle: Option<&dyn ConflictOracle>,
-        layout: DataLayout,
-    ) -> Result<(), ValidationError> {
         if self.start_times.len() != ddg.num_nodes() {
             return Err(ValidationError::WrongArity {
                 schedule: self.start_times.len(),
@@ -282,10 +239,7 @@ impl PipelinedSchedule {
         }
         let ops = self.placed_ops(ddg);
         if self.is_mapped() {
-            match oracle {
-                Some(_) => check_fixed_assignment_with(machine, self.period, &ops, oracle)?,
-                None => check_fixed_assignment_layout(machine, self.period, &ops, layout)?,
-            }
+            check_fixed_assignment(machine, self.period, &ops)?;
         } else {
             check_capacity_only(machine, self.period, &ops)?;
         }

@@ -15,44 +15,11 @@ use crate::simplex::{
     FEAS_TOL,
 };
 use crate::SolveError;
-use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Integrality tolerance: an LP value within this of an integer counts
 /// as integral.
 pub const INT_TOL: f64 = 1e-6;
-
-/// A domain-side node rejector consulted *before* a node's LP is
-/// solved: called with the node's per-variable lower and upper bounds
-/// (in variable-creation order); returning `true` discards the node
-/// without an LP solve.
-///
-/// Soundness contract: return `true` only when **no integer-feasible
-/// point exists** within the given box. The scheduling driver uses this
-/// to kill partial assignments the moment the hazard automaton rejects
-/// a fixed class/offset pair — a structural fact no LP relaxation can
-/// see. An unsound pruner silently loses solutions; prune conservatively.
-#[derive(Clone)]
-pub struct NodePruner(Arc<dyn Fn(&[f64], &[f64]) -> bool + Send + Sync>);
-
-impl NodePruner {
-    /// Wraps a predicate over `(lower_bounds, upper_bounds)`.
-    pub fn new(f: impl Fn(&[f64], &[f64]) -> bool + Send + Sync + 'static) -> Self {
-        NodePruner(Arc::new(f))
-    }
-
-    /// Whether the node with these bounds should be discarded.
-    pub fn prunes(&self, lo: &[f64], hi: &[f64]) -> bool {
-        (self.0)(lo, hi)
-    }
-}
-
-impl fmt::Debug for NodePruner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("NodePruner(..)")
-    }
-}
 
 /// Search limits for [`Model::solve_with`].
 #[derive(Debug, Clone)]
@@ -75,10 +42,6 @@ pub struct SolveLimits {
     /// node LP; the cancel token stops the search within one check
     /// interval with [`SolveError::Cancelled`].
     pub budget: Budget,
-    /// Optional domain-side node rejector, consulted before each node's
-    /// LP solve (default: none). See [`NodePruner`] for the soundness
-    /// contract.
-    pub node_pruner: Option<NodePruner>,
     /// Optional basis hint for the **root** relaxation, typically
     /// exported from a closely related earlier solve (the previous
     /// period of a T-sweep, or the pre-edit instance). Crash-started
@@ -100,7 +63,6 @@ impl Default for SolveLimits {
             stop_at_first_incumbent: false,
             objective_cutoff: None,
             budget: Budget::unlimited(),
-            node_pruner: None,
             warm_basis: None,
             pivot_layout: PivotLayout::default(),
         }
@@ -139,9 +101,6 @@ pub enum StopReason {
 pub struct SearchStats {
     /// Nodes explored (LPs solved, excluding heuristic probes).
     pub nodes: u64,
-    /// Nodes discarded by the [`SolveLimits::node_pruner`] before their
-    /// LP was solved.
-    pub pruned_nodes: u64,
     /// Total simplex iterations across all node LPs.
     pub lp_iterations: u64,
     /// Wall-clock time spent.
@@ -332,14 +291,6 @@ impl<'a> BranchBound<'a> {
                     truncated = true;
                     stats.stop_reason = StopReason::Budget(e);
                     break;
-                }
-            }
-            // Domain-side pruning: reject the node before paying for its
-            // LP when the caller's oracle proves the box empty.
-            if let Some(pruner) = &self.limits.node_pruner {
-                if pruner.prunes(&node.lo, &node.hi) {
-                    stats.pruned_nodes += 1;
-                    continue;
                 }
             }
             stats.nodes += 1;
@@ -537,38 +488,6 @@ mod tests {
         assert_eq!(sol.value_int(b), 1);
         assert_eq!(sol.value_int(c), 1);
         assert!(sol.is_proven_optimal());
-    }
-
-    #[test]
-    fn node_pruner_counts_and_never_firing_pruner_is_inert() {
-        let build = || {
-            let mut m = Model::new();
-            let a = m.add_binary("a");
-            let b = m.add_binary("b");
-            let c = m.add_binary("c");
-            m.maximize([(a, 10.0), (b, 13.0), (c, 7.0)]);
-            m.add_constr([(a, 3.0), (b, 4.0), (c, 2.0)], Sense::Le, 6.0);
-            m
-        };
-        // A pruner that never fires changes nothing.
-        let inert = SolveLimits {
-            node_pruner: Some(NodePruner::new(|_, _| false)),
-            ..SolveLimits::default()
-        };
-        let sol = build().solve_with(&inert).expect("solved");
-        assert_eq!(sol.objective().round() as i64, 20);
-        assert_eq!(sol.stats().pruned_nodes, 0);
-        assert!(sol.is_proven_optimal());
-        // A pruner that rejects everything kills the root before any LP
-        // is solved: no incumbent can exist.
-        let total = SolveLimits {
-            node_pruner: Some(NodePruner::new(|_, _| true)),
-            ..SolveLimits::default()
-        };
-        assert!(matches!(
-            build().solve_with(&total),
-            Err(SolveError::Infeasible)
-        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::stats::StatsSnapshot;
 use std::collections::BTreeMap;
-use swp_core::{ConflictOracleMode, Engine};
+use swp_core::Engine;
 use swp_harness::json::{parse_object, JsonValue, ObjectWriter};
 use swp_incr::EditOp;
 
@@ -125,8 +125,6 @@ pub struct SolveRequest {
     pub max_t: Option<u32>,
     /// Let IMS certify feasible periods (default true).
     pub heuristic: Option<bool>,
-    /// Conflict-query engine (`"scan"` or `"automaton"`).
-    pub oracle: Option<ConflictOracleMode>,
     /// Exact engine (`"ilp"`, `"cp"`, or `"portfolio"`); default ILP.
     pub engine: Option<Engine>,
     /// Test-only: make the solve panic (requires the daemon to run with
@@ -144,7 +142,6 @@ impl SolveRequest {
             ticks: None,
             max_t: None,
             heuristic: None,
-            oracle: None,
             engine: None,
             inject_panic: false,
         }
@@ -306,9 +303,6 @@ impl Request {
                 if let Some(h) = r.heuristic {
                     w.bool("heuristic", h);
                 }
-                if let Some(o) = r.oracle {
-                    w.str("oracle", oracle_str(o));
-                }
                 if let Some(e) = r.engine {
                     w.str("engine", engine_str(e));
                 }
@@ -400,12 +394,6 @@ impl Request {
             }),
             "solve" => {
                 let case = opt_str(&m, "case").ok_or("solve request needs `case`")?;
-                let oracle = match m.get("oracle").and_then(JsonValue::as_str) {
-                    None => None,
-                    Some("scan") => Some(ConflictOracleMode::Scan),
-                    Some("automaton") => Some(ConflictOracleMode::Automaton),
-                    Some(other) => return Err(format!("unknown oracle `{other}`")),
-                };
                 let engine = match m.get("engine").and_then(JsonValue::as_str) {
                     None => None,
                     Some("ilp") => Some(Engine::Ilp),
@@ -420,20 +408,12 @@ impl Request {
                     ticks: opt_u64(&m, "ticks"),
                     max_t: opt_u64(&m, "max_t").map(|v| v as u32),
                     heuristic: m.get("heuristic").and_then(JsonValue::as_bool),
-                    oracle,
                     engine,
                     inject_panic: m.get("panic").and_then(JsonValue::as_bool).unwrap_or(false),
                 }))
             }
             other => Err(format!("unknown op `{other}`")),
         }
-    }
-}
-
-fn oracle_str(o: ConflictOracleMode) -> &'static str {
-    match o {
-        ConflictOracleMode::Scan => "scan",
-        ConflictOracleMode::Automaton => "automaton",
     }
 }
 
@@ -618,7 +598,6 @@ mod tests {
             ticks: Some(100_000),
             max_t: Some(4),
             heuristic: Some(false),
-            oracle: Some(ConflictOracleMode::Automaton),
             engine: Some(Engine::Portfolio),
             inject_panic: true,
         });
@@ -747,11 +726,6 @@ mod tests {
         assert!(Request::from_json_line(r#"{"op":"solve","id":"x"}"#)
             .unwrap_err()
             .contains("case"));
-        assert!(Request::from_json_line(
-            r#"{"op":"solve","id":"x","case":"c","oracle":"psychic"}"#
-        )
-        .unwrap_err()
-        .contains("psychic"));
         assert!(Request::from_json_line(
             r#"{"op":"solve","id":"x","case":"c","engine":"quantum"}"#
         )

@@ -165,6 +165,59 @@ fn unknown_engine_is_a_bad_request() {
     handle.shutdown();
 }
 
+/// Sends one raw request line and reads one reply line.
+fn raw_request(addr: &str, line: &str) -> Reply {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(line.as_bytes()).expect("write");
+    writer.write_all(b"\n").expect("write");
+    writer.flush().expect("flush");
+    let mut out = String::new();
+    reader.read_line(&mut out).expect("read");
+    Reply::from_json_line(out.trim()).expect("parse reply")
+}
+
+#[test]
+fn retired_oracle_key_is_ignored_like_any_unknown_key() {
+    // Solves once carried an `oracle` knob that was part of the cache
+    // fingerprint. The key is now ignored: with or without it a solve
+    // gets the same answer and lands on the same cache entry.
+    let plain = Request::Solve(SolveRequest::new("o-0", guaranteed_case(0x0AC1, 0))).to_json_line();
+    let with_key = plain.replacen("{", r#"{"oracle":"automaton","#, 1);
+    assert_ne!(plain, with_key);
+    let same_answer = |a: &Reply, b: &Reply| {
+        assert_eq!(a.period, b.period, "{a:?} vs {b:?}");
+        assert_eq!(a.t_lb, b.t_lb);
+        assert_eq!(a.slack, b.slack);
+        assert_eq!(a.proven, b.proven);
+        assert_eq!(a.solved_by, b.solved_by);
+        assert_eq!(a.ticks, b.ticks);
+    };
+
+    // Fresh solves with and without the key agree.
+    let (handle, addr) = start(default_config());
+    let keyed = raw_request(&addr, &with_key);
+    assert_eq!(keyed.status, ReplyStatus::Solved, "reply: {keyed:?}");
+    handle.shutdown();
+
+    let (handle, addr) = start(default_config());
+    let first = raw_request(&addr, &plain);
+    assert_eq!(first.status, ReplyStatus::Solved, "reply: {first:?}");
+    same_answer(&first, &keyed);
+    // The keyed repeat hits the entry the plain solve wrote.
+    let second = raw_request(&addr, &with_key);
+    assert_eq!(second.status, ReplyStatus::Cached, "reply: {second:?}");
+    same_answer(&first, &second);
+    let stats = handle.stats();
+    assert_eq!((stats.solved, stats.cached), (1, 1));
+    assert_eq!(stats.bad_requests, 0);
+    handle.shutdown();
+}
+
 #[test]
 fn bad_requests_are_refused_not_fatal() {
     let (handle, addr) = start(default_config());
