@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use swp_milp::exact::{solve_lp_exact, ExactLp};
-use swp_milp::simplex::{solve_lp, LpProblem};
-use swp_milp::{Model, Sense};
+use swp_milp::simplex::{solve_lp_with, LpProblem};
+use swp_milp::{Budget, Model, Sense};
 
 /// A dense random-ish LP with `n` columns and `n` rows (deterministic).
 fn lp(n: usize) -> LpProblem {
@@ -29,7 +29,9 @@ fn bench_simplex(c: &mut Criterion) {
     for &n in &[10usize, 30, 60] {
         let p = lp(n);
         c.bench_function(&format!("simplex_f64_{n}x{n}"), |b| {
-            b.iter(|| solve_lp(std::hint::black_box(&p)));
+            b.iter(|| {
+                solve_lp_with(std::hint::black_box(&p), &Budget::unlimited()).expect("lp solves")
+            });
         });
     }
     let p = lp(10);

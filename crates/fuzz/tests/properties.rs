@@ -202,6 +202,9 @@ fn pressure_validator_rejects_an_overflowing_census() {
     // T = 1 with the consumer 3 cycles out: the value spans three full
     // periods, so three copies are live at once.
     let schedule = PipelinedSchedule::new(1, vec![0, 3], vec![None; 2]);
+    // Resources and dependences are fine, so the pressure cap is the
+    // only thing that rejects it.
+    assert_eq!(schedule.validate(&ddg, &machine), Ok(()));
     assert_eq!(schedule.max_live(&ddg), 3);
     assert!(schedule.validate_pressure(&ddg, 2).is_err());
     assert!(schedule.validate_pressure(&ddg, 3).is_ok());

@@ -6,14 +6,14 @@
 //!
 //! * [`Model`] — a small modeling layer: variables (continuous, integer,
 //!   binary) with bounds, linear constraints, and a linear objective.
-//! * [`simplex`] — a dense two-phase primal simplex over `f64` with
-//!   Dantzig pricing and a Bland anti-cycling fallback.
+//! * [`simplex`] — a two-phase primal simplex over `f64` with sparse-row
+//!   pivoting, Dantzig pricing and a Bland anti-cycling fallback.
 //! * [`branch`] — branch-and-bound for mixed-integer models with
 //!   most-fractional branching, depth-first search with best-bound
 //!   tie-breaking, an LP-rounding primal heuristic, and node/time limits.
-//! * [`exact`] — arbitrary-precision integers and rationals plus an exact
-//!   rational simplex, used in tests and audits to cross-check the `f64`
-//!   path on small instances.
+//! * [`exact`] — arbitrary-precision integers and rationals plus a dense
+//!   exact rational simplex, used in tests and audits to cross-check the
+//!   `f64` path on small instances.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Dense two-phase primal simplex over `f64`.
+//! Two-phase primal simplex over `f64` on a dense row-major tableau.
 //!
 //! The solver accepts problems in the *bounded row form* used by the
 //! branch-and-bound driver: minimize `c·x` subject to rows
@@ -11,16 +11,19 @@
 //! switch to Bland's rule after a run of degenerate pivots, which
 //! guarantees termination.
 //!
-//! The pivot inner loop comes in two [`PivotLayout`]s: the seed's dense
-//! row sweep, and a sparse sweep that enumerates the pivot row's
-//! nonzero columns once and skips the exact zeros in every eliminated
-//! row. Scheduling tableaus are mostly zeros (each constraint touches a
-//! handful of the `ops × slots` columns), so the sparse sweep does a
-//! small fraction of the arithmetic — and because every skipped update
-//! is `x -= f · (±0.0)`, which can change at most the sign of a zero,
-//! and every decision in the solver is a comparison (IEEE orders
-//! `-0.0 == 0.0`), the two layouts take bit-identical pivot sequences
-//! and return equal results.
+//! The pivot sweeps only the pivot row's nonzero columns, collected
+//! once per pivot, and skips the exact zeros in every eliminated row.
+//! Scheduling tableaus are mostly zeros (each constraint touches a
+//! handful of the `ops × slots` columns), so this does a small fraction
+//! of a full-width sweep's arithmetic. Every skipped update is
+//! `x -= f · (±0.0)`, which can change at most the sign of a zero, and
+//! every decision in the solver is a comparison (IEEE orders
+//! `-0.0 == 0.0`), so the pivot sequence is the one a full-width sweep
+//! would take.
+//!
+//! [`solve_lp_with`] and [`solve_lp_warm`] are the only entry points.
+//! Both report a pivot-cap stall as [`SolveError::Numerical`]; no path
+//! accepts a stalled vertex.
 
 // Tableau arithmetic is clearer with explicit indices.
 #![allow(clippy::needless_range_loop)]
@@ -36,20 +39,20 @@ const PIVOT_TOL: f64 = 1e-9;
 /// Number of consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_SWITCH: usize = 60;
 
-/// Inner-loop layout of the pivot elimination (see the module docs for
-/// the decision-identity argument).
+/// Inner-loop layout of the pivot elimination. Only the sparse-row sweep
+/// exists; the type and [`SolveLimits::pivot_layout`] are inert and kept
+/// so callers that name the layout explicitly still compile.
+///
+/// [`SolveLimits::pivot_layout`]: crate::SolveLimits::pivot_layout
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PivotLayout {
-    /// The seed's full-width row sweep, kept as a selectable fallback
-    /// and as the reference arm of A/B benchmarks.
-    Dense,
     /// Sweep only the pivot row's nonzero columns, collected once per
     /// pivot into a reusable index list.
     #[default]
     SparseRow,
 }
 
-/// A linear program in bounded row form, ready for [`solve_lp`].
+/// A linear program in bounded row form, ready for [`solve_lp_with`].
 #[derive(Debug, Clone)]
 pub struct LpProblem {
     /// Objective coefficients (always minimized), one per column.
@@ -162,48 +165,12 @@ impl Tableau {
         self.a[r * self.n + c]
     }
 
-    fn pivot(&mut self, pr: usize, pc: usize) {
-        let n = self.n;
-        let piv = self.a[pr * n + pc];
-        let inv = 1.0 / piv;
-        for c in 0..n {
-            self.a[pr * n + c] *= inv;
-        }
-        self.rhs[pr] *= inv;
-        let rhs_pr = self.rhs[pr];
-        // Split the pivot row out so other rows can be updated without
-        // aliasing the borrow.
-        let (before, rest) = self.a.split_at_mut(pr * n);
-        let (prow, after) = rest.split_at_mut(n);
-        for (ri, row) in before.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for c in 0..n {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0; // exact zero to contain drift
-                self.rhs[ri] -= f * rhs_pr;
-            }
-        }
-        for (ri, row) in after.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for c in 0..n {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0;
-                self.rhs[pr + 1 + ri] -= f * rhs_pr;
-            }
-        }
-        self.basis[pr] = pc;
-    }
-
-    /// [`Tableau::pivot`] sweeping only the pivot row's nonzeros, which
-    /// are collected into `nz` (reused across pivots). Every elimination
-    /// this skips is `row[c] -= f * (±0.0)` — a value-level no-op — so
-    /// the resulting tableau is equal to the dense sweep's under every
-    /// IEEE comparison (only signs of zeros may differ).
-    fn pivot_sparse(&mut self, pr: usize, pc: usize, nz: &mut Vec<usize>) {
+    /// Pivots on `(pr, pc)`, sweeping only the pivot row's nonzeros.
+    /// They are collected into `nz` (reused across pivots), which is left
+    /// holding them for the caller's reduced-cost update. Every
+    /// elimination this skips is `row[c] -= f * (±0.0)` — a value-level
+    /// no-op (see the module docs).
+    fn pivot(&mut self, pr: usize, pc: usize, nz: &mut Vec<usize>) {
         let n = self.n;
         let piv = self.a[pr * n + pc];
         let inv = 1.0 / piv;
@@ -242,37 +209,14 @@ impl Tableau {
         }
         self.basis[pr] = pc;
     }
-
-    /// Layout-dispatched pivot; `nz` is the sparse sweep's reusable
-    /// nonzero-column scratch, left holding the pivot row's nonzeros.
-    fn pivot_with(&mut self, pr: usize, pc: usize, layout: PivotLayout, nz: &mut Vec<usize>) {
-        match layout {
-            PivotLayout::Dense => self.pivot(pr, pc),
-            PivotLayout::SparseRow => self.pivot_sparse(pr, pc, nz),
-        }
-    }
 }
 
-/// Solves the LP by two-phase dense primal simplex, unbudgeted.
+/// Solves the LP by two-phase primal simplex under a [`Budget`], with
+/// strict stall detection.
 ///
 /// Column bounds with `lo > hi` (to within [`FEAS_TOL`]) yield
 /// [`LpOutcome::Infeasible`] immediately — branch-and-bound relies on this
 /// when a branch empties a variable's domain.
-///
-/// If the pivot cap is ever exhausted (essentially unreachable thanks to
-/// the Bland fallback), the current vertex is reported as optimal, as
-/// this entry point predates stall detection; budget-aware callers should
-/// use [`solve_lp_with`], which reports such stalls as
-/// [`SolveError::Numerical`] instead.
-pub fn solve_lp(p: &LpProblem) -> LpOutcome {
-    // A fresh unlimited budget cannot trip, so the only possible error is
-    // unreachable; Infeasible is the safe fallback if it ever were not.
-    solve_lp_impl(p, &Budget::unlimited(), false, None, PivotLayout::default())
-        .map(|r| r.outcome)
-        .unwrap_or(LpOutcome::Infeasible)
-}
-
-/// Solves the LP under a [`Budget`], with strict stall detection.
 ///
 /// # Errors
 ///
@@ -282,22 +226,7 @@ pub fn solve_lp(p: &LpProblem) -> LpOutcome {
 /// * [`SolveError::Numerical`] — the pivot cap was exhausted without
 ///   convergence (a stall or cycling even Bland's rule did not resolve).
 pub fn solve_lp_with(p: &LpProblem, budget: &Budget) -> Result<LpOutcome, SolveError> {
-    solve_lp_impl(p, budget, true, None, PivotLayout::default()).map(|r| r.outcome)
-}
-
-/// [`solve_lp_with`] under an explicit [`PivotLayout`]. Verdicts,
-/// pivot sequences, and tick spending are layout-independent; only the
-/// inner-loop cost differs.
-///
-/// # Errors
-///
-/// As [`solve_lp_with`].
-pub fn solve_lp_with_layout(
-    p: &LpProblem,
-    budget: &Budget,
-    layout: PivotLayout,
-) -> Result<LpOutcome, SolveError> {
-    solve_lp_impl(p, budget, true, None, layout).map(|r| r.outcome)
+    solve_lp_impl(p, budget, None).map(|r| r.outcome)
 }
 
 /// Solves the LP under a [`Budget`] with an optional basis hint, and
@@ -320,31 +249,13 @@ pub fn solve_lp_warm(
     budget: &Budget,
     hint: Option<&LpBasis>,
 ) -> Result<WarmLpResult, SolveError> {
-    solve_lp_impl(p, budget, true, hint, PivotLayout::default())
-}
-
-/// [`solve_lp_warm`] under an explicit [`PivotLayout`]. Verdicts,
-/// pivot sequences, and tick spending are layout-independent; only the
-/// inner-loop cost differs.
-///
-/// # Errors
-///
-/// As [`solve_lp_warm`].
-pub fn solve_lp_warm_layout(
-    p: &LpProblem,
-    budget: &Budget,
-    hint: Option<&LpBasis>,
-    layout: PivotLayout,
-) -> Result<WarmLpResult, SolveError> {
-    solve_lp_impl(p, budget, true, hint, layout)
+    solve_lp_impl(p, budget, hint)
 }
 
 fn solve_lp_impl(
     p: &LpProblem,
     budget: &Budget,
-    strict: bool,
     hint: Option<&LpBasis>,
-    layout: PivotLayout,
 ) -> Result<WarmLpResult, SolveError> {
     let ncols = p.num_cols();
     // Early exits happen before any tableau exists; they carry an empty
@@ -538,7 +449,7 @@ fn solve_lp_impl(
 
     let mut iterations = 0usize;
     let mut crash_pivots = 0usize;
-    // Sparse sweep's reusable pivot-row nonzero list.
+    // The pivot's reusable pivot-row nonzero list.
     let mut nz: Vec<usize> = Vec::new();
 
     // --- Crash the hinted basis in before phase 1. ---
@@ -583,7 +494,7 @@ fn solve_lp_impl(
                 continue; // no feasibility-preserving pivot for this column
             }
             budget.tick().map_err(SolveError::from)?;
-            t.pivot_with(pr, pc, layout, &mut nz);
+            t.pivot(pr, pc, &mut nz);
             crash_pivots += 1;
             iterations += 1;
         }
@@ -595,17 +506,14 @@ fn solve_lp_impl(
         for &c in &art_cols {
             cost[c] = 1.0;
         }
-        match run_simplex(&mut t, &cost, &mut iterations, budget, layout)
-            .map_err(SolveError::from)?
-        {
+        match run_simplex(&mut t, &cost, &mut iterations, budget).map_err(SolveError::from)? {
             SimplexEnd::Optimal => {}
             SimplexEnd::Unbounded => return Ok(bare(LpOutcome::Infeasible)), // cannot happen; safe
-            SimplexEnd::Stalled if strict => {
+            SimplexEnd::Stalled => {
                 return Err(SolveError::Numerical(
                     "phase-1 simplex stalled: pivot cap exhausted without convergence".into(),
                 ))
             }
-            SimplexEnd::Stalled => {} // legacy: accept the current vertex
         }
         let phase1: f64 = t
             .basis
@@ -627,7 +535,7 @@ fn solve_lp_impl(
         for r in 0..m {
             if art_cols.contains(&t.basis[r]) {
                 if let Some(pc) = (0..nstruct + nslack).find(|&c| t.at(r, c).abs() > PIVOT_TOL) {
-                    t.pivot_with(r, pc, layout, &mut nz);
+                    t.pivot(r, pc, &mut nz);
                 }
                 // If no pivot exists the row is redundant (all zeros); the
                 // artificial stays basic at value 0 and is harmless as long
@@ -655,7 +563,7 @@ fn solve_lp_impl(
     }
     // Forbid artificials from re-entering.
     let art_start = nstruct + nslack;
-    match run_simplex_restricted(&mut t, &cost, art_start, &mut iterations, budget, layout)
+    match run_simplex_restricted(&mut t, &cost, art_start, &mut iterations, budget)
         .map_err(SolveError::from)?
     {
         SimplexEnd::Optimal => {}
@@ -666,12 +574,11 @@ fn solve_lp_impl(
                 crash_pivots,
             })
         }
-        SimplexEnd::Stalled if strict => {
+        SimplexEnd::Stalled => {
             return Err(SolveError::Numerical(
                 "phase-2 simplex stalled: pivot cap exhausted without convergence".into(),
             ))
         }
-        SimplexEnd::Stalled => {} // legacy: accept the current vertex
     }
 
     // --- Extract structural values. ---
@@ -726,10 +633,9 @@ fn run_simplex(
     cost: &[f64],
     iterations: &mut usize,
     budget: &Budget,
-    layout: PivotLayout,
 ) -> Result<SimplexEnd, Exhaustion> {
     let n = t.n;
-    run_simplex_restricted(t, cost, n, iterations, budget, layout)
+    run_simplex_restricted(t, cost, n, iterations, budget)
 }
 
 /// Simplex iterations with entering columns restricted to `0..col_limit`.
@@ -743,7 +649,6 @@ fn run_simplex_restricted(
     col_limit: usize,
     iterations: &mut usize,
     budget: &Budget,
-    layout: PivotLayout,
 ) -> Result<SimplexEnd, Exhaustion> {
     let m = t.m;
     let n = t.n;
@@ -808,35 +713,20 @@ fn run_simplex_restricted(
         } else {
             degen_run = 0;
         }
-        // Update the objective row, then pivot. The sparse sweep skips
-        // the same exact zeros in `z` that it skips in the tableau rows.
+        // Pivot, then update the objective row over the same nonzero
+        // columns the pivot swept.
         let f = z[pc];
-        match layout {
-            PivotLayout::Dense => {
-                t.pivot(pr, pc);
-                if f != 0.0 {
-                    for c in 0..n {
-                        z[c] -= f * t.at(pr, c);
-                    }
-                    z[pc] = 0.0;
-                }
+        t.pivot(pr, pc, &mut nz);
+        if f != 0.0 {
+            for &c in &nz {
+                z[c] -= f * t.at(pr, c);
             }
-            PivotLayout::SparseRow => {
-                t.pivot_sparse(pr, pc, &mut nz);
-                if f != 0.0 {
-                    for &c in &nz {
-                        z[c] -= f * t.at(pr, c);
-                    }
-                    z[pc] = 0.0;
-                }
-            }
+            z[pc] = 0.0;
         }
         *iterations += 1;
     }
     // Pivot cap exhausted: extremely rare with the Bland fallback. The
-    // caller decides whether to surface this as a numerical failure
-    // (strict mode) or to accept the current vertex (legacy `solve_lp`,
-    // where feasibility is re-verified regardless).
+    // caller surfaces it as a numerical failure.
     Ok(SimplexEnd::Stalled)
 }
 
@@ -853,6 +743,10 @@ mod tests {
         LpProblem { obj, rows, lo, hi }
     }
 
+    fn solve(p: &LpProblem) -> LpOutcome {
+        solve_lp_with(p, &Budget::unlimited()).expect("unlimited solve")
+    }
+
     #[test]
     fn textbook_maximization() {
         // max 5x+4y s.t. 6x+4y<=24, x+2y<=6  -> x=3, y=1.5, obj 21
@@ -865,7 +759,7 @@ mod tests {
             vec![0.0, 0.0],
             vec![f64::INFINITY, f64::INFINITY],
         );
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.objective + 21.0).abs() < 1e-6);
         assert!((s.x[0] - 3.0).abs() < 1e-6);
         assert!((s.x[1] - 1.5).abs() < 1e-6);
@@ -880,7 +774,7 @@ mod tests {
             vec![1.0, 1.0],
             vec![f64::INFINITY, f64::INFINITY],
         );
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.objective - 4.0).abs() < 1e-6);
     }
 
@@ -896,21 +790,21 @@ mod tests {
             vec![0.0],
             vec![f64::INFINITY],
         );
-        assert!(matches!(solve_lp(&p), LpOutcome::Infeasible));
+        assert!(matches!(solve(&p), LpOutcome::Infeasible));
     }
 
     #[test]
     fn detects_unbounded() {
         // min -x, x >= 0, no upper limit
         let p = lp(vec![-1.0], vec![], vec![0.0], vec![f64::INFINITY]);
-        assert!(matches!(solve_lp(&p), LpOutcome::Unbounded));
+        assert!(matches!(solve(&p), LpOutcome::Unbounded));
     }
 
     #[test]
     fn respects_upper_bounds() {
         // min -x, 0 <= x <= 7
         let p = lp(vec![-1.0], vec![], vec![0.0], vec![7.0]);
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.x[0] - 7.0).abs() < 1e-6);
     }
 
@@ -923,7 +817,7 @@ mod tests {
             vec![f64::NEG_INFINITY],
             vec![f64::INFINITY],
         );
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.x[0] + 5.0).abs() < 1e-6);
     }
 
@@ -936,14 +830,14 @@ mod tests {
             vec![2.0, 0.0],
             vec![2.0, f64::INFINITY],
         );
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.x[1] - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn crossed_bounds_infeasible() {
         let p = lp(vec![0.0], vec![], vec![3.0], vec![1.0]);
-        assert!(matches!(solve_lp(&p), LpOutcome::Infeasible));
+        assert!(matches!(solve(&p), LpOutcome::Infeasible));
     }
 
     #[test]
@@ -955,7 +849,7 @@ mod tests {
             vec![0.0],
             vec![f64::INFINITY],
         );
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.x[0] - 3.0).abs() < 1e-6);
     }
 
@@ -968,7 +862,7 @@ mod tests {
             vec![2.0],
             vec![2.0],
         );
-        assert!(matches!(solve_lp(&p), LpOutcome::Infeasible));
+        assert!(matches!(solve(&p), LpOutcome::Infeasible));
     }
 
     #[test]
@@ -993,7 +887,7 @@ mod tests {
             vec![0.0; 4],
             vec![f64::INFINITY; 4],
         );
-        let s = solve_lp(&p).optimal().expect("optimal");
+        let s = solve(&p).optimal().expect("optimal");
         assert!((s.objective + 0.05).abs() < 1e-6);
     }
 }

@@ -6,8 +6,8 @@ use swp::core::{formulation, formulation::FormulationOptions, MappingMode, Objec
 use swp::ddg::{Ddg, OpClass};
 use swp::machine::Machine;
 use swp::milp::exact::{solve_lp_exact, ExactLp, ExactOutcome};
-use swp::milp::simplex::{solve_lp, LpProblem};
-use swp::milp::{LpOutcome, Model, Sense};
+use swp::milp::simplex::{solve_lp_with, LpProblem};
+use swp::milp::{Budget, LpOutcome, Model, Sense};
 
 #[test]
 fn relaxation_bounds_the_scheduling_mip() {
@@ -76,8 +76,8 @@ fn f64_and_exact_paths_agree_on_assignment_lps() {
         lo: vec![0.0; n * n],
         hi: vec![1.0; n * n],
     };
-    let f = match solve_lp(&p) {
-        LpOutcome::Optimal(s) => s,
+    let f = match solve_lp_with(&p, &Budget::unlimited()) {
+        Ok(LpOutcome::Optimal(s)) => s,
         other => panic!("expected optimal, got {other:?}"),
     };
     let (e_obj, e_x) = match solve_lp_exact(&ExactLp::from_f64_problem(&p)) {
