@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use swp_bench::ab;
 use swp_core::{
-    Optimality, PeriodOutcome, RateOptimalScheduler, ReuseStats, ScheduleError, ScheduleResult,
+    Optimality, PeriodAttempt, RateOptimalScheduler, ReuseStats, ScheduleError, ScheduleResult,
     SchedulerConfig,
 };
 use swp_ddg::Ddg;
@@ -86,14 +86,7 @@ fn script(ddg: &Ddg) -> Option<Vec<Option<EditOp>>> {
 /// the run was inconclusive (a budget-tripped or failed attempt, whose
 /// outcome legitimately depends on how much work the arm had left).
 fn signature(r: &Result<ScheduleResult, ScheduleError>) -> Option<(Option<u32>, bool)> {
-    let timed = |attempts: &[swp_core::PeriodAttempt]| {
-        attempts.iter().any(|a| {
-            matches!(
-                a.outcome,
-                PeriodOutcome::TimedOut | PeriodOutcome::EngineFailed
-            )
-        })
-    };
+    let timed = |attempts: &[PeriodAttempt]| attempts.iter().any(|a| a.outcome.is_undecided());
     match r {
         Ok(res) => (!timed(&res.attempts)).then(|| {
             (

@@ -1,5 +1,5 @@
 //! Table 3 — the machine configurations used in the evaluation: the
-//! motivating-example machine and the PowerPC-604-flavoured model [14],
+//! motivating-example machine and the PowerPC-604-flavoured model \[14\],
 //! with each unit's reservation table, forbidden latencies, and MAL.
 //!
 //! Run: `cargo run -p swp-bench --release --bin table3`

@@ -26,12 +26,8 @@ pub use tables::render_table;
 ///
 /// A usage message when the value names no engine.
 pub fn parse_engine(flags: &swp_harness::Flags) -> Result<swp_core::Engine, String> {
-    match flags.get("engine").unwrap_or("ilp") {
-        "ilp" => Ok(swp_core::Engine::Ilp),
-        "cp" => Ok(swp_core::Engine::Cp),
-        "portfolio" => Ok(swp_core::Engine::Portfolio),
-        other => Err(format!(
-            "flag --engine: unknown engine `{other}` (expected `ilp`, `cp`, or `portfolio`)"
-        )),
-    }
+    let name = flags.get("engine").unwrap_or("ilp");
+    swp_core::Engine::from_name(name).ok_or_else(|| {
+        format!("flag --engine: unknown engine `{name}` (expected `ilp`, `cp`, or `portfolio`)")
+    })
 }

@@ -3,7 +3,7 @@
 //! In the repetitive pattern, an operation's occupancy of its unit type
 //! is a set of *circular arcs* mod `T` (one per stage). Two operations of
 //! the same class can share a physical unit iff their arcs are disjoint;
-//! assigning units is therefore circular-arc graph coloring [10].
+//! assigning units is therefore circular-arc graph coloring \[10\].
 //!
 //! Inside the ILP this coloring is expressed with linear constraints
 //! (see [`crate::formulation`]). This module provides the *external*

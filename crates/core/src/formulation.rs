@@ -33,7 +33,7 @@ use swp_milp::{Budget, Exhaustion, LinExpr, Model, Sense, VarId, VarKind};
 pub enum MappingMode {
     /// Only per-class capacity constraints (paper eq. (5)): function units
     /// are chosen at run time. This is the pre-paper state of the art
-    /// ([9]/[6]) and can yield schedules with **no** valid fixed
+    /// (\[9\]/\[6\]) and can yield schedules with **no** valid fixed
     /// assignment — the paper's Table 1.
     CapacityOnly,
     /// Scheduling and mapping solved together: capacity plus the
@@ -58,7 +58,7 @@ pub enum Objective {
     /// Only meaningful under [`MappingMode::UnifiedColoring`].
     MinUnits,
     /// Minimize total buffer (logical register) demand à la Ning & Gao
-    /// [18], the extension the paper's §7 points to: for each dependence
+    /// \[18\], the extension the paper's §7 points to: for each dependence
     /// `(i, j)` the number of simultaneously live instances of `i`'s
     /// value is `⌈(t_j − t_i)/T⌉ + m_ij`, captured by an integer
     /// `B_ij ≥ (t_j − t_i)/T + m_ij` and minimized.

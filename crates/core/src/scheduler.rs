@@ -30,10 +30,11 @@
 use crate::formulation::{self, FormulationOptions, MappingMode, Objective};
 use crate::ScheduleError;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use swp_cpsat::{CpError, CpOptions, CpOutcome};
 use swp_ddg::Ddg;
 use swp_heuristics::{HeuristicError, IterativeModuloScheduler};
+use swp_machine::checker::{greedy_assignment, ConflictError, PlacedOp};
 use swp_machine::{Machine, PipelinedSchedule, ValidationError};
 use swp_milp::{Budget, Exhaustion, SolveError, SolveLimits};
 
@@ -94,6 +95,25 @@ pub enum Engine {
     /// refutation) wins and cancels the loser. Per-period win/loss
     /// telemetry lands in [`PeriodAttempt::race`] and [`SolverStats`].
     Portfolio,
+}
+
+impl Engine {
+    /// The engine's name on the command line and the wire — the one
+    /// name table, which [`from_name`](Self::from_name) parses back.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Ilp => "ilp",
+            Engine::Cp => "cp",
+            Engine::Portfolio => "portfolio",
+        }
+    }
+
+    /// The engine whose [`name`](Self::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Engine> {
+        [Engine::Ilp, Engine::Cp, Engine::Portfolio]
+            .into_iter()
+            .find(|e| e.name() == name)
+    }
 }
 
 /// Configuration for [`RateOptimalScheduler`].
@@ -177,6 +197,25 @@ pub enum SolvedBy {
     Heuristic,
 }
 
+impl SolvedBy {
+    /// The engine's name in records and replies — the one name table,
+    /// which [`from_name`](Self::from_name) parses back.
+    pub fn name(self) -> &'static str {
+        match self {
+            SolvedBy::Ilp => "ilp",
+            SolvedBy::Cp => "cp",
+            SolvedBy::Heuristic => "heuristic",
+        }
+    }
+
+    /// The engine whose [`name`](Self::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<SolvedBy> {
+        [SolvedBy::Ilp, SolvedBy::Cp, SolvedBy::Heuristic]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+}
+
 /// One of the two exact engines in a portfolio race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaceEngine {
@@ -219,6 +258,15 @@ pub enum PeriodOutcome {
     EngineFailed,
 }
 
+impl PeriodOutcome {
+    /// Whether the period was left undecided — a budget trip or an
+    /// exact-engine failure. A solve that left a period undecided is not
+    /// conclusive: its answer depends on how much budget was left.
+    pub fn is_undecided(&self) -> bool {
+        matches!(self, PeriodOutcome::TimedOut | PeriodOutcome::EngineFailed)
+    }
+}
+
 /// Statistics for one candidate period.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeriodAttempt {
@@ -226,9 +274,13 @@ pub struct PeriodAttempt {
     pub period: u32,
     /// What happened.
     pub outcome: PeriodOutcome,
-    /// Branch-and-bound nodes explored.
+    /// Search nodes (ILP branch-and-bound or CP) of the solve that
+    /// produced this period's schedule. Zero on every other outcome: a
+    /// failed ILP solve carries no statistics, and CP refutations drop
+    /// theirs.
     pub nodes: u64,
-    /// Simplex iterations across the search.
+    /// Simplex iterations of the ILP solve that produced this period's
+    /// schedule; zero on every other outcome, as for `nodes`.
     pub lp_iterations: u64,
     /// Wall-clock spent on this period.
     pub elapsed: Duration,
@@ -460,16 +512,6 @@ impl ScheduleResult {
         self.optimality.is_proven()
     }
 
-    /// Total branch-and-bound nodes over all attempted periods.
-    pub fn total_nodes(&self) -> u64 {
-        self.attempts.iter().map(|a| a.nodes).sum()
-    }
-
-    /// Total simplex iterations over all attempted periods.
-    pub fn total_lp_iterations(&self) -> u64 {
-        self.attempts.iter().map(|a| a.lp_iterations).sum()
-    }
-
     /// Aggregated solver-effort telemetry over the attempt log.
     pub fn solver_stats(&self) -> SolverStats {
         SolverStats::from_attempts(&self.attempts)
@@ -495,35 +537,76 @@ impl ScheduleResult {
 }
 
 /// What one exact engine concluded about one candidate period, before
-/// the driver turns it into an attempt-log entry (and possibly a
-/// fallback). Normalizing both engines onto this type is what lets the
-/// ILP path, the CP path, and the portfolio race share one settlement
-/// routine.
+/// the sweep logs it (and possibly falls back). Normalizing both
+/// engines onto this type is what lets the ILP path, the CP path, and
+/// the portfolio race share one settlement routine. What the solve cost
+/// travels beside it as an [`Effort`].
 enum ExactVerdict {
     /// A candidate schedule (not yet re-verified by the checker).
     Feasible {
         starts: Vec<u32>,
         units: Vec<Option<u32>>,
-        nodes: u64,
-        lp_iterations: u64,
-        num_vars: usize,
-        num_constrs: usize,
     },
     /// Proven infeasible; `at_build` means rejected before any search.
-    Refuted {
-        at_build: bool,
-        num_vars: usize,
-        num_constrs: usize,
-    },
+    Refuted { at_build: bool },
     /// The per-period budget ran out undecided.
-    Limit { num_vars: usize, num_constrs: usize },
+    Limit,
     /// The cancel token fired mid-solve.
     Cancelled,
     /// The engine failed on this instance (numerical stall, or a colored
     /// class too wide for the CP backend's 64-bit unit domains).
-    Failed { num_vars: usize, num_constrs: usize },
+    Failed,
     /// A hard error to propagate to the caller.
     Error(ScheduleError),
+}
+
+/// What one exact solve of one period reports about its cost: search
+/// counters and ILP model size, copied into the period's
+/// [`PeriodAttempt`]. Search counters come only with a schedule (a
+/// failed ILP solve carries no statistics, and the CP arm drops those of
+/// a refutation); the model size is zero for CP and for a period
+/// rejected before the model was built.
+#[derive(Debug, Clone, Copy, Default)]
+struct Effort {
+    nodes: u64,
+    lp_iterations: u64,
+    num_vars: usize,
+    num_constrs: usize,
+}
+
+/// One candidate period being settled: what every path that logs its
+/// attempt shares.
+struct Candidate<'a> {
+    ddg: &'a Ddg,
+    period: u32,
+    /// The caller's budget for the whole sweep.
+    budget: &'a Budget,
+    /// This period's slice of `budget`.
+    period_budget: Budget,
+    started: Instant,
+}
+
+impl Candidate<'_> {
+    /// Logs this period's attempt — the one place a [`PeriodAttempt`]
+    /// is built.
+    fn log(
+        &self,
+        attempts: &mut Vec<PeriodAttempt>,
+        outcome: PeriodOutcome,
+        effort: Effort,
+        race: Option<RaceReport>,
+    ) {
+        attempts.push(PeriodAttempt {
+            period: self.period,
+            outcome,
+            nodes: effort.nodes,
+            lp_iterations: effort.lp_iterations,
+            elapsed: self.started.elapsed(),
+            num_vars: effort.num_vars,
+            num_constrs: effort.num_constrs,
+            race,
+        });
+    }
 }
 
 /// What one candidate period contributed to the search.
@@ -736,7 +819,7 @@ impl RateOptimalScheduler {
             // Graceful degradation: best-effort heuristic schedule under a
             // fresh tick-capped grace allowance (the dead wall-clock
             // deadline must not also kill the fallback).
-            return self.degrade(ddg, t_dep, t_res, t_lb, t_max, first_unrefuted, attempts);
+            return self.degrade(ddg, t_dep, t_res, first_unrefuted, attempts);
         }
         Err(ScheduleError::NotFound {
             t_lb,
@@ -752,61 +835,59 @@ impl RateOptimalScheduler {
         ddg: &Ddg,
         t_dep: u32,
         t_res: u32,
-        t_lb: u32,
-        t_max: u32,
         first_unrefuted: u32,
         mut attempts: Vec<PeriodAttempt>,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let grace = Budget::with_tick_limit(GRACE_TICKS);
-        let ims = self.ims();
-        match ims.schedule_with(ddg, &grace) {
-            Ok(res) => {
-                let period = res.schedule.initiation_interval();
-                match self.verify(&res.schedule, ddg, SolvedBy::Heuristic) {
-                    Ok(()) => {
-                        attempts.push(PeriodAttempt {
-                            period,
-                            outcome: PeriodOutcome::Feasible(SolvedBy::Heuristic),
-                            nodes: 0,
-                            lp_iterations: 0,
-                            elapsed: started.elapsed(),
-                            num_vars: 0,
-                            num_constrs: 0,
-                            race: None,
-                        });
-                        Ok(ScheduleResult {
-                            schedule: res.schedule,
-                            t_dep,
-                            t_res,
-                            attempts,
-                            optimality: Optimality::BudgetExhausted {
-                                smallest_refuted: first_unrefuted,
-                            },
-                        })
-                    }
-                    Err(error) => Err(ScheduleError::VerificationFailed {
-                        period,
-                        engine: SolvedBy::Heuristic,
-                        error,
-                    }),
-                }
+        let res = match self.ims().schedule_with(ddg, &grace) {
+            Ok(res) => res,
+            Err(HeuristicError::Cancelled) => return Err(ScheduleError::Cancelled),
+            Err(_) => {
+                let t_lb = t_dep.max(t_res);
+                return Err(ScheduleError::NotFound {
+                    t_lb,
+                    t_max: t_lb + self.config.max_t_above_lb,
+                    attempts,
+                });
             }
-            Err(HeuristicError::Cancelled) => Err(ScheduleError::Cancelled),
-            Err(_) => Err(ScheduleError::NotFound {
-                t_lb,
-                t_max,
-                attempts,
-            }),
+        };
+        let c = Candidate {
+            ddg,
+            period: res.schedule.initiation_interval(),
+            budget: &grace,
+            period_budget: grace.clone(),
+            started,
+        };
+        if let Err(error) = self.accept_heuristic(&c, &res.schedule, &mut attempts) {
+            return Err(ScheduleError::VerificationFailed {
+                period: c.period,
+                engine: SolvedBy::Heuristic,
+                error,
+            });
         }
+        Ok(ScheduleResult {
+            schedule: res.schedule,
+            t_dep,
+            t_res,
+            attempts,
+            optimality: Optimality::BudgetExhausted {
+                smallest_refuted: first_unrefuted,
+            },
+        })
     }
 
-    /// Independent re-check of a candidate schedule (with fault hooks).
-    fn verify(
+    /// The shared verify-and-log step for every schedule an engine
+    /// proposes: the independent re-check (with fault hooks) and, if it
+    /// passes, the period's attempt-log entry.
+    fn accept(
         &self,
+        c: &Candidate,
         schedule: &PipelinedSchedule,
-        ddg: &Ddg,
         engine: SolvedBy,
+        effort: Effort,
+        race: Option<RaceReport>,
+        attempts: &mut Vec<PeriodAttempt>,
     ) -> Result<(), ValidationError> {
         let injected = match engine {
             SolvedBy::Ilp => self.config.faults.reject_ilp_schedule,
@@ -817,14 +898,26 @@ impl RateOptimalScheduler {
             // A synthetic, clearly-impossible violation.
             return Err(ValidationError::WrongArity {
                 schedule: usize::MAX,
-                ddg: ddg.num_nodes(),
+                ddg: c.ddg.num_nodes(),
             });
         }
-        schedule.validate(ddg, &self.machine)?;
+        schedule.validate(c.ddg, &self.machine)?;
         if let Some(limit) = self.config.max_live {
-            schedule.validate_pressure(ddg, limit)?;
+            schedule.validate_pressure(c.ddg, limit)?;
         }
+        c.log(attempts, PeriodOutcome::Feasible(engine), effort, race);
         Ok(())
+    }
+
+    /// [`Self::accept`] for an IMS schedule, which reports no effort.
+    fn accept_heuristic(
+        &self,
+        c: &Candidate,
+        schedule: &PipelinedSchedule,
+        attempts: &mut Vec<PeriodAttempt>,
+    ) -> Result<(), ValidationError> {
+        let heuristic = SolvedBy::Heuristic;
+        self.accept(c, schedule, heuristic, Effort::default(), None, attempts)
     }
 
     /// Attempts exactly one period under a per-period slice of `budget`.
@@ -836,9 +929,13 @@ impl RateOptimalScheduler {
         attempts: &mut Vec<PeriodAttempt>,
         warm: &mut WarmState,
     ) -> Result<PeriodResult, ScheduleError> {
-        let started = std::time::Instant::now();
-        let period_budget = budget.restrict(self.config.time_limit_per_t, None);
-        let ims = self.ims();
+        let c = Candidate {
+            ddg,
+            period,
+            budget,
+            period_budget: budget.restrict(self.config.time_limit_per_t, None),
+            started: Instant::now(),
+        };
 
         // The heuristic produces *mapped* schedules; under CapacityOnly
         // the point is to study the capacity-only ILP, so skip it there.
@@ -846,66 +943,40 @@ impl RateOptimalScheduler {
             && self.config.mapping == MappingMode::UnifiedColoring
             && !self.config.faults.fail_heuristic_incumbent
         {
-            let hint = if self.config.warm_sweep {
-                warm.ims_hint.as_ref()
-            } else {
-                None
-            };
-            match ims.schedule_at_with_hint(ddg, period, &period_budget, hint) {
+            let hint = warm.ims_hint.as_ref().filter(|_| self.config.warm_sweep);
+            match self
+                .ims()
+                .schedule_at_with_hint(ddg, period, &c.period_budget, hint)
+            {
                 Ok(Some(schedule)) => {
                     if hint == Some(&schedule) {
                         warm.reuse.ims_hint_hits += 1;
                     }
-                    if self.verify(&schedule, ddg, SolvedBy::Heuristic).is_ok() {
-                        attempts.push(PeriodAttempt {
-                            period,
-                            outcome: PeriodOutcome::Feasible(SolvedBy::Heuristic),
-                            nodes: 0,
-                            lp_iterations: 0,
-                            elapsed: started.elapsed(),
-                            num_vars: 0,
-                            num_constrs: 0,
-                            race: None,
-                        });
+                    if self.accept_heuristic(&c, &schedule, attempts).is_ok() {
                         return Ok(PeriodResult::Schedule(schedule));
                     }
                     // Checker rejected the heuristic schedule: fall through
-                    // to the other engine (the ILP) at this same period.
+                    // to the exact engine at this same period.
                 }
                 Ok(None) => {}
                 Err(HeuristicError::Cancelled) => return Err(ScheduleError::Cancelled),
+                // Per-period (or global) budget died inside the probe.
                 Err(_) => {
-                    // Per-period (or global) budget died inside the probe.
-                    attempts.push(PeriodAttempt {
-                        period,
-                        outcome: PeriodOutcome::TimedOut,
-                        nodes: 0,
-                        lp_iterations: 0,
-                        elapsed: started.elapsed(),
-                        num_vars: 0,
-                        num_constrs: 0,
-                        race: None,
-                    });
-                    return Ok(if budget.check().is_err() {
-                        PeriodResult::BudgetExhausted
-                    } else {
-                        PeriodResult::Undecided
-                    });
+                    let (limit, heuristic) = (ExactVerdict::Limit, SolvedBy::Heuristic);
+                    return self.settle_exact(
+                        &c,
+                        limit,
+                        Effort::default(),
+                        heuristic,
+                        None,
+                        attempts,
+                    );
                 }
             }
         }
 
         if self.config.faults.expire_before_ilp {
-            attempts.push(PeriodAttempt {
-                period,
-                outcome: PeriodOutcome::TimedOut,
-                nodes: 0,
-                lp_iterations: 0,
-                elapsed: started.elapsed(),
-                num_vars: 0,
-                num_constrs: 0,
-                race: None,
-            });
+            c.log(attempts, PeriodOutcome::TimedOut, Effort::default(), None);
             return Ok(PeriodResult::BudgetExhausted);
         }
 
@@ -913,67 +984,30 @@ impl RateOptimalScheduler {
         // engines: no basis carry-over, no no-good replay, even within
         // one sweep.
         let hot = self.config.warm_sweep;
-        match self.effective_engine() {
-            Engine::Ilp => {
-                let verdict =
-                    self.run_ilp_exact(ddg, period, &period_budget, hot.then_some(&mut *warm));
-                self.settle_exact(
-                    ddg,
-                    period,
-                    verdict,
+        let pb = &c.period_budget;
+        let ((verdict, effort), engine, race) = match self.effective_engine() {
+            Engine::Ilp => (
+                self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm)),
+                SolvedBy::Ilp,
+                None,
+            ),
+            // The CP backend cannot color classes wider than its 64-bit
+            // unit domains; on such instances fall back to the ILP for
+            // this period instead of reporting engine failure.
+            Engine::Cp => match self.run_cp_exact(ddg, period, pb, hot.then_some(&mut *warm)) {
+                (ExactVerdict::Failed, _) => (
+                    self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm)),
                     SolvedBy::Ilp,
                     None,
-                    budget,
-                    &period_budget,
-                    attempts,
-                    started,
-                )
-            }
-            Engine::Cp => {
-                // The CP backend cannot color classes wider than its
-                // 64-bit unit domains; on such instances fall back to the
-                // ILP for this period instead of reporting engine failure.
-                let (verdict, engine) =
-                    match self.run_cp_exact(ddg, period, &period_budget, hot.then_some(&mut *warm))
-                    {
-                        ExactVerdict::Failed { .. } => (
-                            self.run_ilp_exact(
-                                ddg,
-                                period,
-                                &period_budget,
-                                hot.then_some(&mut *warm),
-                            ),
-                            SolvedBy::Ilp,
-                        ),
-                        v => (v, SolvedBy::Cp),
-                    };
-                self.settle_exact(
-                    ddg,
-                    period,
-                    verdict,
-                    engine,
-                    None,
-                    budget,
-                    &period_budget,
-                    attempts,
-                    started,
-                )
-            }
+                ),
+                settled => (settled, SolvedBy::Cp, None),
+            },
             Engine::Portfolio => {
-                let (verdict, engine, race) = self.race_period(ddg, period, budget, &period_budget);
-                self.settle_exact(
-                    ddg,
-                    period,
-                    verdict,
-                    engine,
-                    Some(race),
-                    budget,
-                    &period_budget,
-                    attempts,
-                    started,
-                )
+                let (settled, engine, race) = self.race_period(ddg, period, budget, pb);
+                (settled, engine, Some(race))
             }
-        }
+        };
+        self.settle_exact(&c, verdict, effort, engine, race, attempts)
     }
 
     /// The engine that will actually settle periods: the CP backend
@@ -998,8 +1032,8 @@ impl RateOptimalScheduler {
         ddg: &Ddg,
         period: u32,
         period_budget: &Budget,
-        warm: Option<&mut WarmState>,
-    ) -> ExactVerdict {
+        mut warm: Option<&mut WarmState>,
+    ) -> (ExactVerdict, Effort) {
         let f = match formulation::build_with(
             ddg,
             &self.machine,
@@ -1016,16 +1050,11 @@ impl RateOptimalScheduler {
         ) {
             Ok(f) => f,
             Err(ScheduleError::PeriodInfeasible { .. }) => {
-                return ExactVerdict::Refuted {
-                    at_build: true,
-                    num_vars: 0,
-                    num_constrs: 0,
-                }
+                return (ExactVerdict::Refuted { at_build: true }, Effort::default())
             }
-            Err(ScheduleError::Cancelled) => return ExactVerdict::Cancelled,
-            Err(e) => return ExactVerdict::Error(e),
+            Err(ScheduleError::Cancelled) => return (ExactVerdict::Cancelled, Effort::default()),
+            Err(e) => return (ExactVerdict::Error(e), Effort::default()),
         };
-        let mut warm = warm;
         let mut limits = SolveLimits {
             time_limit: self.config.time_limit_per_t,
             budget: period_budget.clone(),
@@ -1034,7 +1063,7 @@ impl RateOptimalScheduler {
         if self.config.objective == Objective::Feasible {
             limits.stop_at_first_incumbent = true;
         }
-        if let Some(w) = warm.as_deref_mut() {
+        if let Some(w) = warm.as_mut() {
             if let Some(names) = &w.basis_names {
                 let hint = f.model.basis_from_names(names);
                 if !hint.is_empty() {
@@ -1043,7 +1072,11 @@ impl RateOptimalScheduler {
                 }
             }
         }
-        let (num_vars, num_constrs) = (f.model.num_vars(), f.model.num_constrs());
+        let mut effort = Effort {
+            num_vars: f.model.num_vars(),
+            num_constrs: f.model.num_constrs(),
+            ..Effort::default()
+        };
         let (solved, basis) = if self.config.faults.fail_ilp {
             (Err(SolveError::Numerical("injected fault".into())), None)
         } else if warm.is_some() {
@@ -1051,7 +1084,7 @@ impl RateOptimalScheduler {
         } else {
             (f.model.solve_with(&limits), None)
         };
-        if let Some(w) = warm.as_deref_mut() {
+        if let Some(w) = warm {
             // The basis is exported even off the infeasible path: refuted
             // periods are exactly where the `T+1` crash start pays.
             if let Some(b) = basis.filter(|b| !b.is_empty()) {
@@ -1059,35 +1092,20 @@ impl RateOptimalScheduler {
                 w.reuse.basis_exports += 1;
             }
         }
-        match solved {
+        let verdict = match solved {
             Ok(sol) => {
-                let stats = *sol.stats();
+                effort.nodes = sol.stats().nodes;
+                effort.lp_iterations = sol.stats().lp_iterations;
                 let (starts, units) = f.extract(&sol);
-                ExactVerdict::Feasible {
-                    starts,
-                    units,
-                    nodes: stats.nodes,
-                    lp_iterations: stats.lp_iterations,
-                    num_vars,
-                    num_constrs,
-                }
+                ExactVerdict::Feasible { starts, units }
             }
-            Err(SolveError::Infeasible) => ExactVerdict::Refuted {
-                at_build: false,
-                num_vars,
-                num_constrs,
-            },
-            Err(SolveError::LimitReached(_)) => ExactVerdict::Limit {
-                num_vars,
-                num_constrs,
-            },
+            Err(SolveError::Infeasible) => ExactVerdict::Refuted { at_build: false },
+            Err(SolveError::LimitReached(_)) => ExactVerdict::Limit,
             Err(SolveError::Cancelled) => ExactVerdict::Cancelled,
-            Err(SolveError::Numerical(_)) => ExactVerdict::Failed {
-                num_vars,
-                num_constrs,
-            },
+            Err(SolveError::Numerical(_)) => ExactVerdict::Failed,
             Err(e) => ExactVerdict::Error(ScheduleError::Solver(e)),
-        }
+        };
+        (verdict, effort)
     }
 
     /// Runs the CP backend at `period` under `period_budget` and
@@ -1098,7 +1116,7 @@ impl RateOptimalScheduler {
         period: u32,
         period_budget: &Budget,
         warm: Option<&mut WarmState>,
-    ) -> ExactVerdict {
+    ) -> (ExactVerdict, Effort) {
         let opts = CpOptions {
             symmetry_breaking: self.config.symmetry_breaking,
             packing_bound: self.config.packing_bound,
@@ -1117,31 +1135,21 @@ impl RateOptimalScheduler {
         if let (Some(reuse), Ok((_, stats))) = (reuse, &solved) {
             reuse.nogood_replays += stats.nogoods_replayed;
         }
-        match solved {
-            Ok((CpOutcome::Feasible { starts, units }, stats)) => ExactVerdict::Feasible {
-                starts,
-                units,
-                nodes: stats.nodes,
-                lp_iterations: 0,
-                num_vars: 0,
-                num_constrs: 0,
-            },
-            Ok((CpOutcome::Infeasible, _)) => ExactVerdict::Refuted {
-                at_build: false,
-                num_vars: 0,
-                num_constrs: 0,
-            },
+        let verdict = match solved {
+            Ok((CpOutcome::Feasible { starts, units }, stats)) => {
+                let effort = Effort {
+                    nodes: stats.nodes,
+                    ..Effort::default()
+                };
+                return (ExactVerdict::Feasible { starts, units }, effort);
+            }
+            Ok((CpOutcome::Infeasible, _)) => ExactVerdict::Refuted { at_build: false },
             Err(CpError::Exhausted(Exhaustion::Cancelled)) => ExactVerdict::Cancelled,
-            Err(CpError::Exhausted(_)) => ExactVerdict::Limit {
-                num_vars: 0,
-                num_constrs: 0,
-            },
+            Err(CpError::Exhausted(_)) => ExactVerdict::Limit,
             Err(CpError::UnknownClass(c)) => ExactVerdict::Error(ScheduleError::UnknownClass(c)),
-            Err(CpError::TooManyUnits { .. }) => ExactVerdict::Failed {
-                num_vars: 0,
-                num_constrs: 0,
-            },
-        }
+            Err(CpError::TooManyUnits { .. }) => ExactVerdict::Failed,
+        };
+        (verdict, Effort::default())
     }
 
     /// Races the ILP and the CP backend on isolated slices of
@@ -1157,12 +1165,12 @@ impl RateOptimalScheduler {
         period: u32,
         budget: &Budget,
         period_budget: &Budget,
-    ) -> (ExactVerdict, SolvedBy, RaceReport) {
+    ) -> ((ExactVerdict, Effort), SolvedBy, RaceReport) {
         let (ilp_budget, ilp_token) = period_budget.fork_racer();
         let (cp_budget, cp_token) = period_budget.fork_racer();
         let (tx, rx) = mpsc::channel();
-        let mut ilp_done: Option<(ExactVerdict, u64)> = None;
-        let mut cp_done: Option<(ExactVerdict, u64)> = None;
+        let mut ilp_done = None;
+        let mut cp_done = None;
         let mut winner: Option<RaceEngine> = None;
         std::thread::scope(|scope| {
             // CP is spawned first deliberately: on a single-core host the
@@ -1185,10 +1193,10 @@ impl RateOptimalScheduler {
             let mut received = 0;
             while received < 2 {
                 match rx.recv_timeout(Duration::from_millis(2)) {
-                    Ok((engine, verdict, ticks)) => {
+                    Ok((engine, settled, ticks)) => {
                         received += 1;
                         let decisive = matches!(
-                            verdict,
+                            settled.0,
                             ExactVerdict::Feasible { .. } | ExactVerdict::Refuted { .. }
                         );
                         if decisive && winner.is_none() {
@@ -1199,8 +1207,8 @@ impl RateOptimalScheduler {
                             }
                         }
                         match engine {
-                            RaceEngine::Ilp => ilp_done = Some((verdict, ticks)),
-                            RaceEngine::Cp => cp_done = Some((verdict, ticks)),
+                            RaceEngine::Ilp => ilp_done = Some((settled, ticks)),
+                            RaceEngine::Cp => cp_done = Some((settled, ticks)),
                         }
                     }
                     Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1216,11 +1224,12 @@ impl RateOptimalScheduler {
                 }
             }
         });
-        let (ilp_verdict, ilp_ticks) = ilp_done.unwrap_or((ExactVerdict::Cancelled, 0));
-        let (cp_verdict, cp_ticks) = cp_done.unwrap_or((ExactVerdict::Cancelled, 0));
+        let cancelled = || (ExactVerdict::Cancelled, Effort::default());
+        let (ilp, ilp_ticks) = ilp_done.unwrap_or_else(|| (cancelled(), 0));
+        let (cp, cp_ticks) = cp_done.unwrap_or_else(|| (cancelled(), 0));
         let loser_cancelled = match winner {
-            Some(RaceEngine::Ilp) => matches!(cp_verdict, ExactVerdict::Cancelled),
-            Some(RaceEngine::Cp) => matches!(ilp_verdict, ExactVerdict::Cancelled),
+            Some(RaceEngine::Ilp) => matches!(cp.0, ExactVerdict::Cancelled),
+            Some(RaceEngine::Cp) => matches!(ilp.0, ExactVerdict::Cancelled),
             None => false,
         };
         let report = RaceReport {
@@ -1230,8 +1239,8 @@ impl RateOptimalScheduler {
             cp_ticks,
         };
         match winner {
-            Some(RaceEngine::Ilp) => (ilp_verdict, SolvedBy::Ilp, report),
-            Some(RaceEngine::Cp) => (cp_verdict, SolvedBy::Cp, report),
+            Some(RaceEngine::Ilp) => (ilp, SolvedBy::Ilp, report),
+            Some(RaceEngine::Cp) => (cp, SolvedBy::Cp, report),
             None => {
                 // Neither engine proved anything. Hard errors propagate
                 // (the ILP's takes precedence); a cancelled racer with no
@@ -1239,194 +1248,108 @@ impl RateOptimalScheduler {
                 // it) or a forwarded budget death (undecided timeout);
                 // two failures stay a failure; otherwise the slice limits
                 // tripped.
-                let verdict = match (ilp_verdict, cp_verdict) {
-                    (v @ ExactVerdict::Error(_), _) => v,
-                    (_, v @ ExactVerdict::Error(_)) => v,
-                    (ExactVerdict::Cancelled, _) | (_, ExactVerdict::Cancelled) => {
+                let settled = match (ilp, cp) {
+                    (v @ (ExactVerdict::Error(_), _), _) => v,
+                    (_, v @ (ExactVerdict::Error(_), _)) => v,
+                    ((ExactVerdict::Cancelled, _), _) | (_, (ExactVerdict::Cancelled, _)) => {
                         if matches!(budget.check(), Err(Exhaustion::Cancelled)) {
-                            ExactVerdict::Cancelled
+                            cancelled()
                         } else {
-                            ExactVerdict::Limit {
-                                num_vars: 0,
-                                num_constrs: 0,
-                            }
+                            (ExactVerdict::Limit, Effort::default())
                         }
                     }
-                    (ExactVerdict::Failed { .. }, v @ ExactVerdict::Failed { .. }) => v,
-                    (v @ ExactVerdict::Limit { .. }, _) | (_, v @ ExactVerdict::Limit { .. }) => v,
+                    ((ExactVerdict::Failed, _), v @ (ExactVerdict::Failed, _)) => v,
+                    (v @ (ExactVerdict::Limit, _), _) | (_, v @ (ExactVerdict::Limit, _)) => v,
                     (v, _) => v,
                 };
-                (verdict, SolvedBy::Ilp, report)
+                (settled, SolvedBy::Ilp, report)
             }
         }
     }
 
-    /// Converts an exact-engine verdict into an attempt-log entry and a
-    /// [`PeriodResult`], running the shared verification and fallback
-    /// paths. All three engine modes settle through here, so degradation
-    /// behaviour is identical regardless of which engine answered.
-    #[allow(clippy::too_many_arguments)]
+    /// Turns an exact-engine verdict into the period's attempt-log entry
+    /// and a [`PeriodResult`], running the shared verification and
+    /// fallback paths. Every engine mode settles through here, so
+    /// degradation behaviour is identical regardless of which engine
+    /// answered.
     fn settle_exact(
         &self,
-        ddg: &Ddg,
-        period: u32,
+        c: &Candidate,
         verdict: ExactVerdict,
+        effort: Effort,
         engine: SolvedBy,
         race: Option<RaceReport>,
-        budget: &Budget,
-        period_budget: &Budget,
         attempts: &mut Vec<PeriodAttempt>,
-        started: std::time::Instant,
     ) -> Result<PeriodResult, ScheduleError> {
-        match verdict {
-            ExactVerdict::Feasible {
-                starts,
-                units,
-                nodes,
-                lp_iterations,
-                num_vars,
-                num_constrs,
-            } => {
-                let assignment = self.complete_assignment(ddg, period, &starts, &units)?;
-                let schedule = PipelinedSchedule::new(period, starts, assignment);
-                match self.verify(&schedule, ddg, engine) {
-                    Ok(()) => {
-                        attempts.push(PeriodAttempt {
-                            period,
-                            outcome: PeriodOutcome::Feasible(engine),
-                            nodes,
-                            lp_iterations,
-                            elapsed: started.elapsed(),
-                            num_vars,
-                            num_constrs,
-                            race,
-                        });
-                        Ok(PeriodResult::Schedule(schedule))
-                    }
-                    Err(error) => {
-                        // Checker rejected the exact schedule: fall back
-                        // to the heuristic at this same period.
-                        match self.heuristic_fallback(ddg, period, period_budget, attempts, started)
-                        {
-                            Some(result) => result,
-                            None => Err(ScheduleError::VerificationFailed {
-                                period,
-                                engine,
-                                error,
-                            }),
-                        }
-                    }
-                }
+        let outcome = match verdict {
+            ExactVerdict::Feasible { starts, units } => {
+                let assignment = self.complete_assignment(c.ddg, c.period, &starts, &units)?;
+                let schedule = PipelinedSchedule::new(c.period, starts, assignment);
+                return match self.accept(c, &schedule, engine, effort, race, attempts) {
+                    Ok(()) => Ok(PeriodResult::Schedule(schedule)),
+                    // Checker rejected the exact schedule: fall back to
+                    // the heuristic at this same period.
+                    Err(error) => self.heuristic_fallback(
+                        c,
+                        attempts,
+                        Err(ScheduleError::VerificationFailed {
+                            period: c.period,
+                            engine,
+                            error,
+                        }),
+                    ),
+                };
             }
-            ExactVerdict::Refuted {
-                at_build,
-                num_vars,
-                num_constrs,
-            } => {
-                attempts.push(PeriodAttempt {
-                    period,
-                    outcome: if at_build {
-                        PeriodOutcome::RejectedAtBuild
-                    } else {
-                        PeriodOutcome::Infeasible
-                    },
-                    nodes: 0,
-                    lp_iterations: 0,
-                    elapsed: started.elapsed(),
-                    num_vars,
-                    num_constrs,
-                    race,
-                });
-                Ok(PeriodResult::Refuted)
+            ExactVerdict::Refuted { at_build: true } => PeriodOutcome::RejectedAtBuild,
+            ExactVerdict::Refuted { at_build: false } => PeriodOutcome::Infeasible,
+            ExactVerdict::Limit => PeriodOutcome::TimedOut,
+            ExactVerdict::Failed => PeriodOutcome::EngineFailed,
+            ExactVerdict::Cancelled => return Err(ScheduleError::Cancelled),
+            ExactVerdict::Error(e) => return Err(e),
+        };
+        c.log(attempts, outcome.clone(), effort, race);
+        match outcome {
+            // An undecided period ends the sweep if the caller's budget
+            // died with it.
+            PeriodOutcome::TimedOut if c.budget.check().is_err() => {
+                Ok(PeriodResult::BudgetExhausted)
             }
-            ExactVerdict::Limit {
-                num_vars,
-                num_constrs,
-            } => {
-                attempts.push(PeriodAttempt {
-                    period,
-                    outcome: PeriodOutcome::TimedOut,
-                    nodes: 0,
-                    lp_iterations: 0,
-                    elapsed: started.elapsed(),
-                    num_vars,
-                    num_constrs,
-                    race,
-                });
-                Ok(if budget.check().is_err() {
-                    PeriodResult::BudgetExhausted
-                } else {
-                    PeriodResult::Undecided
-                })
+            PeriodOutcome::TimedOut => Ok(PeriodResult::Undecided),
+            // The exact engine lost traction: degrade to the heuristic
+            // at this period. Its success is a certificate; its failure
+            // proves nothing, so the period stays undecided.
+            PeriodOutcome::EngineFailed => {
+                self.heuristic_fallback(c, attempts, Ok(PeriodResult::Undecided))
             }
-            ExactVerdict::Cancelled => Err(ScheduleError::Cancelled),
-            ExactVerdict::Failed {
-                num_vars,
-                num_constrs,
-            } => {
-                attempts.push(PeriodAttempt {
-                    period,
-                    outcome: PeriodOutcome::EngineFailed,
-                    nodes: 0,
-                    lp_iterations: 0,
-                    elapsed: started.elapsed(),
-                    num_vars,
-                    num_constrs,
-                    race,
-                });
-                // The exact engine lost traction: degrade to the heuristic
-                // at this period. Its success is a certificate; its failure
-                // proves nothing, so the period stays undecided.
-                match self.heuristic_fallback(ddg, period, period_budget, attempts, started) {
-                    Some(result) => result,
-                    None => Ok(PeriodResult::Undecided),
-                }
-            }
-            ExactVerdict::Error(e) => Err(e),
+            _ => Ok(PeriodResult::Refuted),
         }
     }
 
-    /// Runs IMS at `period` as the fallback engine and verifies the
-    /// result. `None` means no certified fallback schedule exists.
-    #[allow(clippy::type_complexity)]
+    /// Runs IMS at the candidate period as the fallback engine. A
+    /// schedule the checker accepts settles the period; otherwise the
+    /// result is `otherwise`.
     fn heuristic_fallback(
         &self,
-        ddg: &Ddg,
-        period: u32,
-        period_budget: &Budget,
+        c: &Candidate,
         attempts: &mut Vec<PeriodAttempt>,
-        started: std::time::Instant,
-    ) -> Option<Result<PeriodResult, ScheduleError>> {
+        otherwise: Result<PeriodResult, ScheduleError>,
+    ) -> Result<PeriodResult, ScheduleError> {
         let ims = self.ims();
-        match ims.schedule_at_with(ddg, period, period_budget) {
-            Ok(Some(schedule)) => {
-                if self.verify(&schedule, ddg, SolvedBy::Heuristic).is_ok() {
-                    attempts.push(PeriodAttempt {
-                        period,
-                        outcome: PeriodOutcome::Feasible(SolvedBy::Heuristic),
-                        nodes: 0,
-                        lp_iterations: 0,
-                        elapsed: started.elapsed(),
-                        num_vars: 0,
-                        num_constrs: 0,
-                        race: None,
-                    });
-                    Some(Ok(PeriodResult::Schedule(schedule)))
-                } else {
-                    None
-                }
+        match ims.schedule_at_with(c.ddg, c.period, &c.period_budget) {
+            Ok(Some(schedule)) if self.accept_heuristic(c, &schedule, attempts).is_ok() => {
+                Ok(PeriodResult::Schedule(schedule))
             }
-            Ok(None) => None,
-            Err(HeuristicError::Cancelled) => Some(Err(ScheduleError::Cancelled)),
-            Err(_) => None,
+            Err(HeuristicError::Cancelled) => Err(ScheduleError::Cancelled),
+            _ => otherwise,
         }
     }
 
-    /// Fills unit assignments: colored nodes take their color; classes
-    /// without coloring variables are mapped first-fit per class (always
-    /// possible for clean or single-unit classes given capacity holds;
-    /// under [`MappingMode::CapacityOnly`] first-fit may fail, and the
-    /// schedule is returned unmapped — exactly the gap the paper closes).
+    /// Fills unit assignments with [`greedy_assignment`]: colored nodes
+    /// keep their color and every other node is mapped first-fit
+    /// (always possible for clean or single-unit classes given capacity
+    /// holds; under [`MappingMode::CapacityOnly`] first-fit may fail, and
+    /// the schedule is returned unmapped — exactly the gap the paper
+    /// closes).
     fn complete_assignment(
         &self,
         ddg: &Ddg,
@@ -1434,64 +1357,33 @@ impl RateOptimalScheduler {
         starts: &[u32],
         colors: &[Option<u32>],
     ) -> Result<Vec<Option<u32>>, ScheduleError> {
-        use std::collections::HashMap;
-        let mut assignment: Vec<Option<u32>> = colors.to_vec();
-        // usage: (class, fu, stage, residue) occupied?
-        let mut usage: HashMap<(usize, u32, usize, u32), ()> = HashMap::new();
-        // Commit colored nodes first.
-        for (id, node) in ddg.nodes() {
-            if let Some(fu) = assignment[id.index()] {
-                let rt = &self
-                    .machine
-                    .fu_type(node.class)
-                    .map_err(|_| ScheduleError::UnknownClass(node.class))?
-                    .reservation;
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offsets(s) {
-                        let residue = (starts[id.index()] + l as u32) % period;
-                        usage.insert((node.class.index(), fu, s, residue), ());
-                    }
-                }
+        let ops: Vec<PlacedOp> = ddg
+            .nodes()
+            .map(|(id, node)| PlacedOp {
+                class: node.class,
+                offset: starts[id.index()] % period,
+                fu: colors[id.index()],
+            })
+            .collect();
+        let assignment = match greedy_assignment(&self.machine, period, &ops) {
+            Ok(assignment) => assignment,
+            Err(ConflictError::UnknownClass { op }) => {
+                return Err(ScheduleError::UnknownClass(ops[op].class))
+            }
+            // An engine colored a node with a unit its class lacks: keep
+            // the colors, so the checker rejects the schedule and the
+            // fallback engages.
+            Err(_) => return Ok(colors.to_vec()),
+        };
+        if self.config.mapping == MappingMode::UnifiedColoring {
+            // Should be impossible: coloring covered every class that
+            // could fail first-fit.
+            let gap = ddg.nodes().zip(&assignment).find(|(_, fu)| fu.is_none());
+            if let Some(((node, _), _)) = gap {
+                return Err(ScheduleError::MappingGap { node, period });
             }
         }
-        // First-fit the rest.
-        for (id, node) in ddg.nodes() {
-            if assignment[id.index()].is_some() {
-                continue;
-            }
-            let fu_type = self
-                .machine
-                .fu_type(node.class)
-                .map_err(|_| ScheduleError::UnknownClass(node.class))?;
-            let rt = &fu_type.reservation;
-            let mut chosen = None;
-            'fu: for fu in 0..fu_type.count {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offsets(s) {
-                        let residue = (starts[id.index()] + l as u32) % period;
-                        if usage.contains_key(&(node.class.index(), fu, s, residue)) {
-                            continue 'fu;
-                        }
-                    }
-                }
-                chosen = Some(fu);
-                break;
-            }
-            if let Some(fu) = chosen {
-                for s in 0..rt.stages() {
-                    for l in rt.stage_offsets(s) {
-                        let residue = (starts[id.index()] + l as u32) % period;
-                        usage.insert((node.class.index(), fu, s, residue), ());
-                    }
-                }
-                assignment[id.index()] = Some(fu);
-            } else if self.config.mapping == MappingMode::UnifiedColoring {
-                // Should be impossible: coloring covered every class that
-                // could fail first-fit.
-                return Err(ScheduleError::MappingGap { node: id, period });
-            }
-            // CapacityOnly: leave unmapped; caller sees is_mapped() == false.
-        }
+        // CapacityOnly: leave unmapped; caller sees is_mapped() == false.
         Ok(assignment)
     }
 }
@@ -1547,29 +1439,20 @@ mod tests {
     }
 
     #[test]
-    fn reports_bounds_and_attempts() {
-        let machine = Machine::example_pldi95();
-        let s = RateOptimalScheduler::new(machine, SchedulerConfig::default())
-            .schedule(&fp_loop())
-            .expect("schedulable");
-        assert!(!s.attempts.is_empty());
-        assert!(matches!(
-            s.attempts.last().map(|a| a.outcome.clone()),
-            Some(PeriodOutcome::Feasible(_))
-        ));
-        assert_eq!(s.t_lb(), s.t_dep.max(s.t_res));
-    }
-
-    #[test]
     fn solver_stats_aggregate_the_attempt_log() {
         let machine = Machine::example_pldi95();
         let s = RateOptimalScheduler::new(machine, SchedulerConfig::default())
             .schedule(&fp_loop())
             .expect("schedulable");
+        assert_eq!(s.t_lb(), s.t_dep.max(s.t_res));
         let stats = s.solver_stats();
         assert_eq!(stats.periods_attempted, s.attempts.len() as u32);
-        assert_eq!(stats.bb_nodes, s.total_nodes());
-        assert_eq!(stats.lp_iterations, s.total_lp_iterations());
+        let nodes: u64 = s.attempts.iter().map(|a| a.nodes).sum();
+        let lp_iterations: u64 = s.attempts.iter().map(|a| a.lp_iterations).sum();
+        assert_eq!(
+            (stats.bb_nodes, stats.lp_iterations),
+            (nodes, lp_iterations)
+        );
         assert_eq!(stats.ilp_feasible + stats.heuristic_feasible, 1);
         assert!(!stats.any_timeout());
         // The final feasible attempt names the producing engine.
@@ -1638,6 +1521,18 @@ mod tests {
             proven.push(s.schedule.initiation_interval());
         }
         assert_eq!(proven[0], proven[1], "ILP and CP disagree under the cap");
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for engine in [Engine::Ilp, Engine::Cp, Engine::Portfolio] {
+            assert_eq!(Engine::from_name(engine.name()), Some(engine));
+        }
+        for solved_by in [SolvedBy::Ilp, SolvedBy::Cp, SolvedBy::Heuristic] {
+            assert_eq!(SolvedBy::from_name(solved_by.name()), Some(solved_by));
+        }
+        assert_eq!(Engine::from_name("heuristic"), None);
+        assert_eq!(SolvedBy::from_name("portfolio"), None);
     }
 
     #[test]
@@ -1868,25 +1763,70 @@ mod tests {
         }));
     }
 
+    /// Pins every effort field of the attempt log — outcome, search
+    /// counters, model size and race report per attempt — so a change
+    /// to how periods are settled cannot drop or move effort unseen.
+    /// Only a period that produced a schedule logs search counters; an
+    /// ILP refutation keeps its model size, a CP refutation logs nothing.
+    /// An injected ILP failure degrades to a verified IMS schedule.
     #[test]
-    fn injected_ilp_failure_degrades_to_heuristic() {
-        let machine = Machine::example_pldi95();
-        let g = fp_loop();
-        let cfg = SchedulerConfig {
-            heuristic_incumbent: false,
-            faults: FaultPlan {
-                fail_ilp: true,
+    fn attempt_log_pins_effort_per_period() {
+        use PeriodOutcome::{EngineFailed, Feasible, Infeasible};
+        let log = |machine: Machine, engine: Engine, fail_ilp: bool, max_live: Option<u32>| {
+            let cfg = SchedulerConfig {
+                engine,
+                heuristic_incumbent: false,
+                max_live,
+                faults: FaultPlan {
+                    fail_ilp,
+                    ..Default::default()
+                },
                 ..Default::default()
-            },
-            ..Default::default()
+            };
+            let s = RateOptimalScheduler::new(machine.clone(), cfg)
+                .schedule(&fp_loop())
+                .expect("schedulable");
+            assert_eq!(s.schedule.validate(&fp_loop(), &machine), Ok(()));
+            let row = |a: &PeriodAttempt| {
+                let effort = (a.nodes, a.lp_iterations, a.num_vars, a.num_constrs);
+                (a.period, a.outcome.clone(), effort, a.race)
+            };
+            s.attempts.iter().map(row).collect::<Vec<_>>()
         };
-        let s = RateOptimalScheduler::new(machine.clone(), cfg)
-            .schedule(&g)
-            .expect("heuristic fallback carries the day");
-        assert_eq!(s.schedule.validate(&g, &machine), Ok(()));
-        assert!(s
-            .attempts
-            .iter()
-            .any(|a| a.outcome == PeriodOutcome::EngineFailed));
+        let hazard = Machine::example_pldi95;
+        assert_eq!(
+            log(hazard(), Engine::Ilp, false, None),
+            [(2, Feasible(SolvedBy::Ilp), (3, 30, 20, 27), None)]
+        );
+        assert_eq!(
+            log(hazard(), Engine::Cp, false, None),
+            [(2, Feasible(SolvedBy::Cp), (3, 0, 0, 0), None)]
+        );
+        assert_eq!(
+            log(hazard(), Engine::Ilp, true, None),
+            [
+                (2, EngineFailed, (0, 0, 20, 27), None),
+                (2, Feasible(SolvedBy::Heuristic), (0, 0, 0, 0), None),
+            ]
+        );
+        // A pressure cap of 2 on the clean machine refutes T = 2..4.
+        assert_eq!(
+            log(Machine::example_clean(), Engine::Ilp, false, Some(2)),
+            [
+                (2, Infeasible, (0, 0, 22, 25), None),
+                (3, Infeasible, (0, 0, 29, 32), None),
+                (4, Infeasible, (0, 0, 36, 39), None),
+                (5, Feasible(SolvedBy::Ilp), (32, 723, 43, 46), None),
+            ]
+        );
+        assert_eq!(
+            log(Machine::example_clean(), Engine::Cp, false, Some(2)),
+            [
+                (2, Infeasible, (0, 0, 0, 0), None),
+                (3, Infeasible, (0, 0, 0, 0), None),
+                (4, Infeasible, (0, 0, 0, 0), None),
+                (5, Feasible(SolvedBy::Cp), (58, 0, 0, 0), None),
+            ]
+        );
     }
 }

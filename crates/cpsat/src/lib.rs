@@ -1185,7 +1185,7 @@ pub fn solve_at_warm(
 mod tests {
     use super::*;
     use swp_ddg::Ddg;
-    use swp_machine::checker::{check_fixed_assignment, PlacedOp};
+    use swp_machine::checker::{check_fixed_assignment, greedy_assignment, PlacedOp};
     use swp_machine::{FuType, ReservationTable};
 
     fn solve(ddg: &Ddg, machine: &Machine, period: u32) -> Result<(CpOutcome, CpStats), CpError> {
@@ -1216,43 +1216,9 @@ mod tests {
                 fu: units[id.index()],
             })
             .collect();
-        let mut usage: HashSet<(usize, u32, usize, u32)> = HashSet::new();
-        for op in ops.iter().filter(|o| o.fu.is_some()) {
-            let rt = &machine.fu_type(op.class).expect("class").reservation;
-            for s in 0..rt.stages() {
-                for l in rt.stage_offsets(s) {
-                    usage.insert((
-                        op.class.index(),
-                        op.fu.expect("mapped"),
-                        s,
-                        (op.offset + l as u32) % period,
-                    ));
-                }
-            }
-        }
-        for op in ops.iter_mut().filter(|o| o.fu.is_none()) {
-            let fu_type = machine.fu_type(op.class).expect("class");
-            let rt = &fu_type.reservation;
-            let unit = (0..fu_type.count)
-                .find(|&fu| {
-                    (0..rt.stages()).all(|s| {
-                        rt.stage_offsets(s).iter().all(|&l| {
-                            !usage.contains(&(
-                                op.class.index(),
-                                fu,
-                                s,
-                                (op.offset + l as u32) % period,
-                            ))
-                        })
-                    })
-                })
-                .expect("first-fit completion must succeed for uncolored classes");
-            op.fu = Some(unit);
-            for s in 0..rt.stages() {
-                for l in rt.stage_offsets(s) {
-                    usage.insert((op.class.index(), unit, s, (op.offset + l as u32) % period));
-                }
-            }
+        let completed = greedy_assignment(machine, period, &ops).expect("known classes and units");
+        for (op, fu) in ops.iter_mut().zip(completed) {
+            op.fu = Some(fu.expect("first-fit completion must succeed for uncolored classes"));
         }
         check_fixed_assignment(machine, period, &ops).expect("schedule must pass exact checker");
         // Dependences.

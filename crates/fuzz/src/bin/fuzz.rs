@@ -128,16 +128,10 @@ fn run() -> Result<ExitCode, String> {
         ..DiffOptions::default()
     };
     if let Some(engine) = flags.get("engine") {
-        opts.engine_filter = Some(match engine {
-            "ilp" => Engine::Ilp,
-            "cp" => Engine::Cp,
-            "portfolio" => Engine::Portfolio,
-            other => {
-                return Err(format!(
-                    "unknown engine `{other}` (use ilp, cp, or portfolio)"
-                ))
-            }
-        });
+        opts.engine_filter = Some(
+            Engine::from_name(engine)
+                .ok_or_else(|| format!("unknown engine `{engine}` (use ilp, cp, or portfolio)"))?,
+        );
     }
     if let Some(fault) = flags.get("inject-fault") {
         opts.faults = parse_fault(fault)?;

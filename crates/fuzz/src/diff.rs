@@ -284,12 +284,7 @@ fn run_driver(case: &FuzzCase, config: SchedulerConfig, ticks: u64) -> DriverOut
 }
 
 fn attempts_timed_out(attempts: &[PeriodAttempt]) -> bool {
-    attempts.iter().any(|a| {
-        matches!(
-            a.outcome,
-            PeriodOutcome::TimedOut | PeriodOutcome::EngineFailed
-        )
-    })
+    attempts.iter().any(|a| a.outcome.is_undecided())
 }
 
 /// Periods this attempt log *proved* infeasible.

@@ -22,7 +22,9 @@ use crate::diff::{check_schedule, Violation, ViolationKind};
 use crate::gen::FuzzCase;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swp_core::{Optimality, RateOptimalScheduler, ScheduleError, ScheduleResult, SchedulerConfig};
+use swp_core::{
+    Optimality, PeriodAttempt, RateOptimalScheduler, ScheduleError, ScheduleResult, SchedulerConfig,
+};
 use swp_incr::{EditOp, SolveSession};
 use swp_milp::Budget;
 
@@ -138,38 +140,20 @@ fn gen_edit(rng: &mut SmallRng, s: &mut SolveSession) -> Option<EditOp> {
     None
 }
 
-/// `(accepted period, proven)` when the run is conclusive; `None` when
-/// any budget trip makes a comparison unsound.
+/// Decision signature of one solve: `(accepted period, proven)` when the
+/// run is conclusive; `None` when a budget trip or an engine failure
+/// left a period undecided, which makes a comparison unsound.
 fn signature(r: &Result<ScheduleResult, ScheduleError>) -> Option<(Option<u32>, bool)> {
+    let undecided = |attempts: &[PeriodAttempt]| attempts.iter().any(|a| a.outcome.is_undecided());
     match r {
-        Ok(res) => {
-            let timed = res.attempts.iter().any(|a| {
-                matches!(
-                    a.outcome,
-                    swp_core::PeriodOutcome::TimedOut | swp_core::PeriodOutcome::EngineFailed
-                )
-            });
-            if timed {
-                None
-            } else {
-                Some((
-                    Some(res.schedule.initiation_interval()),
-                    matches!(res.optimality, Optimality::Proven),
-                ))
-            }
-        }
+        Ok(res) => (!undecided(&res.attempts)).then(|| {
+            (
+                Some(res.schedule.initiation_interval()),
+                matches!(res.optimality, Optimality::Proven),
+            )
+        }),
         Err(ScheduleError::NotFound { attempts, .. }) => {
-            let timed = attempts.iter().any(|a| {
-                matches!(
-                    a.outcome,
-                    swp_core::PeriodOutcome::TimedOut | swp_core::PeriodOutcome::EngineFailed
-                )
-            });
-            if timed {
-                None
-            } else {
-                Some((None, false))
-            }
+            (!undecided(attempts)).then_some((None, false))
         }
         // Structural errors (no finite period, unknown class) are
         // instance properties: both sides must report them. They carry

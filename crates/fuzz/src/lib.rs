@@ -18,7 +18,7 @@
 //!   no false refutations) and the metamorphic relations (relabeling
 //!   and unit-renaming invariance, latency-scaling monotonicity,
 //!   `T+1` confirmation);
-//! * [`shrink`] — a delta-debugging shrinker that minimizes a failing
+//! * [`shrink`](mod@shrink) — a delta-debugging shrinker that minimizes a failing
 //!   case while preserving its violation kind;
 //! * [`regression`] — self-contained regression files for shrunk
 //!   counterexamples, committed under `tests/regressions/` and replayed

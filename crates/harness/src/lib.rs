@@ -9,7 +9,7 @@
 //!   deques, no external dependencies) that shards the corpus and
 //!   returns results **in corpus order**, so a parallel run is
 //!   indistinguishable from a sequential one;
-//! * [`run`] — the [`Harness`](run::Harness) orchestrator: per-loop
+//! * [`run`] — the [`Harness`] orchestrator: per-loop
 //!   budgets carved from one global pool (reusing the `swp-milp` budget
 //!   and cancellation machinery), cooperative Ctrl-C-style draining, and
 //!   cache-first execution;

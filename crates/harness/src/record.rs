@@ -19,8 +19,12 @@
 
 use crate::json::{parse_object, ObjectWriter};
 use std::time::Duration;
-use swp_core::{Engine, ReuseStats, SolvedBy};
+use swp_core::{
+    Engine, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy, SolverStats,
+};
+use swp_ddg::Ddg;
 use swp_loops::fingerprint::{from_hex, to_hex, Fnv64};
+use swp_machine::Machine;
 
 /// Schema version stamped into every artifact line. v2 added the
 /// portfolio-race counters (`races`, `race_cp`, `race_ilp`); v3 added
@@ -80,6 +84,21 @@ impl Default for SuiteRunConfig {
 }
 
 impl SuiteRunConfig {
+    /// The scheduler configuration these knobs solve under; the
+    /// per-loop tick cap goes on the budget instead. Solving with it is
+    /// what makes a record's fingerprint describe the solve.
+    pub fn scheduler_config(&self) -> SchedulerConfig {
+        SchedulerConfig {
+            time_limit_per_t: self.time_limit_per_t,
+            max_t_above_lb: self.max_t_above_lb,
+            heuristic_incumbent: self.heuristic_incumbent,
+            engine: self.engine,
+            warm_sweep: self.warm,
+            max_live: self.max_live,
+            ..SchedulerConfig::default()
+        }
+    }
+
     /// Stable fingerprint of every field that can change a loop's
     /// *outcome*. `num_loops` is deliberately excluded: a longer run
     /// over the same corpus prefix must be able to reuse cached records.
@@ -234,6 +253,68 @@ pub struct LoopRecord {
 }
 
 impl LoopRecord {
+    /// The record of one finished solve of `ddg` on `machine` — the one
+    /// place a solve becomes a record. `ticks`, `reuse` and `solve_time`
+    /// are what the caller measured around the solve. A failed solve
+    /// records as [`SuiteOutcome::Unscheduled`]. `None` for a cancelled
+    /// solve, which has no outcome to record.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_solve(
+        solved: &Result<ScheduleResult, ScheduleError>,
+        index: usize,
+        name: &str,
+        ddg: &Ddg,
+        machine: &Machine,
+        key: CacheKey,
+        ticks: u64,
+        reuse: &ReuseStats,
+        solve_time: Duration,
+    ) -> Option<LoopRecord> {
+        let unscheduled = |t_lb, stats| (t_lb, None, SuiteOutcome::Unscheduled, false, stats);
+        let (t_lb, period, outcome, proven, stats) = match solved {
+            Ok(r) => (
+                r.t_lb(),
+                Some(r.schedule.initiation_interval()),
+                SuiteOutcome::Scheduled {
+                    slack: r.slack_above_lb(),
+                    solved_by: r.solved_by(),
+                },
+                r.is_proven_optimal(),
+                r.solver_stats(),
+            ),
+            Err(ScheduleError::Cancelled) => return None,
+            Err(ScheduleError::NotFound { t_lb, attempts, .. }) => {
+                unscheduled(*t_lb, SolverStats::from_attempts(attempts))
+            }
+            Err(_) => unscheduled(0, SolverStats::default()),
+        };
+        Some(LoopRecord {
+            index,
+            name: name.to_string(),
+            num_nodes: ddg.num_nodes(),
+            key,
+            t_lb,
+            t_lb_counting: ddg
+                .t_dep()
+                .unwrap_or(0)
+                .max(machine.t_res_counting(ddg).unwrap_or(0)),
+            period,
+            outcome,
+            proven,
+            bb_nodes: stats.bb_nodes,
+            lp_iterations: stats.lp_iterations,
+            ticks,
+            periods_attempted: stats.periods_attempted,
+            races: stats.races,
+            race_cp_wins: stats.race_cp_wins,
+            race_ilp_wins: stats.race_ilp_wins,
+            any_timeout: stats.any_timeout(),
+            reuse: RecordReuse::from(reuse),
+            solve_time,
+            cached: false,
+        })
+    }
+
     /// Serializes the record as one artifact line (no trailing newline).
     ///
     /// Schema (`v` = [`SCHEMA_VERSION`]):
@@ -268,14 +349,7 @@ impl LoopRecord {
                 w.str("status", "scheduled")
                     .opt_u64("period", self.period.map(u64::from))
                     .u64("slack", u64::from(*slack))
-                    .str(
-                        "solved_by",
-                        match solved_by {
-                            SolvedBy::Ilp => "ilp",
-                            SolvedBy::Cp => "cp",
-                            SolvedBy::Heuristic => "heuristic",
-                        },
-                    );
+                    .str("solved_by", solved_by.name());
             }
             SuiteOutcome::Unscheduled => {
                 w.str("status", "unscheduled")
@@ -340,12 +414,9 @@ impl LoopRecord {
         let (outcome, period) = match status {
             "scheduled" => {
                 let slack = num("slack")? as u32;
-                let solved_by = match text("solved_by")? {
-                    "ilp" => SolvedBy::Ilp,
-                    "cp" => SolvedBy::Cp,
-                    "heuristic" => SolvedBy::Heuristic,
-                    other => return Err(format!("unknown engine `{other}`")),
-                };
+                let name = text("solved_by")?;
+                let solved_by =
+                    SolvedBy::from_name(name).ok_or_else(|| format!("unknown engine `{name}`"))?;
                 let period = num("period")? as u32;
                 (SuiteOutcome::Scheduled { slack, solved_by }, Some(period))
             }

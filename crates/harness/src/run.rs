@@ -29,7 +29,7 @@
 
 use crate::cache::ResultCache;
 use crate::executor;
-use crate::record::{CacheKey, LoopRecord, RecordReuse, SuiteOutcome, SuiteRunConfig};
+use crate::record::{CacheKey, LoopRecord, SuiteRunConfig};
 use crate::sink::{JsonlSink, RunSink};
 use crate::telemetry::RunSummary;
 use std::error::Error;
@@ -38,7 +38,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use swp_core::{RateOptimalScheduler, ScheduleError, SchedulerConfig, SolverStats, WarmState};
+use swp_core::{RateOptimalScheduler, WarmState};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
 use swp_loops::suite::GeneratedLoop;
 use swp_machine::Machine;
@@ -176,7 +176,8 @@ impl Harness {
     ///
     /// [`HarnessError::Artifact`] if the artifact cannot be opened or
     /// read. Per-loop solver failures never error the run; they become
-    /// [`SuiteOutcome::Unscheduled`] records.
+    /// [`SuiteOutcome::Unscheduled`](crate::SuiteOutcome::Unscheduled)
+    /// records.
     pub fn run(
         &self,
         loops: &[GeneratedLoop],
@@ -222,18 +223,8 @@ impl Harness {
             None => None,
         };
 
-        let scheduler = RateOptimalScheduler::new(
-            self.machine.clone(),
-            SchedulerConfig {
-                time_limit_per_t: self.solve.time_limit_per_t,
-                max_t_above_lb: self.solve.max_t_above_lb,
-                heuristic_incumbent: self.solve.heuristic_incumbent,
-                engine: self.solve.engine,
-                warm_sweep: self.solve.warm,
-                max_live: self.solve.max_live,
-                ..Default::default()
-            },
-        );
+        let scheduler =
+            RateOptimalScheduler::new(self.machine.clone(), self.solve.scheduler_config());
 
         let workers = match self.config.workers {
             0 => std::thread::available_parallelism()
@@ -318,11 +309,6 @@ impl Harness {
                 None => b,
             }
         };
-        let t_lb_counting = l
-            .ddg
-            .t_dep()
-            .unwrap_or(0)
-            .max(self.machine.t_res_counting(&l.ddg).unwrap_or(0));
         let ticks_before = loop_budget.ticks_used();
         let solve_started = Instant::now();
         // One warm state per loop: the basis/hint/no-good carry-over is
@@ -335,71 +321,17 @@ impl Harness {
         } else {
             Duration::ZERO
         };
-        let ticks = loop_budget.ticks_used().saturating_sub(ticks_before);
-        let reuse = RecordReuse::from(&warm.reuse);
-
-        let rec = match solved {
-            Ok(r) => {
-                let stats = r.solver_stats();
-                LoopRecord {
-                    index,
-                    name: l.name.clone(),
-                    num_nodes: l.ddg.num_nodes(),
-                    key,
-                    t_lb: r.t_lb(),
-                    t_lb_counting,
-                    period: Some(r.schedule.initiation_interval()),
-                    outcome: SuiteOutcome::Scheduled {
-                        slack: r.slack_above_lb(),
-                        solved_by: r.solved_by(),
-                    },
-                    proven: r.is_proven_optimal(),
-                    bb_nodes: stats.bb_nodes,
-                    lp_iterations: stats.lp_iterations,
-                    ticks,
-                    periods_attempted: stats.periods_attempted,
-                    races: stats.races,
-                    race_cp_wins: stats.race_cp_wins,
-                    race_ilp_wins: stats.race_ilp_wins,
-                    any_timeout: stats.any_timeout(),
-                    reuse,
-                    solve_time,
-                    cached: false,
-                }
-            }
-            Err(ScheduleError::Cancelled) => return None,
-            Err(e) => {
-                let (t_lb, stats) = match &e {
-                    ScheduleError::NotFound { t_lb, attempts, .. } => {
-                        (*t_lb, SolverStats::from_attempts(attempts))
-                    }
-                    _ => (0, SolverStats::default()),
-                };
-                LoopRecord {
-                    index,
-                    name: l.name.clone(),
-                    num_nodes: l.ddg.num_nodes(),
-                    key,
-                    t_lb,
-                    t_lb_counting,
-                    period: None,
-                    outcome: SuiteOutcome::Unscheduled,
-                    proven: false,
-                    bb_nodes: stats.bb_nodes,
-                    lp_iterations: stats.lp_iterations,
-                    ticks,
-                    periods_attempted: stats.periods_attempted,
-                    races: stats.races,
-                    race_cp_wins: stats.race_cp_wins,
-                    race_ilp_wins: stats.race_ilp_wins,
-                    any_timeout: stats.any_timeout(),
-                    reuse,
-                    solve_time,
-                    cached: false,
-                }
-            }
-        };
-        Some(rec)
+        LoopRecord::from_solve(
+            &solved,
+            index,
+            &l.name,
+            &l.ddg,
+            &self.machine,
+            key,
+            loop_budget.ticks_used().saturating_sub(ticks_before),
+            &warm.reuse,
+            solve_time,
+        )
     }
 }
 
@@ -415,6 +347,7 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{RecordReuse, SuiteOutcome};
     use crate::sink::{NullSink, VecSink};
     use swp_loops::suite::{generate, SuiteConfig};
 

@@ -5,13 +5,13 @@
 //! every operation to a physical function unit at schedule time:
 //!
 //! * [`IterativeModuloScheduler`] — Rau's *iterative modulo scheduling*
-//!   (MICRO '94, [22]): height-priority placement with bounded eviction
+//!   (MICRO '94, \[22\]): height-priority placement with bounded eviction
 //!   and re-placement ("budget"), trying `II = MII, MII+1, …`;
 //! * [`ListModuloScheduler`] — the same placement rule without
 //!   backtracking: first conflict at an `II` aborts to `II+1`. A weaker
 //!   baseline that shows what eviction buys.
 //!
-//! Both produce [`swp_core::PipelinedSchedule`]s that pass the same
+//! Both produce [`swp_machine::PipelinedSchedule`]s that pass the same
 //! independent validator as the ILP schedules, so quality comparisons
 //! (`II` achieved vs. `T_lb`) are apples-to-apples.
 

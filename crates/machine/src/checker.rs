@@ -390,17 +390,31 @@ pub fn check_capacity_only(
     Ok(())
 }
 
-/// Attempts a greedy (first-fit) fixed assignment of `ops`, returning the
-/// per-op unit indices, or `None` if first-fit fails.
+/// Completes a fixed assignment first-fit: ops that already carry a
+/// unit keep it and are committed first, then every other op takes, in
+/// op order, the lowest-numbered unit of its class whose claimed cells
+/// are all free. An op that no unit can take stays `None`. Carried units
+/// are committed as given, not checked against each other — that is
+/// [`check_fixed_assignment`]'s job.
 ///
 /// This is *not* complete — the paper's point is that some schedules
 /// admit an assignment only under a smarter (coloring) analysis, and some
 /// admit none at all — but it is a useful baseline and a fast path.
-pub fn greedy_assignment(machine: &Machine, period: u32, ops: &[PlacedOp]) -> Option<Vec<u32>> {
+///
+/// # Errors
+///
+/// [`ConflictError::UnknownClass`] for an op whose class the machine
+/// lacks, and [`ConflictError::FuOutOfRange`] for a carried unit
+/// `>= count`.
+pub fn greedy_assignment(
+    machine: &Machine,
+    period: u32,
+    ops: &[PlacedOp],
+) -> Result<Vec<Option<u32>>, ConflictError> {
     assert!(period > 0, "period must be positive");
     // First-fit with word-parallel unit probes: a unit is free for the
     // op iff its claimed-cell mask is disjoint from the unit's occupancy
-    // words — the same predicate the old per-cell hash scan computed.
+    // words.
     let ft = FlatTables::new(machine, period);
     let mut occ: Vec<Vec<u64>> = machine
         .types()
@@ -408,26 +422,43 @@ pub fn greedy_assignment(machine: &Machine, period: u32, ops: &[PlacedOp]) -> Op
         .enumerate()
         .map(|(c, fu_type)| vec![0u64; fu_type.count as usize * ft.words[c]])
         .collect();
-    let mut out = Vec::with_capacity(ops.len());
-    for op in ops.iter() {
-        let fu_type = machine.fu_type(op.class).ok()?;
+    let mut out: Vec<Option<u32>> = ops.iter().map(|op| op.fu).collect();
+    let carried = (0..ops.len()).filter(|&i| ops[i].fu.is_some());
+    let free = (0..ops.len()).filter(|&i| ops[i].fu.is_none());
+    for i in carried.chain(free) {
+        let op = &ops[i];
+        let count = machine
+            .fu_type(op.class)
+            .map_err(|_| ConflictError::UnknownClass { op: i })?
+            .count;
         let c = op.class.index();
-        let w = ft.words[c];
-        // The old scan reduced offsets per cell, so oversized offsets are
-        // legal here (unlike the fixed-assignment checker).
+        let unit = |fu: u32| fu as usize * ft.words[c]..(fu as usize + 1) * ft.words[c];
+        // Offsets are reduced here, so unreduced ones are legal (unlike
+        // in the fixed-assignment checker).
         let mask = &ft.masks[c][(op.offset % period) as usize];
-        let class_occ = &mut occ[c];
-        let fu = (0..fu_type.count).find(|&fu| {
-            let unit_occ = &class_occ[fu as usize * w..(fu as usize + 1) * w];
-            mask.iter().zip(unit_occ).all(|(m, o)| m & o == 0)
-        })?;
-        let unit_occ = &mut class_occ[fu as usize * w..(fu as usize + 1) * w];
-        for (o, m) in unit_occ.iter_mut().zip(mask) {
+        let fu = match op.fu {
+            Some(fu) if fu >= count => {
+                return Err(ConflictError::FuOutOfRange {
+                    op: i,
+                    fu,
+                    available: count,
+                })
+            }
+            Some(fu) => fu,
+            None => {
+                let fits = |&fu: &u32| mask.iter().zip(&occ[c][unit(fu)]).all(|(m, o)| m & o == 0);
+                let Some(fu) = (0..count).find(fits) else {
+                    continue;
+                };
+                out[i] = Some(fu);
+                fu
+            }
+        };
+        for (o, m) in occ[c][unit(fu)].iter_mut().zip(mask) {
             *o |= m;
         }
-        out.push(fu);
     }
-    Some(out)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -584,9 +615,9 @@ mod tests {
     fn greedy_assignment_round_trips_checker() {
         let m = Machine::example_pldi95();
         let mut ops = vec![fp(0, None), fp(2, None), fp(1, None)];
-        let assign = greedy_assignment(&m, 4, &ops).expect("assignable");
-        for (op, fu) in ops.iter_mut().zip(&assign) {
-            op.fu = Some(*fu);
+        let assign = greedy_assignment(&m, 4, &ops).expect("known classes");
+        for (op, fu) in ops.iter_mut().zip(assign) {
+            op.fu = Some(fu.expect("assignable"));
         }
         assert_eq!(check_fixed_assignment(&m, 4, &ops), Ok(()));
     }
@@ -594,21 +625,42 @@ mod tests {
     #[test]
     fn greedy_assignment_can_fail_where_capacity_passes() {
         // The paper's motivating gap: capacity fine, first-fit mapping
-        // impossible at this period. Non-pipelined FP lat 2, 2 units,
-        // period 4, ops at offsets 0,1,2,3: capacity per step is 2 (each
-        // op covers two consecutive steps) but the wrap structure forces
-        // every pair of units to conflict under first-fit order 0,1,2,3?
-        // First-fit: op@0 -> fu0 {0,1}; op@1 -> fu1 {1,2}; op@2 -> fu0
-        // {2,3}; op@3 -> fu1 {3,0}. That works. Instead use 3 ops on ONE
-        // unit at period 6 with offsets 0,2,4 (fits exactly), then a 4th
-        // op anywhere fails.
+        // impossible. Non-pipelined FP (latency 2, 2 units) at period 6:
+        // ops at offsets 0, 2, 4 fill one unit exactly, a second such
+        // triple fills the other, and a seventh op fits nowhere.
         let m = Machine::example_non_pipelined();
         let mut ops = vec![fp(0, None), fp(2, None), fp(4, None)];
-        // occupy second unit fully too
         ops.extend([fp(0, None), fp(2, None), fp(4, None)]);
         assert_eq!(check_capacity_only(&m, 6, &ops), Ok(()));
-        assert!(greedy_assignment(&m, 6, &ops).is_some());
+        let full = greedy_assignment(&m, 6, &ops).expect("known classes");
+        assert!(full.iter().all(Option::is_some));
         ops.push(fp(1, None));
-        assert!(greedy_assignment(&m, 6, &ops).is_none());
+        let over = greedy_assignment(&m, 6, &ops).expect("known classes");
+        assert_eq!(over[..6], full[..]);
+        assert_eq!(over[6], None);
+    }
+
+    #[test]
+    fn greedy_assignment_commits_carried_units_first() {
+        // The op at offset 0 would take unit 0 under plain first-fit, but
+        // the later op carries unit 0 at the same offset, so it is
+        // committed first and the free op moves to unit 1.
+        let m = Machine::example_non_pipelined();
+        let ops = [fp(0, None), fp(0, Some(0))];
+        assert_eq!(greedy_assignment(&m, 6, &ops), Ok(vec![Some(1), Some(0)]));
+    }
+
+    #[test]
+    fn greedy_assignment_rejects_a_carried_unit_out_of_range() {
+        let m = Machine::example_non_pipelined();
+        let ops = [fp(0, None), fp(2, Some(2))];
+        assert_eq!(
+            greedy_assignment(&m, 6, &ops),
+            Err(ConflictError::FuOutOfRange {
+                op: 1,
+                fu: 2,
+                available: 2
+            })
+        );
     }
 }

@@ -417,7 +417,7 @@ impl Machine {
     }
 
     /// A PowerPC-604-flavoured model, following the latencies the paper's
-    /// evaluation borrows from the 604 Technical Summary [14]:
+    /// evaluation borrows from the 604 Technical Summary \[14\]:
     ///
     /// * class 0 `SCIU` (simple integer, ×2): latency 1, clean;
     /// * class 1 `MCIU` (multi-cycle integer): multiply latency 4,

@@ -187,7 +187,7 @@ impl ReservationTable {
 
     /// The *modulo* usage of stage `s` at residue `t` for period `T`:
     /// true iff some offset `l ≡ t (mod T)` is marked. This is the
-    /// extended reservation table of Govindarajan et al. [8] collapsed
+    /// extended reservation table of Govindarajan et al. \[8\] collapsed
     /// mod `T`.
     pub fn modulo_mark(&self, s: usize, t: u32, period: u32) -> bool {
         assert!(period > 0, "period must be positive");

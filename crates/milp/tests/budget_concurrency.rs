@@ -16,28 +16,34 @@
 //! genuine contention, not just sequential interleavings.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use swp_milp::budget::CHECK_INTERVAL;
 use swp_milp::{Budget, CancelToken, Exhaustion};
 
 const THREADS: usize = 8;
-/// Upper bound on ticks a child spins waiting for cancellation; far
-/// above anything a working implementation needs (cancellation lands
-/// within one 64-tick check interval), far below anything slow.
-const SPIN_CAP: u64 = 5_000_000;
+/// Wall-clock guard for a child whose cancellation has not been fired
+/// yet; only a hang trips it.
+const HANG_GUARD: Duration = Duration::from_secs(60);
 
-/// Ticks `b` until it trips, returning the exhaustion and how many
-/// ticks were spent. Panics if the budget never trips within the cap.
-fn tick_until_trip(b: &Budget) -> (Exhaustion, u64) {
-    let mut spent = 0u64;
+/// Ticks `b` until it trips and returns the exhaustion. The main thread
+/// stores `fired` (`Release`) right after it cancels, and the child loads
+/// it (`Acquire`), so once a child has seen `fired` the cancellation is
+/// visible and the budget must trip within [`CHECK_INTERVAL`] ticks.
+/// Before that, how long the child spins depends only on when the OS
+/// runs the main thread, so only the wall-clock hang guard applies.
+fn tick_until_cancelled(b: &Budget, fired: &AtomicBool) -> Exhaustion {
+    let started = Instant::now();
+    let mut after_fired = 0u64;
     loop {
-        match b.tick() {
-            Ok(()) => {
-                spent += 1;
-                assert!(spent <= SPIN_CAP, "budget never tripped under contention");
-            }
-            Err(e) => return (e, spent),
+        let seen = fired.load(Ordering::Acquire);
+        if let Err(e) = b.tick() {
+            return e;
         }
+        after_fired += u64::from(seen);
+        assert!(after_fired <= CHECK_INTERVAL, "cancellation ignored");
+        assert!(seen || started.elapsed() < HANG_GUARD, "never cancelled");
     }
 }
 
@@ -57,16 +63,16 @@ proptest! {
             .collect();
 
         let barrier = Barrier::new(THREADS + 1);
+        let fired = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (k, child) in children.iter().enumerate() {
-                let barrier = &barrier;
+                let (barrier, fired) = (&barrier, &fired);
                 handles.push(scope.spawn(move || {
                     barrier.wait();
                     if cancel_mask & (1 << k) != 0 {
                         // Doomed child: spin until the token lands.
-                        let (why, _) = tick_until_trip(child);
-                        why == Exhaustion::Cancelled
+                        tick_until_cancelled(child, fired) == Exhaustion::Cancelled
                     } else {
                         // Survivor: a fixed workload must complete clean.
                         (0..10_000).all(|_| child.tick().is_ok()) && child.check().is_ok()
@@ -80,6 +86,7 @@ proptest! {
                     t.cancel();
                 }
             }
+            fired.store(true, Ordering::Release);
             for h in handles {
                 prop_assert!(h.join().expect("child thread panicked"));
             }
@@ -102,13 +109,14 @@ proptest! {
         let children: Vec<Budget> = (0..THREADS).map(|_| parent.fork_isolated()).collect();
 
         let barrier = Barrier::new(THREADS + 1);
+        let fired = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for child in &children {
-                let barrier = &barrier;
+                let (barrier, fired) = (&barrier, &fired);
                 handles.push(scope.spawn(move || {
                     barrier.wait();
-                    tick_until_trip(child)
+                    tick_until_cancelled(child, fired)
                 }));
             }
             barrier.wait();
@@ -118,8 +126,9 @@ proptest! {
                 std::hint::spin_loop();
             }
             parent.cancel_token().cancel();
+            fired.store(true, Ordering::Release);
             for h in handles {
-                let (why, _) = h.join().expect("child thread panicked");
+                let why = h.join().expect("child thread panicked");
                 prop_assert_eq!(why, Exhaustion::Cancelled);
             }
         });
@@ -138,9 +147,10 @@ fn parent_deadline_propagates_to_rebound_children() {
             let child = parent.fork_isolated().cancelled_by(t);
             scope.spawn(move || {
                 assert_eq!(child.check(), Err(Exhaustion::Deadline));
-                // The rebind cut the cancel link, not the deadline link.
-                let (why, _) = tick_until_trip(&child);
-                assert_eq!(why, Exhaustion::Deadline);
+                // The rebind cut the cancel link, not the deadline link:
+                // the clock read on the first tick already trips.
+                let trip = (0..=CHECK_INTERVAL).find_map(|_| child.tick().err());
+                assert_eq!(trip, Some(Exhaustion::Deadline));
             });
         }
     });

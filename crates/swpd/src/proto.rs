@@ -304,7 +304,7 @@ impl Request {
                     w.bool("heuristic", h);
                 }
                 if let Some(e) = r.engine {
-                    w.str("engine", engine_str(e));
+                    w.str("engine", e.name());
                 }
                 if r.inject_panic {
                     w.bool("panic", true);
@@ -394,13 +394,9 @@ impl Request {
             }),
             "solve" => {
                 let case = opt_str(&m, "case").ok_or("solve request needs `case`")?;
-                let engine = match m.get("engine").and_then(JsonValue::as_str) {
-                    None => None,
-                    Some("ilp") => Some(Engine::Ilp),
-                    Some("cp") => Some(Engine::Cp),
-                    Some("portfolio") => Some(Engine::Portfolio),
-                    Some(other) => return Err(format!("unknown engine `{other}`")),
-                };
+                let engine = m.get("engine").and_then(JsonValue::as_str).map(|name| {
+                    Engine::from_name(name).ok_or_else(|| format!("unknown engine `{name}`"))
+                });
                 Ok(Request::Solve(SolveRequest {
                     id,
                     case,
@@ -408,20 +404,12 @@ impl Request {
                     ticks: opt_u64(&m, "ticks"),
                     max_t: opt_u64(&m, "max_t").map(|v| v as u32),
                     heuristic: m.get("heuristic").and_then(JsonValue::as_bool),
-                    engine,
+                    engine: engine.transpose()?,
                     inject_panic: m.get("panic").and_then(JsonValue::as_bool).unwrap_or(false),
                 }))
             }
             other => Err(format!("unknown op `{other}`")),
         }
-    }
-}
-
-fn engine_str(e: Engine) -> &'static str {
-    match e {
-        Engine::Ilp => "ilp",
-        Engine::Cp => "cp",
-        Engine::Portfolio => "portfolio",
     }
 }
 

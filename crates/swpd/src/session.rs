@@ -12,17 +12,19 @@
 //! pool: a session's edits and solves are causally ordered per client,
 //! so pipelining them through the queue would just reorder what the
 //! protocol forbids reordering. Budgets, cancel-token registration (for
-//! drain hard-stop), and panic isolation match the worker path.
+//! drain hard-stop), panic isolation and reply classification are the
+//! worker path's own.
 
 use crate::proto::{Reply, ReplyStatus};
 use crate::state::{lock, Shared};
+use crate::worker::classify;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-use swp_core::{Optimality, ReuseStats, ScheduleError, SchedulerConfig, SolvedBy};
+use std::time::Instant;
+use swp_core::{ReuseStats, SchedulerConfig};
 use swp_incr::{EditOp, SolveSession};
 use swp_milp::CancelToken;
 
@@ -182,33 +184,10 @@ pub(crate) fn solve(
         return Reply::error(id, ReplyStatus::Cancelled, "cancelled before solve");
     }
 
-    // Admission mirrors the worker path: a drained global pool refuses
-    // up front; an unlimited pool gives the request an isolated counter.
-    let workers = shared.config.workers.max(1) as u64;
-    let share = match shared.admission.try_slice(workers) {
-        Ok(b) => b,
-        Err(e) => {
-            return Reply::error(
-                id,
-                ReplyStatus::BudgetExhausted,
-                format!("admission pool: {e}"),
-            )
-        }
+    let budget = match shared.admit(id, ticks, timeout_ms, cancel) {
+        Ok(budget) => budget,
+        Err(refused) => return *refused,
     };
-    let mut budget = if shared.config.admission_ticks.is_some() {
-        share
-    } else {
-        share.fork_isolated()
-    };
-    if let Some(t) = ticks {
-        budget = budget.limit_ticks(t);
-    }
-    let timeout_ms = timeout_ms
-        .unwrap_or(shared.config.default_timeout_ms)
-        .min(shared.config.max_timeout_ms);
-    budget = budget
-        .deadline_in(Duration::from_millis(timeout_ms))
-        .cancelled_by(cancel);
 
     // Register for the drain hard-stop, exactly like a queued job.
     let seq = shared.alloc_seq();
@@ -230,71 +209,8 @@ pub(crate) fn solve(
     shared.observe_solve_us(solve_time.as_micros() as u64);
     shared.stats.count_session_solve();
 
-    let base = |status: ReplyStatus| {
-        let mut r = Reply::status(id, status);
-        r.session = Some(handle);
-        r.ticks = Some(used);
-        r.solve_us = Some(solve_time.as_micros() as u64);
-        r
-    };
-    let reply = match solved {
-        Err(payload) => {
-            let why = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("solve panicked");
-            let mut r = base(ReplyStatus::InternalPanic);
-            r.error = Some(why.to_string());
-            r
-        }
-        Ok(Ok(result)) => {
-            let mut r = base(match result.optimality {
-                Optimality::Proven => ReplyStatus::Solved,
-                Optimality::BudgetExhausted { .. } => ReplyStatus::BudgetExhausted,
-            });
-            r.period = Some(result.schedule.initiation_interval());
-            r.t_lb = Some(result.t_lb());
-            r.slack = Some(result.slack_above_lb());
-            r.proven = Some(result.is_proven_optimal());
-            r.solved_by = Some(
-                match result.solved_by() {
-                    SolvedBy::Ilp => "ilp",
-                    SolvedBy::Cp => "cp",
-                    SolvedBy::Heuristic => "heuristic",
-                }
-                .to_string(),
-            );
-            r
-        }
-        Ok(Err(e)) => match e {
-            ScheduleError::Cancelled => base(ReplyStatus::Cancelled),
-            ScheduleError::NotFound { t_lb, attempts, .. } => {
-                let stats = swp_core::SolverStats::from_attempts(&attempts);
-                if stats.timeouts > 0 || stats.engine_failures > 0 {
-                    let mut r = base(ReplyStatus::BudgetExhausted);
-                    r.t_lb = Some(t_lb);
-                    r.error = Some("budget ran out before any period was settled".to_string());
-                    r
-                } else {
-                    let mut r = base(ReplyStatus::Unscheduled);
-                    r.t_lb = Some(t_lb);
-                    r.proven = Some(false);
-                    r
-                }
-            }
-            ScheduleError::NoFinitePeriod => {
-                let mut r = base(ReplyStatus::Unscheduled);
-                r.error = Some(e.to_string());
-                r
-            }
-            other => {
-                let mut r = base(ReplyStatus::InternalError);
-                r.error = Some(other.to_string());
-                r
-            }
-        },
-    };
+    let mut reply = classify(id, &solved, used, solve_time);
+    reply.session = Some(handle);
     publish_reuse(shared, &mut hosted);
     reply
 }

@@ -1,11 +1,11 @@
 //! Daemon configuration and the state shared by every thread.
 //!
-//! One [`Shared`] instance is the whole daemon: the bounded request
+//! One `Shared` instance is the whole daemon: the bounded request
 //! queue with its condition variable, the global admission [`Budget`]
 //! pool, the in-flight cancel-token registry (so a drain can
 //! hard-cancel everything), the result cache with its append-only JSONL
 //! artifact, and the telemetry counters. Connection threads push
-//! [`Job`]s in; worker threads pop them out; nobody else holds state.
+//! `Job`s in; worker threads pop them out; nobody else holds state.
 
 use crate::proto::{Reply, ReplyStatus, SolveRequest};
 use crate::session::SessionStore;
@@ -201,6 +201,45 @@ impl Shared {
         drop(q);
         self.queue_cv.notify_one();
         Ok(())
+    }
+
+    /// Carves one solve's budget from the admission pool: an equal
+    /// worker share of the pool, with an isolated tick counter when the
+    /// pool is unlimited (so a request's tick cap is exact), capped by
+    /// the request's `ticks` and clamped `timeout_ms`, and stopped by
+    /// `cancel`. A pool that cannot fund a share refuses the solve up
+    /// front with a `budget_exhausted` reply.
+    pub fn admit(
+        &self,
+        id: &str,
+        ticks: Option<u64>,
+        timeout_ms: Option<u64>,
+        cancel: &CancelToken,
+    ) -> Result<Budget, Box<Reply>> {
+        let workers = self.config.workers.max(1) as u64;
+        let share = self.admission.try_slice(workers).map_err(|e| {
+            Box::new(Reply::error(
+                id,
+                ReplyStatus::BudgetExhausted,
+                format!("admission pool: {e}"),
+            ))
+        })?;
+        // With a capped pool the share keeps the pool's counter (solves
+        // drain it globally).
+        let mut budget = if self.config.admission_ticks.is_some() {
+            share
+        } else {
+            share.fork_isolated()
+        };
+        if let Some(t) = ticks {
+            budget = budget.limit_ticks(t);
+        }
+        let timeout_ms = timeout_ms
+            .unwrap_or(self.config.default_timeout_ms)
+            .min(self.config.max_timeout_ms);
+        Ok(budget
+            .deadline_in(Duration::from_millis(timeout_ms))
+            .cancelled_by(cancel))
     }
 
     /// The load-shedding backoff hint: roughly "queue drain time per

@@ -11,15 +11,16 @@
 
 use crate::proto::{Reply, ReplyStatus};
 use crate::state::{lock, Job, Shared};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swp_core::{
-    FaultPlan, Optimality, RateOptimalScheduler, ScheduleError, SchedulerConfig, SolvedBy,
-    SolverStats, WarmState,
+    FaultPlan, Optimality, RateOptimalScheduler, ScheduleError, ScheduleResult, SchedulerConfig,
+    WarmState,
 };
-use swp_harness::{CacheKey, LoopRecord, RecordReuse, SuiteOutcome, SuiteRunConfig};
+use swp_harness::{CacheKey, LoopRecord, SuiteOutcome, SuiteRunConfig};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
 
 /// One worker thread's main loop: runs until draining *and* the queue
@@ -69,19 +70,15 @@ fn process(shared: &Shared, job: &Job) -> Reply {
     // Cache key: only outcome-relevant knobs, never budgets, so client
     // deadlines don't fragment the cache (see the harness's
     // SuiteRunConfig::fingerprint contract).
-    let max_t = req.max_t.unwrap_or(8);
-    let heuristic = req.heuristic.unwrap_or(true);
-    let engine = req.engine.unwrap_or_default();
     let cache_cfg = SuiteRunConfig {
         num_loops: 1,
         time_limit_per_t: None,
         per_loop_ticks: None,
-        max_t_above_lb: max_t,
-        heuristic_incumbent: heuristic,
-        engine,
-        // The solve below runs under the scheduler's default
-        // warm-sweep mode; fingerprint accordingly so daemon records
-        // stay interchangeable with the harness's warm records.
+        max_t_above_lb: req.max_t.unwrap_or(8),
+        heuristic_incumbent: req.heuristic.unwrap_or(true),
+        engine: req.engine.unwrap_or_default(),
+        // Warm sweeps, as in the harness, so daemon records stay
+        // interchangeable with the harness's warm records.
         warm: true,
         max_live: None,
     };
@@ -99,59 +96,20 @@ fn process(shared: &Shared, job: &Job) -> Reply {
         }
     }
 
-    // Admission: slice the global pool; a pool that cannot fund an
-    // equal worker share refuses the solve up front.
-    let workers = shared.config.workers.max(1) as u64;
-    let share = match shared.admission.try_slice(workers) {
-        Ok(b) => b,
-        Err(e) => {
-            return Reply::error(
-                &req.id,
-                ReplyStatus::BudgetExhausted,
-                format!("admission pool: {e}"),
-            )
-        }
+    let budget = match shared.admit(&req.id, req.ticks, req.timeout_ms, &job.cancel) {
+        Ok(budget) => budget,
+        Err(refused) => return *refused,
     };
-    // With a capped pool the share keeps the pool's counter (solves
-    // drain it globally); with an unlimited pool each request gets an
-    // isolated counter so its tick cap is exact.
-    let mut budget = if shared.config.admission_ticks.is_some() {
-        share
-    } else {
-        share.fork_isolated()
-    };
-    if let Some(t) = req.ticks {
-        budget = budget.limit_ticks(t);
-    }
-    let timeout_ms = req
-        .timeout_ms
-        .unwrap_or(shared.config.default_timeout_ms)
-        .min(shared.config.max_timeout_ms);
-    budget = budget
-        .deadline_in(Duration::from_millis(timeout_ms))
-        .cancelled_by(&job.cancel);
-
     let faults = FaultPlan {
         panic_in_solver: req.inject_panic,
         ..FaultPlan::default()
     };
-    let scheduler = RateOptimalScheduler::new(
-        machine.clone(),
-        SchedulerConfig {
-            time_limit_per_t: None,
-            time_limit_total: None,
-            max_t_above_lb: max_t,
-            heuristic_incumbent: heuristic,
-            engine,
-            faults,
-            ..SchedulerConfig::default()
-        },
-    );
+    let config = SchedulerConfig {
+        faults,
+        ..cache_cfg.scheduler_config()
+    };
+    let scheduler = RateOptimalScheduler::new(machine.clone(), config);
 
-    let t_lb_counting = ddg
-        .t_dep()
-        .unwrap_or(0)
-        .max(machine.t_res_counting(&ddg).unwrap_or(0));
     let ticks_before = budget.ticks_used();
     let started = Instant::now();
     // Per-request warm state: reuse is within this solve's T-sweep only
@@ -165,139 +123,101 @@ fn process(shared: &Shared, job: &Job) -> Reply {
     shared.observe_solve_us(solve_time.as_micros() as u64);
     shared.stats.record_reuse(&warm.reuse);
 
+    let reply = classify(&req.id, &solved, ticks, solve_time);
+    let Ok(solved) = solved else { return reply };
+    if let Ok(result) = &solved {
+        shared.stats.record_races(&result.solver_stats());
+    }
+    // Proven schedules and exact refutations (including a zero-distance
+    // cycle) are deterministic answers: cache and persist them.
+    if matches!(reply.status, ReplyStatus::Solved | ReplyStatus::Unscheduled) {
+        let record = LoopRecord::from_solve(
+            &solved,
+            job.seq as usize,
+            &req.id,
+            &ddg,
+            &machine,
+            key,
+            ticks,
+            &warm.reuse,
+            solve_time,
+        );
+        if let Some(record) = record {
+            commit(shared, record);
+        }
+    }
+    reply
+}
+
+/// Classifies a finished (or panicked) solve into its reply: the one
+/// place a solve outcome becomes a reply, shared by queued solves and
+/// session solves.
+pub(crate) fn classify(
+    id: &str,
+    solved: &std::thread::Result<Result<ScheduleResult, ScheduleError>>,
+    ticks: u64,
+    solve_time: Duration,
+) -> Reply {
     let base = |status: ReplyStatus| {
-        let mut r = Reply::status(&req.id, status);
+        let mut r = Reply::status(id, status);
         r.ticks = Some(ticks);
         r.solve_us = Some(solve_time.as_micros() as u64);
         r
     };
-    let record = |period: Option<u32>,
-                  t_lb: u32,
-                  outcome: SuiteOutcome,
-                  proven: bool,
-                  stats: SolverStats| LoopRecord {
-        index: job.seq as usize,
-        name: req.id.clone(),
-        num_nodes: ddg.num_nodes(),
-        key,
-        t_lb,
-        t_lb_counting,
-        period,
-        outcome,
-        proven,
-        bb_nodes: stats.bb_nodes,
-        lp_iterations: stats.lp_iterations,
-        ticks,
-        periods_attempted: stats.periods_attempted,
-        races: stats.races,
-        race_cp_wins: stats.race_cp_wins,
-        race_ilp_wins: stats.race_ilp_wins,
-        any_timeout: stats.any_timeout(),
-        reuse: RecordReuse::from(&warm.reuse),
-        solve_time,
-        cached: false,
+    let with_error = |status: ReplyStatus, why: String| {
+        let mut r = base(status);
+        r.error = Some(why);
+        r
     };
-
     match solved {
-        Err(payload) => {
-            let why = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("solve panicked");
-            let mut r = base(ReplyStatus::InternalPanic);
-            r.error = Some(why.to_string());
-            r
-        }
+        Err(payload) => with_error(
+            ReplyStatus::InternalPanic,
+            panic_text(payload.as_ref()).to_string(),
+        ),
         Ok(Ok(result)) => {
-            let stats = result.solver_stats();
-            let period = result.schedule.initiation_interval();
-            let solved_by = result.solved_by();
             let mut r = base(match result.optimality {
                 Optimality::Proven => ReplyStatus::Solved,
                 Optimality::BudgetExhausted { .. } => ReplyStatus::BudgetExhausted,
             });
-            r.period = Some(period);
+            r.period = Some(result.schedule.initiation_interval());
             r.t_lb = Some(result.t_lb());
             r.slack = Some(result.slack_above_lb());
             r.proven = Some(result.is_proven_optimal());
-            r.solved_by = Some(
-                match solved_by {
-                    SolvedBy::Ilp => "ilp",
-                    SolvedBy::Cp => "cp",
-                    SolvedBy::Heuristic => "heuristic",
-                }
-                .to_string(),
-            );
-            shared.stats.record_races(&stats);
-            if result.is_proven_optimal() {
-                commit(
-                    shared,
-                    record(
-                        Some(period),
-                        result.t_lb(),
-                        SuiteOutcome::Scheduled {
-                            slack: result.slack_above_lb(),
-                            solved_by,
-                        },
-                        true,
-                        stats,
-                    ),
-                );
-            }
+            r.solved_by = Some(result.solved_by().name().to_string());
             r
         }
-        Ok(Err(e)) => match e {
-            ScheduleError::Cancelled => base(ReplyStatus::Cancelled),
-            ScheduleError::NotFound { t_lb, attempts, .. } => {
-                let stats = SolverStats::from_attempts(&attempts);
-                if stats.timeouts > 0 || stats.engine_failures > 0 {
-                    let mut r = base(ReplyStatus::BudgetExhausted);
-                    r.t_lb = Some(t_lb);
-                    r.error = Some("budget ran out before any period was settled".to_string());
-                    r
-                } else {
-                    // Every period in range refuted exactly: a
-                    // deterministic answer, so cache it.
-                    let mut r = base(ReplyStatus::Unscheduled);
-                    r.t_lb = Some(t_lb);
-                    r.proven = Some(false);
-                    commit(
-                        shared,
-                        record(None, t_lb, SuiteOutcome::Unscheduled, false, stats),
-                    );
-                    r
-                }
-            }
-            ScheduleError::NoFinitePeriod => {
-                // Structural: a zero-distance dependence cycle. Also
-                // deterministic, also cached.
+        Ok(Err(ScheduleError::Cancelled)) => base(ReplyStatus::Cancelled),
+        Ok(Err(ScheduleError::NotFound { t_lb, attempts, .. })) => {
+            let mut r = if attempts.iter().any(|a| a.outcome.is_undecided()) {
+                let why = "budget ran out before any period was settled";
+                with_error(ReplyStatus::BudgetExhausted, why.to_string())
+            } else {
+                // Every period in range refuted exactly.
                 let mut r = base(ReplyStatus::Unscheduled);
-                r.error = Some(e.to_string());
-                commit(
-                    shared,
-                    record(
-                        None,
-                        0,
-                        SuiteOutcome::Unscheduled,
-                        false,
-                        SolverStats::default(),
-                    ),
-                );
+                r.proven = Some(false);
                 r
-            }
-            ScheduleError::UnknownClass(_) | ScheduleError::BadMachine(_) => {
-                let mut r = base(ReplyStatus::BadRequest);
-                r.error = Some(e.to_string());
-                r
-            }
-            other => {
-                let mut r = base(ReplyStatus::InternalError);
-                r.error = Some(other.to_string());
-                r
-            }
-        },
+            };
+            r.t_lb = Some(*t_lb);
+            r
+        }
+        // Structural: a zero-distance dependence cycle.
+        Ok(Err(e @ ScheduleError::NoFinitePeriod)) => {
+            with_error(ReplyStatus::Unscheduled, e.to_string())
+        }
+        Ok(Err(e @ (ScheduleError::UnknownClass(_) | ScheduleError::BadMachine(_)))) => {
+            with_error(ReplyStatus::BadRequest, e.to_string())
+        }
+        Ok(Err(other)) => with_error(ReplyStatus::InternalError, other.to_string()),
     }
+}
+
+/// The message of a caught panic.
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("solve panicked")
 }
 
 /// Inserts a deterministic record into the in-memory cache and appends
@@ -321,14 +241,7 @@ fn reply_from_record(id: &str, rec: &LoopRecord) -> Reply {
     r.solve_us = Some(rec.solve_time.as_micros() as u64);
     if let SuiteOutcome::Scheduled { slack, solved_by } = &rec.outcome {
         r.slack = Some(*slack);
-        r.solved_by = Some(
-            match solved_by {
-                SolvedBy::Ilp => "ilp",
-                SolvedBy::Cp => "cp",
-                SolvedBy::Heuristic => "heuristic",
-            }
-            .to_string(),
-        );
+        r.solved_by = Some(solved_by.name().to_string());
     }
     r
 }
