@@ -9,12 +9,9 @@
 //! reps), decision identity asserted across engines.
 //!
 //! The artifact records, per loop, the min solve time under each engine
-//! and the portfolio's ratio against `min(ILP, CP)` — the acceptance
-//! gate is that the portfolio never loses to the *faster* engine by
-//! more than the race overhead (a ≤ 1.1× ratio once a fixed per-race
-//! thread-spawn allowance is granted; sub-millisecond loops are
-//! dominated by that constant, which the analysis in EXPERIMENTS.md
-//! quantifies).
+//! and the portfolio's ratio against `min(ILP, CP)`. The portfolio
+//! stages CP before the ILP, so on loops CP settles alone it should
+//! track CP. The one gate is decision identity.
 //!
 //! Run: `cargo run -p swp-bench --release --bin bench_cpsat -- [num_loops] [--out PATH] [--ticks N]`
 
@@ -27,11 +24,6 @@ use swp_machine::Machine;
 
 /// Interleaved repetitions per engine; per-loop minimum is kept.
 const AB_REPS: usize = 3;
-/// Fixed per-loop allowance for race overhead (thread spawn + channel
-/// polling across the sweep's periods), granted before the 1.1× ratio
-/// test. Portfolio mode pays this constant even when both engines are
-/// instant, so on microsecond-scale loops the raw ratio is meaningless.
-const RACE_OVERHEAD_US: u64 = 400;
 
 struct EngineRun {
     wall_us: u64,
@@ -74,7 +66,7 @@ fn run_engine(machine: &Machine, loops: &[GeneratedLoop], engine: Engine, ticks:
 }
 
 /// The decision an engine reached on one loop — everything that must be
-/// engine-independent (timing and race telemetry are not compared).
+/// engine-independent (timing is not compared).
 fn decision(r: &LoopRecord) -> (Option<u32>, bool, bool) {
     (r.period, r.proven, r.any_timeout)
 }
@@ -159,8 +151,6 @@ fn main() -> ExitCode {
 
     // Per-loop comparison on the minimums.
     let mut cp_faster = 0usize;
-    let mut within_ratio = 0usize;
-    let mut within_overhead = 0usize;
     let mut worst_ratio = 0.0f64;
     let mut per_loop = String::new();
     for i in 0..num_loops {
@@ -171,12 +161,6 @@ fn main() -> ExitCode {
         }
         let ratio = p_us as f64 / floor.max(1) as f64;
         worst_ratio = worst_ratio.max(ratio);
-        if ratio <= 1.1 {
-            within_ratio += 1;
-        }
-        if p_us <= floor + floor / 10 + RACE_OVERHEAD_US {
-            within_overhead += 1;
-        }
         per_loop.push_str(&format!(
             "    {{\"loop\": {i}, \"period\": {}, \"ilp_us\": {i_us}, \"cp_us\": {c_us}, \
              \"portfolio_us\": {p_us}, \"ratio_vs_best\": {ratio:.2}}}{}\n",
@@ -184,26 +168,14 @@ fn main() -> ExitCode {
             if i + 1 < num_loops { "," } else { "" }
         ));
     }
-    let races: u64 = port.records.iter().map(|r| u64::from(r.races)).sum();
-    let cp_wins: u64 = port.records.iter().map(|r| u64::from(r.race_cp_wins)).sum();
-    let ilp_wins: u64 = port
-        .records
-        .iter()
-        .map(|r| u64::from(r.race_ilp_wins))
-        .sum();
-
     eprintln!(
         "wall: ilp {} µs | cp {} µs | portfolio {} µs",
         ilp.wall_us, cp.wall_us, port.wall_us
     );
     eprintln!(
-        "per-loop: CP faster on {cp_faster}/{num_loops}, portfolio ≤1.1× best on \
-         {within_ratio}/{num_loops} raw, {within_overhead}/{num_loops} with a \
-         {RACE_OVERHEAD_US} µs race-overhead allowance (worst ratio ×{worst_ratio:.2})"
-    );
-    eprintln!(
-        "portfolio races: {races} ({cp_wins} CP wins, {ilp_wins} ILP wins) | \
-         decisions: {mismatches} mismatches, {budget_limited} budget-limited loops"
+        "per-loop: CP faster on {cp_faster}/{num_loops}, worst portfolio ratio to the \
+         faster engine ×{worst_ratio:.2} | decisions: {mismatches} mismatches, \
+         {budget_limited} budget-limited loops"
     );
 
     let json = format!(
@@ -211,10 +183,7 @@ fn main() -> ExitCode {
          \"per_loop_ticks\": {ticks},\n  \"reps\": {AB_REPS},\n  \
          \"heuristic_incumbent\": false,\n  \
          \"wall_us\": {{\"ilp\": {}, \"cp\": {}, \"portfolio\": {}}},\n  \
-         \"races\": {{\"total\": {races}, \"cp_wins\": {cp_wins}, \"ilp_wins\": {ilp_wins}}},\n  \
          \"per_loop_summary\": {{\"cp_faster_than_ilp\": {cp_faster}, \
-         \"portfolio_within_1_1x\": {within_ratio}, \
-         \"portfolio_within_1_1x_plus_{RACE_OVERHEAD_US}us\": {within_overhead}, \
          \"worst_portfolio_ratio\": {worst_ratio:.2}, \
          \"decision_mismatches\": {mismatches}, \"budget_limited\": {budget_limited}}},\n  \
          \"per_loop\": [\n{per_loop}  ]\n}}\n",

@@ -11,7 +11,8 @@
 //! * `--artifact PATH` — stream per-loop JSONL records to `PATH`;
 //! * `--resume` — load `PATH` first and skip already-solved loops;
 //! * `--engine ilp|cp|portfolio` — the exact engine settling each
-//!   period (decision-equivalent; `portfolio` races CP against the ILP);
+//!   period (decision-equivalent; `portfolio` runs CP, then the ILP on
+//!   what CP leaves of the period budget);
 //! * `--cold` — disable the (default) warm-started `T`-sweep: no basis,
 //!   hint, or no-good carry-over from period `T` into `T+1`
 //!   (decision-equivalent; the A/B reference for `bench_incr`).

@@ -7,7 +7,7 @@
 //! CP backend under deterministic tick budgets (no wall-clock limits,
 //! no heuristic incumbent, so the *exact* engines are the ones pinned),
 //! and the resulting `(T, engine, optimality, max_live)` row is
-//! compared against a golden table. The portfolio racer must agree on
+//! compared against a golden table. The staged portfolio must agree on
 //! every proven decision, and each accepted schedule is re-verified by
 //! the independent checker, the pressure validator, and the
 //! cycle-accurate simulator (which rejects any bundle overflow).
@@ -249,8 +249,8 @@ fn golden_scenario_matrix() {
 
         let ilp = solve(&case, Engine::Ilp);
         let cp = solve(&case, Engine::Cp);
-        let race = solve(&case, Engine::Portfolio);
-        for r in [&ilp, &cp, &race] {
+        let port = solve(&case, Engine::Portfolio);
+        for r in [&ilp, &cp, &port] {
             verify(&name, &case, r);
         }
 
@@ -263,9 +263,9 @@ fn golden_scenario_matrix() {
                 "{name}: exact engines disagree on the proven period"
             );
         }
-        if race.is_proven_optimal() && ilp.is_proven_optimal() {
+        if port.is_proven_optimal() && ilp.is_proven_optimal() {
             assert_eq!(
-                race.schedule.initiation_interval(),
+                port.schedule.initiation_interval(),
                 ilp.schedule.initiation_interval(),
                 "{name}: portfolio disagrees with the exact engines"
             );

@@ -127,7 +127,7 @@ pub struct Formulation {
 /// Convenience wrapper around [`build_with`] with an unlimited budget —
 /// for callers (tests, benches, one-shot tools) that never cancel a
 /// build in flight. The scheduler goes through [`build_with`] so that a
-/// portfolio race loser aborts model construction promptly.
+/// cancelled solve aborts model construction promptly.
 ///
 /// # Errors
 ///
@@ -146,8 +146,8 @@ pub fn build(
 /// ticks and deadline are the solver's business, and the solver trips
 /// on them the moment it starts) at every loop boundary, so a cancelled
 /// caller pays at most one constraint family of dead work instead of
-/// the whole model. This is what keeps portfolio-race cancellation
-/// prompt: on small loops the build dominates the ILP's wall time.
+/// the whole model. This is what keeps cancellation prompt: on small
+/// loops the build dominates the ILP's wall time.
 ///
 /// # Errors
 ///

@@ -56,9 +56,8 @@ mod scheduler;
 
 pub use formulation::{Formulation, FormulationOptions, MappingMode, Objective};
 pub use scheduler::{
-    Engine, FaultPlan, Optimality, PeriodAttempt, PeriodOutcome, RaceEngine, RaceReport,
-    RateOptimalScheduler, ReuseStats, ScheduleResult, SchedulerConfig, SolvedBy, SolverStats,
-    WarmState,
+    Engine, FaultPlan, Optimality, PeriodAttempt, PeriodOutcome, RateOptimalScheduler, ReuseStats,
+    ScheduleResult, SchedulerConfig, SolvedBy, SolverStats, WarmState,
 };
 pub use swp_machine::{Matrices, PipelinedSchedule, ValidationError};
 pub use swp_milp::{Budget, CancelToken};

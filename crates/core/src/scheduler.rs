@@ -29,7 +29,6 @@
 
 use crate::formulation::{self, FormulationOptions, MappingMode, Objective};
 use crate::ScheduleError;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use swp_cpsat::{CpError, CpOptions, CpOutcome};
 use swp_ddg::Ddg;
@@ -90,10 +89,11 @@ pub enum Engine {
     /// plus no-good recording. Proven-exact, decision-equivalent to the
     /// ILP.
     Cp,
-    /// Race both exact engines on isolated slices of the per-period
-    /// budget; the first proven answer (feasible schedule or exact
-    /// refutation) wins and cancels the loser. Per-period win/loss
-    /// telemetry lands in [`PeriodAttempt::race`] and [`SolverStats`].
+    /// Both exact engines, staged on one per-period budget: the CP
+    /// backend first, on half of each capped axis (ticks and deadline),
+    /// then the ILP on what is left of the same budget if CP ran out or
+    /// failed. Every tick either stage spends is charged to the caller's
+    /// budget, and the solve is as deterministic as its budget.
     Portfolio,
 }
 
@@ -216,32 +216,6 @@ impl SolvedBy {
     }
 }
 
-/// One of the two exact engines in a portfolio race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceEngine {
-    /// The unified ILP.
-    Ilp,
-    /// The constraint-propagation backend.
-    Cp,
-}
-
-/// What happened in one portfolio race (attached to the attempt of the
-/// raced period).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RaceReport {
-    /// The engine whose proven answer settled the period first, or
-    /// `None` when neither produced one (both exhausted or failed).
-    pub winner: Option<RaceEngine>,
-    /// Whether the losing engine was stopped by the winner's
-    /// cancellation (as opposed to finishing — or failing — on its own
-    /// before the cancel landed).
-    pub loser_cancelled: bool,
-    /// Ticks the ILP racer spent on its isolated budget slice.
-    pub ilp_ticks: u64,
-    /// Ticks the CP racer spent on its isolated budget slice.
-    pub cp_ticks: u64,
-}
-
 /// Outcome of one candidate period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeriodOutcome {
@@ -288,8 +262,6 @@ pub struct PeriodAttempt {
     pub num_vars: usize,
     /// Constraints in the ILP (0 if rejected at build or settled by CP).
     pub num_constrs: usize,
-    /// Portfolio-race telemetry (`None` outside portfolio mode).
-    pub race: Option<RaceReport>,
 }
 
 /// Aggregated solver-effort statistics over a per-period attempt log —
@@ -321,16 +293,6 @@ pub struct SolverStats {
     pub timeouts: u32,
     /// Periods on which the exact engine failed numerically.
     pub engine_failures: u32,
-    /// Portfolio races run (periods attempted in portfolio mode).
-    pub races: u32,
-    /// Races the CP backend settled first.
-    pub race_cp_wins: u32,
-    /// Races the ILP settled first.
-    pub race_ilp_wins: u32,
-    /// Races neither engine settled (both exhausted or failed).
-    pub race_undecided: u32,
-    /// Races whose losing engine was stopped by cancellation.
-    pub race_losers_cancelled: u32,
 }
 
 impl SolverStats {
@@ -350,17 +312,6 @@ impl SolverStats {
                 PeriodOutcome::Infeasible | PeriodOutcome::RejectedAtBuild => s.refuted += 1,
                 PeriodOutcome::TimedOut => s.timeouts += 1,
                 PeriodOutcome::EngineFailed => s.engine_failures += 1,
-            }
-            if let Some(r) = a.race {
-                s.races += 1;
-                match r.winner {
-                    Some(RaceEngine::Cp) => s.race_cp_wins += 1,
-                    Some(RaceEngine::Ilp) => s.race_ilp_wins += 1,
-                    None => s.race_undecided += 1,
-                }
-                if r.loser_cancelled {
-                    s.race_losers_cancelled += 1;
-                }
             }
         }
         s
@@ -538,8 +489,8 @@ impl ScheduleResult {
 
 /// What one exact engine concluded about one candidate period, before
 /// the sweep logs it (and possibly falls back). Normalizing both
-/// engines onto this type is what lets the ILP path, the CP path, and
-/// the portfolio race share one settlement routine. What the solve cost
+/// engines onto this type is what lets every engine mode share one
+/// settlement routine. What the solve cost
 /// travels beside it as an [`Effort`].
 enum ExactVerdict {
     /// A candidate schedule (not yet re-verified by the checker).
@@ -563,7 +514,7 @@ enum ExactVerdict {
 /// What one exact solve of one period reports about its cost: search
 /// counters and ILP model size, copied into the period's
 /// [`PeriodAttempt`]. Search counters come only with a schedule (a
-/// failed ILP solve carries no statistics, and the CP arm drops those of
+/// failed ILP solve carries no statistics, and the CP backend drops those of
 /// a refutation); the model size is zero for CP and for a period
 /// rejected before the model was built.
 #[derive(Debug, Clone, Copy, Default)]
@@ -589,13 +540,7 @@ struct Candidate<'a> {
 impl Candidate<'_> {
     /// Logs this period's attempt — the one place a [`PeriodAttempt`]
     /// is built.
-    fn log(
-        &self,
-        attempts: &mut Vec<PeriodAttempt>,
-        outcome: PeriodOutcome,
-        effort: Effort,
-        race: Option<RaceReport>,
-    ) {
+    fn log(&self, attempts: &mut Vec<PeriodAttempt>, outcome: PeriodOutcome, effort: Effort) {
         attempts.push(PeriodAttempt {
             period: self.period,
             outcome,
@@ -604,8 +549,19 @@ impl Candidate<'_> {
             elapsed: self.started.elapsed(),
             num_vars: effort.num_vars,
             num_constrs: effort.num_constrs,
-            race,
         });
+    }
+}
+
+/// The CP stage's share of a portfolio period budget: half of each
+/// capped axis (the ticks left and the time to the deadline) on the
+/// period budget's own counter and cancel flag. An uncapped axis stays
+/// uncapped, and the ILP stage gets whatever CP leaves.
+fn cp_stage(period_budget: &Budget) -> Budget {
+    let half = period_budget.slice(2);
+    match period_budget.time_remaining() {
+        Some(left) => half.restrict(Some(left / 2), None),
+        None => half,
     }
 }
 
@@ -721,11 +677,6 @@ impl RateOptimalScheduler {
     /// permits, and (when the caller proved it) skips already-refuted
     /// periods. On success the schedule is written back into
     /// [`WarmState::ims_hint`] for the caller's next solve.
-    ///
-    /// Warm hooks apply to the [`Engine::Ilp`] and [`Engine::Cp`] paths;
-    /// a [`Engine::Portfolio`] race runs its arms cold (the race's
-    /// wall-clock nondeterminism would otherwise leak into which hints
-    /// get consumed), still benefiting from the hint-fed incumbent probe.
     ///
     /// # Errors
     ///
@@ -886,7 +837,6 @@ impl RateOptimalScheduler {
         schedule: &PipelinedSchedule,
         engine: SolvedBy,
         effort: Effort,
-        race: Option<RaceReport>,
         attempts: &mut Vec<PeriodAttempt>,
     ) -> Result<(), ValidationError> {
         let injected = match engine {
@@ -905,7 +855,7 @@ impl RateOptimalScheduler {
         if let Some(limit) = self.config.max_live {
             schedule.validate_pressure(c.ddg, limit)?;
         }
-        c.log(attempts, PeriodOutcome::Feasible(engine), effort, race);
+        c.log(attempts, PeriodOutcome::Feasible(engine), effort);
         Ok(())
     }
 
@@ -917,7 +867,7 @@ impl RateOptimalScheduler {
         attempts: &mut Vec<PeriodAttempt>,
     ) -> Result<(), ValidationError> {
         let heuristic = SolvedBy::Heuristic;
-        self.accept(c, schedule, heuristic, Effort::default(), None, attempts)
+        self.accept(c, schedule, heuristic, Effort::default(), attempts)
     }
 
     /// Attempts exactly one period under a per-period slice of `budget`.
@@ -963,20 +913,13 @@ impl RateOptimalScheduler {
                 // Per-period (or global) budget died inside the probe.
                 Err(_) => {
                     let (limit, heuristic) = (ExactVerdict::Limit, SolvedBy::Heuristic);
-                    return self.settle_exact(
-                        &c,
-                        limit,
-                        Effort::default(),
-                        heuristic,
-                        None,
-                        attempts,
-                    );
+                    return self.settle_exact(&c, limit, Effort::default(), heuristic, attempts);
                 }
             }
         }
 
         if self.config.faults.expire_before_ilp {
-            c.log(attempts, PeriodOutcome::TimedOut, Effort::default(), None);
+            c.log(attempts, PeriodOutcome::TimedOut, Effort::default());
             return Ok(PeriodResult::BudgetExhausted);
         }
 
@@ -985,29 +928,34 @@ impl RateOptimalScheduler {
         // one sweep.
         let hot = self.config.warm_sweep;
         let pb = &c.period_budget;
-        let ((verdict, effort), engine, race) = match self.effective_engine() {
+        let ((verdict, effort), engine) = match self.effective_engine() {
             Engine::Ilp => (
                 self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm)),
                 SolvedBy::Ilp,
-                None,
             ),
-            // The CP backend cannot color classes wider than its 64-bit
-            // unit domains; on such instances fall back to the ILP for
-            // this period instead of reporting engine failure.
-            Engine::Cp => match self.run_cp_exact(ddg, period, pb, hot.then_some(&mut *warm)) {
-                (ExactVerdict::Failed, _) => (
-                    self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm)),
-                    SolvedBy::Ilp,
-                    None,
-                ),
-                settled => (settled, SolvedBy::Cp, None),
-            },
-            Engine::Portfolio => {
-                let (settled, engine, race) = self.race_period(ddg, period, budget, pb);
-                (settled, engine, Some(race))
+            engine @ (Engine::Cp | Engine::Portfolio) => {
+                let staged = engine == Engine::Portfolio;
+                let cp_budget = if staged { cp_stage(pb) } else { pb.clone() };
+                let settled = self.run_cp_exact(ddg, period, &cp_budget, hot.then_some(&mut *warm));
+                // The CP backend cannot color classes wider than its
+                // 64-bit unit domains; on such instances the ILP settles
+                // this period instead. A portfolio also hands the ILP
+                // what is left of the period budget when CP ran out of
+                // its stage, unless that budget is spent.
+                let hand_over = match settled.0 {
+                    ExactVerdict::Failed => true,
+                    ExactVerdict::Limit => staged && pb.check().is_ok(),
+                    _ => false,
+                };
+                if hand_over {
+                    let ilp = self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm));
+                    (ilp, SolvedBy::Ilp)
+                } else {
+                    (settled, SolvedBy::Cp)
+                }
             }
         };
-        self.settle_exact(&c, verdict, effort, engine, race, attempts)
+        self.settle_exact(&c, verdict, effort, engine, attempts)
     }
 
     /// The engine that will actually settle periods: the CP backend
@@ -1026,7 +974,8 @@ impl RateOptimalScheduler {
 
     /// Runs the unified ILP at `period` under `period_budget` and
     /// normalizes the outcome. Pushes no attempt-log entry — that is
-    /// [`Self::settle_exact`]'s job, so race losers never pollute the log.
+    /// [`Self::settle_exact`]'s job, so a stage that hands over to the
+    /// next never pollutes the log.
     fn run_ilp_exact(
         &self,
         ddg: &Ddg,
@@ -1122,9 +1071,7 @@ impl RateOptimalScheduler {
             packing_bound: self.config.packing_bound,
             max_live: self.config.max_live,
         };
-        // Race arms run with a throwaway store: which clauses a loser
-        // learned depends on wall-clock interleaving, and persisting them
-        // would leak race nondeterminism into the next warm solve.
+        // A cold solve learns into a throwaway store.
         let mut scratch = swp_cpsat::NoGoodStore::default();
         let (store, reuse) = match warm {
             Some(w) => (&mut w.nogoods, Some(&mut w.reuse)),
@@ -1152,121 +1099,6 @@ impl RateOptimalScheduler {
         (verdict, Effort::default())
     }
 
-    /// Races the ILP and the CP backend on isolated slices of
-    /// `period_budget`. The first engine with a proven answer (feasible
-    /// schedule or exact refutation) wins and cancels the other via its
-    /// private cancel token. Race ticks are spent on the isolated slices
-    /// only, never the shared pool — a loser's progress depends on
-    /// wall-clock interleaving, so letting it drain the caller's tick
-    /// budget would destroy the sweep's tick-level determinism.
-    fn race_period(
-        &self,
-        ddg: &Ddg,
-        period: u32,
-        budget: &Budget,
-        period_budget: &Budget,
-    ) -> ((ExactVerdict, Effort), SolvedBy, RaceReport) {
-        let (ilp_budget, ilp_token) = period_budget.fork_racer();
-        let (cp_budget, cp_token) = period_budget.fork_racer();
-        let (tx, rx) = mpsc::channel();
-        let mut ilp_done = None;
-        let mut cp_done = None;
-        let mut winner: Option<RaceEngine> = None;
-        std::thread::scope(|scope| {
-            // CP is spawned first deliberately: on a single-core host the
-            // run queue is roughly FIFO, and the CP arm — typically
-            // microseconds on this corpus — finishing before the ILP arm
-            // is even scheduled turns the race into "CP time plus two
-            // context switches" instead of an OS scheduling quantum.
-            // With more cores the order is irrelevant.
-            let cp_tx = tx.clone();
-            let cp_budget = &cp_budget;
-            scope.spawn(move || {
-                let v = self.run_cp_exact(ddg, period, cp_budget, None);
-                let _ = cp_tx.send((RaceEngine::Cp, v, cp_budget.ticks_used()));
-            });
-            let ilp_budget = &ilp_budget;
-            scope.spawn(move || {
-                let v = self.run_ilp_exact(ddg, period, ilp_budget, None);
-                let _ = tx.send((RaceEngine::Ilp, v, ilp_budget.ticks_used()));
-            });
-            let mut received = 0;
-            while received < 2 {
-                match rx.recv_timeout(Duration::from_millis(2)) {
-                    Ok((engine, settled, ticks)) => {
-                        received += 1;
-                        let decisive = matches!(
-                            settled.0,
-                            ExactVerdict::Feasible { .. } | ExactVerdict::Refuted { .. }
-                        );
-                        if decisive && winner.is_none() {
-                            winner = Some(engine);
-                            match engine {
-                                RaceEngine::Ilp => cp_token.cancel(),
-                                RaceEngine::Cp => ilp_token.cancel(),
-                            }
-                        }
-                        match engine {
-                            RaceEngine::Ilp => ilp_done = Some((settled, ticks)),
-                            RaceEngine::Cp => cp_done = Some((settled, ticks)),
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Forward the caller's cancellation into both
-                        // racers. Deadline death needs no forwarding: the
-                        // forked slices carry the parent deadline.
-                        if matches!(budget.check(), Err(Exhaustion::Cancelled)) {
-                            ilp_token.cancel();
-                            cp_token.cancel();
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        });
-        let cancelled = || (ExactVerdict::Cancelled, Effort::default());
-        let (ilp, ilp_ticks) = ilp_done.unwrap_or_else(|| (cancelled(), 0));
-        let (cp, cp_ticks) = cp_done.unwrap_or_else(|| (cancelled(), 0));
-        let loser_cancelled = match winner {
-            Some(RaceEngine::Ilp) => matches!(cp.0, ExactVerdict::Cancelled),
-            Some(RaceEngine::Cp) => matches!(ilp.0, ExactVerdict::Cancelled),
-            None => false,
-        };
-        let report = RaceReport {
-            winner,
-            loser_cancelled,
-            ilp_ticks,
-            cp_ticks,
-        };
-        match winner {
-            Some(RaceEngine::Ilp) => (ilp, SolvedBy::Ilp, report),
-            Some(RaceEngine::Cp) => (cp, SolvedBy::Cp, report),
-            None => {
-                // Neither engine proved anything. Hard errors propagate
-                // (the ILP's takes precedence); a cancelled racer with no
-                // winner means either the caller's token fired (surface
-                // it) or a forwarded budget death (undecided timeout);
-                // two failures stay a failure; otherwise the slice limits
-                // tripped.
-                let settled = match (ilp, cp) {
-                    (v @ (ExactVerdict::Error(_), _), _) => v,
-                    (_, v @ (ExactVerdict::Error(_), _)) => v,
-                    ((ExactVerdict::Cancelled, _), _) | (_, (ExactVerdict::Cancelled, _)) => {
-                        if matches!(budget.check(), Err(Exhaustion::Cancelled)) {
-                            cancelled()
-                        } else {
-                            (ExactVerdict::Limit, Effort::default())
-                        }
-                    }
-                    ((ExactVerdict::Failed, _), v @ (ExactVerdict::Failed, _)) => v,
-                    (v @ (ExactVerdict::Limit, _), _) | (_, v @ (ExactVerdict::Limit, _)) => v,
-                    (v, _) => v,
-                };
-                (settled, SolvedBy::Ilp, report)
-            }
-        }
-    }
-
     /// Turns an exact-engine verdict into the period's attempt-log entry
     /// and a [`PeriodResult`], running the shared verification and
     /// fallback paths. Every engine mode settles through here, so
@@ -1278,14 +1110,13 @@ impl RateOptimalScheduler {
         verdict: ExactVerdict,
         effort: Effort,
         engine: SolvedBy,
-        race: Option<RaceReport>,
         attempts: &mut Vec<PeriodAttempt>,
     ) -> Result<PeriodResult, ScheduleError> {
         let outcome = match verdict {
             ExactVerdict::Feasible { starts, units } => {
                 let assignment = self.complete_assignment(c.ddg, c.period, &starts, &units)?;
                 let schedule = PipelinedSchedule::new(c.period, starts, assignment);
-                return match self.accept(c, &schedule, engine, effort, race, attempts) {
+                return match self.accept(c, &schedule, engine, effort, attempts) {
                     Ok(()) => Ok(PeriodResult::Schedule(schedule)),
                     // Checker rejected the exact schedule: fall back to
                     // the heuristic at this same period.
@@ -1307,7 +1138,7 @@ impl RateOptimalScheduler {
             ExactVerdict::Cancelled => return Err(ScheduleError::Cancelled),
             ExactVerdict::Error(e) => return Err(e),
         };
-        c.log(attempts, outcome.clone(), effort, race);
+        c.log(attempts, outcome.clone(), effort);
         match outcome {
             // An undecided period ends the sweep if the caller's budget
             // died with it.
@@ -1652,7 +1483,7 @@ mod tests {
     #[test]
     fn cp_engine_defers_to_ilp_outside_unified_coloring() {
         // CapacityOnly has no coloring problem for the CP backend; the
-        // driver must transparently use the ILP (and never race).
+        // driver must transparently use the ILP.
         let machine = Machine::example_pldi95();
         let cfg = SchedulerConfig {
             mapping: MappingMode::CapacityOnly,
@@ -1663,12 +1494,11 @@ mod tests {
         let s = RateOptimalScheduler::new(machine, cfg)
             .schedule(&fp_loop())
             .expect("ilp settles");
-        assert!(s.attempts.iter().all(|a| a.race.is_none()));
         assert_eq!(s.solved_by(), SolvedBy::Ilp);
     }
 
     #[test]
-    fn portfolio_matches_proven_period_and_counts_races() {
+    fn portfolio_matches_the_proven_period_of_the_ilp() {
         let machine = Machine::example_pldi95();
         let g = fp_loop();
         let base = SchedulerConfig {
@@ -1693,26 +1523,47 @@ mod tests {
             port.schedule.initiation_interval()
         );
         assert_eq!(port.schedule.validate(&g, &machine), Ok(()));
-        let stats = port.solver_stats();
-        // Every settled period was a race, and the win/undecided split
-        // accounts for all of them exactly.
-        assert_eq!(stats.races, port.attempts.len() as u32);
-        assert_eq!(
-            stats.races,
-            stats.race_cp_wins + stats.race_ilp_wins + stats.race_undecided
-        );
-        for a in &port.attempts {
-            let r = a.race.expect("portfolio attempt carries a race report");
-            match a.outcome {
-                PeriodOutcome::Feasible(SolvedBy::Ilp) => {
-                    assert_eq!(r.winner, Some(RaceEngine::Ilp));
-                }
-                PeriodOutcome::Feasible(SolvedBy::Cp) => {
-                    assert_eq!(r.winner, Some(RaceEngine::Cp));
-                }
-                _ => {}
-            }
-        }
+    }
+
+    /// The staged portfolio spends the caller's budget: both stages
+    /// run on slices of the caller's counter, so the ticks they used
+    /// show up there and stay under its cap.
+    #[test]
+    fn portfolio_charges_the_callers_budget() {
+        let cfg = SchedulerConfig {
+            engine: Engine::Portfolio,
+            heuristic_incumbent: false,
+            ..Default::default()
+        };
+        let budget = Budget::with_tick_limit(10_000);
+        let s = RateOptimalScheduler::new(Machine::example_pldi95(), cfg)
+            .schedule_with(&fp_loop(), &budget)
+            .expect("schedulable");
+        assert!(s.is_proven_optimal());
+        assert!(budget.ticks_used() > 0, "portfolio solve charged no ticks");
+        assert!(budget.ticks_used() <= 10_000);
+    }
+
+    /// CP's stage trip hands the period to the ILP while the period
+    /// budget lives (the ILP's model size is logged), and ends the
+    /// period when the trip spent that budget too.
+    #[test]
+    fn portfolio_stages_the_ilp_only_on_a_live_budget() {
+        let first_attempt = |ticks: u64| {
+            let cfg = SchedulerConfig {
+                engine: Engine::Portfolio,
+                heuristic_incumbent: false,
+                ..Default::default()
+            };
+            let s = RateOptimalScheduler::new(Machine::example_pldi95(), cfg)
+                .schedule_with(&fp_loop(), &Budget::with_tick_limit(ticks))
+                .expect("degrades to IMS");
+            (s.attempts[0].outcome.clone(), s.attempts[0].num_vars)
+        };
+        // One tick: CP's half is empty, and its trip spends the budget.
+        assert_eq!(first_attempt(1), (PeriodOutcome::TimedOut, 0));
+        // Two ticks: CP trips on its one, the ILP builds its model.
+        assert_eq!(first_attempt(2), (PeriodOutcome::TimedOut, 20));
     }
 
     #[test]
@@ -1731,12 +1582,9 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_survives_ilp_failure_with_cp_wins() {
-        // With every ILP solve failing numerically, the CP racer must win
-        // every race and the result is still exact. Whether the loser
-        // reports its own failure or a cancellation depends on thread
-        // interleaving (CP may win and cancel the ILP arm before it even
-        // reaches the injected fault), so only the winner is asserted.
+    fn portfolio_survives_ilp_failure_with_cp_settling() {
+        // With every ILP solve failing numerically, CP settles every
+        // period on its own stage and the result is still exact.
         let machine = Machine::example_pldi95();
         let g = fp_loop();
         let cfg = SchedulerConfig {
@@ -1750,21 +1598,17 @@ mod tests {
         };
         let s = RateOptimalScheduler::new(machine.clone(), cfg)
             .schedule(&g)
-            .expect("cp wins every race");
+            .expect("cp settles every period");
         assert!(s.is_proven_optimal());
         assert_eq!(s.schedule.validate(&g, &machine), Ok(()));
-        let stats = s.solver_stats();
-        assert_eq!(stats.race_ilp_wins, 0);
-        assert_eq!(stats.races, stats.race_cp_wins);
-        assert!(s.attempts.iter().all(|a| {
-            a.race
-                .map(|r| r.winner == Some(RaceEngine::Cp))
-                .unwrap_or(false)
-        }));
+        assert!(s
+            .attempts
+            .iter()
+            .all(|a| a.outcome == PeriodOutcome::Feasible(SolvedBy::Cp)));
     }
 
     /// Pins every effort field of the attempt log — outcome, search
-    /// counters, model size and race report per attempt — so a change
+    /// counters and model size per attempt — so a change
     /// to how periods are settled cannot drop or move effort unseen.
     /// Only a period that produced a schedule logs search counters; an
     /// ILP refutation keeps its model size, a CP refutation logs nothing.
@@ -1789,44 +1633,48 @@ mod tests {
             assert_eq!(s.schedule.validate(&fp_loop(), &machine), Ok(()));
             let row = |a: &PeriodAttempt| {
                 let effort = (a.nodes, a.lp_iterations, a.num_vars, a.num_constrs);
-                (a.period, a.outcome.clone(), effort, a.race)
+                (a.period, a.outcome.clone(), effort)
             };
             s.attempts.iter().map(row).collect::<Vec<_>>()
         };
         let hazard = Machine::example_pldi95;
         assert_eq!(
             log(hazard(), Engine::Ilp, false, None),
-            [(2, Feasible(SolvedBy::Ilp), (3, 30, 20, 27), None)]
+            [(2, Feasible(SolvedBy::Ilp), (3, 30, 20, 27))]
         );
-        assert_eq!(
-            log(hazard(), Engine::Cp, false, None),
-            [(2, Feasible(SolvedBy::Cp), (3, 0, 0, 0), None)]
-        );
+        for engine in [Engine::Cp, Engine::Portfolio] {
+            assert_eq!(
+                log(hazard(), engine, false, None),
+                [(2, Feasible(SolvedBy::Cp), (3, 0, 0, 0))]
+            );
+        }
         assert_eq!(
             log(hazard(), Engine::Ilp, true, None),
             [
-                (2, EngineFailed, (0, 0, 20, 27), None),
-                (2, Feasible(SolvedBy::Heuristic), (0, 0, 0, 0), None),
+                (2, EngineFailed, (0, 0, 20, 27)),
+                (2, Feasible(SolvedBy::Heuristic), (0, 0, 0, 0)),
             ]
         );
         // A pressure cap of 2 on the clean machine refutes T = 2..4.
         assert_eq!(
             log(Machine::example_clean(), Engine::Ilp, false, Some(2)),
             [
-                (2, Infeasible, (0, 0, 22, 25), None),
-                (3, Infeasible, (0, 0, 29, 32), None),
-                (4, Infeasible, (0, 0, 36, 39), None),
-                (5, Feasible(SolvedBy::Ilp), (32, 723, 43, 46), None),
+                (2, Infeasible, (0, 0, 22, 25)),
+                (3, Infeasible, (0, 0, 29, 32)),
+                (4, Infeasible, (0, 0, 36, 39)),
+                (5, Feasible(SolvedBy::Ilp), (32, 723, 43, 46)),
             ]
         );
-        assert_eq!(
-            log(Machine::example_clean(), Engine::Cp, false, Some(2)),
-            [
-                (2, Infeasible, (0, 0, 0, 0), None),
-                (3, Infeasible, (0, 0, 0, 0), None),
-                (4, Infeasible, (0, 0, 0, 0), None),
-                (5, Feasible(SolvedBy::Cp), (58, 0, 0, 0), None),
-            ]
-        );
+        for engine in [Engine::Cp, Engine::Portfolio] {
+            assert_eq!(
+                log(Machine::example_clean(), engine, false, Some(2)),
+                [
+                    (2, Infeasible, (0, 0, 0, 0)),
+                    (3, Infeasible, (0, 0, 0, 0)),
+                    (4, Infeasible, (0, 0, 0, 0)),
+                    (5, Feasible(SolvedBy::Cp), (58, 0, 0, 0)),
+                ]
+            );
+        }
     }
 }

@@ -57,8 +57,9 @@
 //! The inner propagation loop and every search node call
 //! [`swp_milp::Budget::tick`], so deadline, tick-cap, and
 //! [`swp_milp::CancelToken`] cancellation are all observed within one
-//! budget-check interval — the contract the portfolio racer in
-//! `swp-core` relies on to cancel the losing engine promptly.
+//! budget-check interval. The staged portfolio in `swp-core` relies on
+//! this: CP's stage ends exactly at its share of the period's ticks, and
+//! the ILP stage gets the rest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

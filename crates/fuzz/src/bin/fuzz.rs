@@ -22,7 +22,7 @@
 //! the shrinker minimizes the counterexample. `--engine` narrows the
 //! driver matrix to one exact engine (plus the baseline it is
 //! cross-checked against) — CI uses `--engine portfolio` for a cheap
-//! race-focused smoke.
+//! portfolio-focused smoke.
 //!
 //! `--incremental` switches to the incremental-vs-cold differential: a
 //! warm [`SolveSession`] per case, a seeded `--edits`-step edit script,

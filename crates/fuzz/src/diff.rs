@@ -7,7 +7,7 @@
 //! * the full driver (ILP + IMS incumbent);
 //! * the pure-ILP driver (Table 5 mode);
 //! * the CP backend (Table 5 mode);
-//! * the ILP-vs-CP portfolio racer;
+//! * the staged portfolio (CP, then the ILP on what CP leaves);
 //! * iterative modulo scheduling alone.
 //!
 //! and the results are cross-checked:
@@ -246,7 +246,7 @@ const SCHEDULER_CONFIGS: [(&str, bool, Engine); 4] = [
     ("ilp+ims", true, Engine::Ilp),
     ("ilp", false, Engine::Ilp),
     ("cp", false, Engine::Cp),
-    ("race", false, Engine::Portfolio),
+    ("portfolio", false, Engine::Portfolio),
 ];
 
 fn scheduler_config(
@@ -302,20 +302,14 @@ fn refuted_periods(attempts: &[PeriodAttempt]) -> Vec<u32> {
 }
 
 /// Renders one outcome as a deterministic summary string.
-///
-/// `winner_agnostic` is set for portfolio configurations: which exact
-/// engine wins a race depends on thread timing, so the summary folds
-/// both into `"exact"` — the *decision* (period, provenness) is the
-/// deterministic part, and it is all the summary may mention.
-fn summarize(outcome: &DriverOutcome, winner_agnostic: bool) -> String {
+fn summarize(outcome: &DriverOutcome) -> String {
     match outcome {
         DriverOutcome::Ok(r) => {
             let t = r.schedule.initiation_interval();
-            let by = match (r.solved_by(), winner_agnostic) {
-                (SolvedBy::Heuristic, _) => "ims",
-                (SolvedBy::Ilp | SolvedBy::Cp, true) => "exact",
-                (SolvedBy::Ilp, false) => "ilp",
-                (SolvedBy::Cp, false) => "cp",
+            let by = match r.solved_by() {
+                SolvedBy::Heuristic => "ims",
+                SolvedBy::Ilp => "ilp",
+                SolvedBy::Cp => "cp",
             };
             match r.optimality {
                 Optimality::Proven => format!("T={t} proven {by}"),
@@ -433,7 +427,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
             period,
             proven,
             timed_out,
-            summary: summarize(&outcome, matches!(engine, Engine::Portfolio)),
+            summary: summarize(&outcome),
         });
         driver_outcomes.push((i, outcome));
     }
@@ -729,8 +723,8 @@ fn metamorphic_relabel(
             config: "ilp+ims".to_string(),
             details: format!(
                 "relabeled outcome {} != original {}",
-                summarize(&outcome, false),
-                summarize(baseline, false)
+                summarize(&outcome),
+                summarize(baseline)
             ),
         });
     }
@@ -808,8 +802,8 @@ fn metamorphic_permute_classes(
             config: "ilp+ims".to_string(),
             details: format!(
                 "class-permuted outcome {} != original {}",
-                summarize(&outcome, false),
-                summarize(baseline, false)
+                summarize(&outcome),
+                summarize(baseline)
             ),
         });
     }
@@ -966,7 +960,7 @@ mod tests {
             let names: Vec<&str> = report.outcomes.iter().map(|o| o.config).collect();
             assert_eq!(
                 names,
-                ["ilp+ims", "race", "ims"],
+                ["ilp+ims", "portfolio", "ims"],
                 "filtered matrix should be baseline + portfolio row + IMS stage"
             );
             assert!(report.passed(), "{}: {:?}", case.name, report.violations);

@@ -165,9 +165,6 @@ mod tests {
             lp_iterations: 50,
             ticks: 60,
             periods_attempted: 1,
-            races: 0,
-            race_cp_wins: 0,
-            race_ilp_wins: 0,
             any_timeout: false,
             reuse: Default::default(),
             solve_time: Duration::from_micros(10),

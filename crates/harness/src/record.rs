@@ -28,8 +28,10 @@ use swp_machine::Machine;
 
 /// Schema version stamped into every artifact line. v2 added the
 /// portfolio-race counters (`races`, `race_cp`, `race_ilp`); v3 added
-/// the warm-sweep reuse counters (`reuse_*`).
-pub const SCHEMA_VERSION: u64 = 3;
+/// the warm-sweep reuse counters (`reuse_*`); v4 dropped the race
+/// counters when the portfolio became a staged CP-then-ILP solve, whose
+/// `ticks` and budget-limited periods differ from a v3 race's.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Configuration for a corpus run (the solve-side knobs; sharding and
 /// artifact knobs live in [`HarnessConfig`]).
@@ -52,9 +54,10 @@ pub struct SuiteRunConfig {
     /// (rate-optimality is unaffected; see `SchedulerConfig`).
     pub heuristic_incumbent: bool,
     /// Exact engine per candidate period: the unified ILP, the CP
-    /// backend, or a portfolio race of both ([`Engine`]). All three are
-    /// decision-equivalent on proven outcomes; the fingerprint still
-    /// distinguishes them so A/B records never mix.
+    /// backend, or a portfolio that runs CP and then the ILP on one
+    /// budget ([`Engine`]). All three are decision-equivalent on proven
+    /// outcomes; the fingerprint still distinguishes them so A/B records
+    /// never mix.
     pub engine: Engine,
     /// Warm-start each loop's `T`-sweep: carry the simplex basis, the
     /// IMS schedule hint, and the CP no-good store from period `T` into
@@ -233,12 +236,6 @@ pub struct LoopRecord {
     pub ticks: u64,
     /// Candidate periods attempted.
     pub periods_attempted: u32,
-    /// Portfolio races run (0 outside portfolio mode).
-    pub races: u32,
-    /// Races the CP backend settled first.
-    pub race_cp_wins: u32,
-    /// Races the ILP settled first.
-    pub race_ilp_wins: u32,
     /// Whether any attempted period timed out undecided.
     pub any_timeout: bool,
     /// Warm-sweep reuse counters (all zeros under a cold config).
@@ -305,9 +302,6 @@ impl LoopRecord {
             lp_iterations: stats.lp_iterations,
             ticks,
             periods_attempted: stats.periods_attempted,
-            races: stats.races,
-            race_cp_wins: stats.race_cp_wins,
-            race_ilp_wins: stats.race_ilp_wins,
             any_timeout: stats.any_timeout(),
             reuse: RecordReuse::from(reuse),
             solve_time,
@@ -320,12 +314,12 @@ impl LoopRecord {
     /// Schema (`v` = [`SCHEMA_VERSION`]):
     ///
     /// ```json
-    /// {"v":3,"idx":7,"name":"loop0007","nodes":9,
+    /// {"v":4,"idx":7,"name":"loop0007","nodes":9,
     ///  "ddg_fp":"9f…16 hex…","mach_fp":"…","cfg_fp":"…",
     ///  "t_lb":4,"t_lb_counting":4,"status":"scheduled",
     ///  "period":4,"slack":0,"solved_by":"heuristic","proven":true,
     ///  "bb_nodes":0,"lp_iters":0,"ticks":151,"periods":1,
-    ///  "races":0,"race_cp":0,"race_ilp":0,"timeout":false,
+    ///  "timeout":false,
     ///  "reuse_basis":0,"reuse_nogoods":0,"reuse_hints":1,
     ///  "reuse_skips":0,"reuse_replays":0,"reuse_cone":0,
     ///  "solve_us":423}
@@ -363,9 +357,6 @@ impl LoopRecord {
             .u64("lp_iters", self.lp_iterations)
             .u64("ticks", self.ticks)
             .u64("periods", u64::from(self.periods_attempted))
-            .u64("races", u64::from(self.races))
-            .u64("race_cp", u64::from(self.race_cp_wins))
-            .u64("race_ilp", u64::from(self.race_ilp_wins))
             .bool("timeout", self.any_timeout)
             .u64("reuse_basis", self.reuse.basis_hits)
             .u64("reuse_nogoods", self.reuse.nogood_replays)
@@ -441,9 +432,6 @@ impl LoopRecord {
             lp_iterations: num("lp_iters")?,
             ticks: num("ticks")?,
             periods_attempted: num("periods")? as u32,
-            races: num("races")? as u32,
-            race_cp_wins: num("race_cp")? as u32,
-            race_ilp_wins: num("race_ilp")? as u32,
             any_timeout: flag("timeout")?,
             reuse: RecordReuse {
                 basis_hits: num("reuse_basis")?,
@@ -489,9 +477,6 @@ mod tests {
             lp_iterations: 340,
             ticks: 151,
             periods_attempted: 1,
-            races: 0,
-            race_cp_wins: 0,
-            race_ilp_wins: 0,
             any_timeout: !scheduled,
             reuse: RecordReuse {
                 basis_hits: 2,
@@ -528,7 +513,8 @@ mod tests {
 
     #[test]
     fn schema_version_mismatch_is_rejected() {
-        let line = sample(true).to_json_line().replace("\"v\":3", "\"v\":99");
+        let current = format!("\"v\":{SCHEMA_VERSION}");
+        let line = sample(true).to_json_line().replace(&current, "\"v\":99");
         assert!(LoopRecord::from_json_line(&line)
             .unwrap_err()
             .contains("schema version"));

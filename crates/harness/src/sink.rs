@@ -138,9 +138,6 @@ mod tests {
             lp_iterations: 0,
             ticks: 0,
             periods_attempted: 0,
-            races: 0,
-            race_cp_wins: 0,
-            race_ilp_wins: 0,
             any_timeout: false,
             reuse: Default::default(),
             solve_time: Duration::ZERO,

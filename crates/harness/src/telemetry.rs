@@ -47,12 +47,6 @@ pub struct RunSummary {
     pub by_cp: usize,
     /// Loops whose final schedule came from the IMS certificate.
     pub by_heuristic: usize,
-    /// Portfolio races across all loops (0 outside portfolio mode).
-    pub races: u64,
-    /// Races the CP backend settled first.
-    pub race_cp_wins: u64,
-    /// Races the ILP settled first.
-    pub race_ilp_wins: u64,
     /// Loops with at least one undecided (timed-out) period.
     pub with_timeout: usize,
     /// Total branch-and-bound nodes.
@@ -116,9 +110,6 @@ impl RunSummary {
             if r.any_timeout {
                 s.with_timeout += 1;
             }
-            s.races += u64::from(r.races);
-            s.race_cp_wins += u64::from(r.race_cp_wins);
-            s.race_ilp_wins += u64::from(r.race_ilp_wins);
             s.bb_nodes += r.bb_nodes;
             s.lp_iterations += r.lp_iterations;
             s.ticks += r.ticks;
@@ -173,16 +164,6 @@ impl RunSummary {
             self.proven_optimal,
             self.with_timeout
         );
-        if self.races > 0 {
-            let _ = writeln!(
-                out,
-                "portfolio: {} races ({} CP wins, {} ILP wins, {} undecided)",
-                self.races,
-                self.race_cp_wins,
-                self.race_ilp_wins,
-                self.races - self.race_cp_wins - self.race_ilp_wins
-            );
-        }
         let _ = writeln!(
             out,
             "effort: {} B&B nodes, {} simplex iterations, {} budget ticks",
@@ -266,9 +247,6 @@ mod tests {
             lp_iterations: 100,
             ticks: 111,
             periods_attempted: 1,
-            races: 0,
-            race_cp_wins: 0,
-            race_ilp_wins: 0,
             any_timeout: false,
             reuse: RecordReuse {
                 ims_hint_hits: 1,

@@ -7,9 +7,11 @@
 //! and then compared **serialized**: the JSONL line sequences of 1-, 4-,
 //! and 8-worker runs over the same 64-loop corpus must match byte for
 //! byte, and the Table-4 slack buckets derived from them must agree.
+//! The staged portfolio engine is held to the same standard.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
+use swp_core::Engine;
 use swp_harness::{Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome, SuiteRunConfig};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
@@ -36,9 +38,13 @@ fn deterministic_solve() -> SuiteRunConfig {
 }
 
 fn run_with_workers(loops: &[GeneratedLoop], workers: usize) -> Vec<LoopRecord> {
+    run_solve(loops, workers, deterministic_solve())
+}
+
+fn run_solve(loops: &[GeneratedLoop], workers: usize, solve: SuiteRunConfig) -> Vec<LoopRecord> {
     let harness = Harness::new(
         Machine::example_pldi95(),
-        deterministic_solve(),
+        solve,
         HarnessConfig {
             workers,
             record_timing: false,
@@ -70,27 +76,38 @@ fn table4_buckets(records: &[LoopRecord]) -> BTreeMap<Option<u32>, (usize, usize
 #[test]
 fn worker_count_does_not_change_the_records() {
     let loops = corpus(64);
-    let sequential = run_with_workers(&loops, 1);
-    assert_eq!(sequential.len(), 64);
+    // The default ILP sweep with the IMS probe, and the staged
+    // portfolio with the probe off, so CP and the ILP settle every
+    // period between them.
+    let portfolio = SuiteRunConfig {
+        heuristic_incumbent: false,
+        engine: Engine::Portfolio,
+        ..deterministic_solve()
+    };
+    for solve in [deterministic_solve(), portfolio] {
+        let engine = solve.engine;
+        let sequential = run_solve(&loops, 1, solve.clone());
+        assert_eq!(sequential.len(), 64);
 
-    let seq_lines: Vec<String> = sequential.iter().map(LoopRecord::to_json_line).collect();
-    let seq_buckets = table4_buckets(&sequential);
-    // The corpus must exercise more than one bucket for the bucket
-    // comparison to mean anything.
-    assert!(seq_buckets.values().map(|(c, _)| c).sum::<usize>() == 64);
+        let seq_lines: Vec<String> = sequential.iter().map(LoopRecord::to_json_line).collect();
+        let seq_buckets = table4_buckets(&sequential);
+        // The corpus must exercise more than one bucket for the bucket
+        // comparison to mean anything.
+        assert!(seq_buckets.values().map(|(c, _)| c).sum::<usize>() == 64);
 
-    for workers in [4usize, 8] {
-        let parallel = run_with_workers(&loops, workers);
-        let par_lines: Vec<String> = parallel.iter().map(LoopRecord::to_json_line).collect();
-        assert_eq!(
-            par_lines, seq_lines,
-            "{workers}-worker record sequence differs from sequential"
-        );
-        assert_eq!(
-            table4_buckets(&parallel),
-            seq_buckets,
-            "{workers}-worker Table-4 buckets differ from sequential"
-        );
+        for workers in [4usize, 8] {
+            let parallel = run_solve(&loops, workers, solve.clone());
+            let par_lines: Vec<String> = parallel.iter().map(LoopRecord::to_json_line).collect();
+            assert_eq!(
+                par_lines, seq_lines,
+                "{engine:?}: {workers}-worker record sequence differs from sequential"
+            );
+            assert_eq!(
+                table4_buckets(&parallel),
+                seq_buckets,
+                "{engine:?}: {workers}-worker Table-4 buckets differ from sequential"
+            );
+        }
     }
 }
 

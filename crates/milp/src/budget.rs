@@ -20,8 +20,8 @@
 //!
 //! The hot-path check is [`Budget::tick`]: it increments the shared
 //! counter, compares it against the cap, consults the cancel flag (one
-//! relaxed atomic load — the portfolio racer needs losers to die within
-//! a pivot, not a [`CHECK_INTERVAL`]), and reads the clock only every
+//! relaxed atomic load — a cancelled solve stops within a pivot, not a
+//! [`CHECK_INTERVAL`]), and reads the clock only every
 //! [`CHECK_INTERVAL`] ticks, so budgeted inner loops stay branch-cheap.
 //! [`Budget::check`] performs the full check immediately without
 //! consuming a tick; loop boundaries (new B&B node, new candidate
@@ -256,12 +256,13 @@ impl Budget {
     /// own counter, so per-engine tick accounting is deterministic) and
     /// bound to a **fresh** cancel flag, returned as a token.
     ///
-    /// The fresh flag is what lets a portfolio driver cancel one losing
+    /// The fresh flag is what lets a racing caller cancel one losing
     /// contestant without cancelling its sibling or the parent. The
     /// parent's own cancellation does *not* reach the child through the
-    /// flag any more — the racing driver is responsible for forwarding
-    /// it (it supervises both arms anyway, waiting for the first proven
-    /// answer).
+    /// flag — the racing caller is responsible for forwarding it. Ticks
+    /// spent on the child are not charged to the parent, so the
+    /// scheduling driver does not race engines on it: its portfolio
+    /// stages them on slices of one budget instead.
     pub fn fork_racer(&self) -> (Budget, CancelToken) {
         let mut child = self.fork_isolated();
         child.cancelled = Arc::new(AtomicBool::new(false));
@@ -301,7 +302,7 @@ impl Budget {
     /// Spends one tick.
     ///
     /// The tick cap and the cancel flag are enforced exactly on every
-    /// tick (the flag is a relaxed load, and prompt race cancellation
+    /// tick (the flag is a relaxed load, and prompt cancellation
     /// depends on it); the clock is consulted every [`CHECK_INTERVAL`]
     /// ticks (call [`check`] at loop boundaries for an immediate full
     /// check).

@@ -430,7 +430,7 @@ pub struct Reply {
     pub slack: Option<u32>,
     /// Whether every smaller period was refuted exactly.
     pub proven: Option<bool>,
-    /// Engine that produced the schedule (`"ilp"` / `"heuristic"`).
+    /// Engine that produced the schedule (`"ilp"`, `"cp"` or `"heuristic"`).
     pub solved_by: Option<String>,
     /// Budget ticks the solve consumed.
     pub ticks: Option<u64>,

@@ -41,6 +41,10 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use swp_milp::CancelToken;
 
+/// Largest HTTP request body the daemon reads. A `Content-Length` above
+/// it (or one that is not a number) is refused before any allocation.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// Factory for running daemons.
 #[derive(Debug)]
 pub struct Daemon;
@@ -385,8 +389,19 @@ fn handle_http(
             .strip_prefix("content-length:")
             .map(str::trim)
         {
-            content_length = v.parse().unwrap_or(0);
+            content_length = v.parse().unwrap_or(usize::MAX);
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        shared.stats.count_request();
+        let r = Reply::error(
+            "",
+            ReplyStatus::BadRequest,
+            format!("content-length exceeds the {MAX_BODY_BYTES}-byte body limit"),
+        );
+        shared.stats.count_reply(r.status);
+        write_http_reply(stream, &r);
+        return;
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
@@ -446,7 +461,11 @@ fn handle_http(
             r
         }
     };
+    write_http_reply(stream, &reply);
+}
 
+/// Writes `reply` as a one-shot HTTP/1.1 response and closes.
+fn write_http_reply(mut stream: TcpStream, reply: &Reply) {
     let body = reply.to_json_line();
     let code = reply.status.http_code();
     let reason = match code {
@@ -460,7 +479,6 @@ fn handle_http(
         "HTTP/1.1 {code} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}\n",
         body.len() + 1
     );
-    let mut stream = stream;
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }

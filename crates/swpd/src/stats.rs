@@ -13,7 +13,7 @@
 use crate::proto::ReplyStatus;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use swp_core::{ReuseStats, SolverStats};
+use swp_core::ReuseStats;
 use swp_harness::json::{JsonValue, ObjectWriter};
 
 /// Live daemon counters (interior-mutable; shared across threads).
@@ -33,9 +33,6 @@ pub struct SwpdStats {
     in_flight: AtomicU64,
     queue_depth: AtomicU64,
     replayed: AtomicU64,
-    races: AtomicU64,
-    race_cp_wins: AtomicU64,
-    race_ilp_wins: AtomicU64,
     sessions_opened: AtomicU64,
     session_edits: AtomicU64,
     session_solves: AtomicU64,
@@ -89,20 +86,6 @@ impl SwpdStats {
     /// Records how many artifact records the startup replay loaded.
     pub fn set_replayed(&self, n: u64) {
         self.replayed.store(n, Ordering::Relaxed);
-    }
-
-    /// Accumulates one solve's portfolio-race counters (no-ops outside
-    /// portfolio mode, where every field is zero).
-    pub fn record_races(&self, stats: &SolverStats) {
-        if stats.races == 0 {
-            return;
-        }
-        self.races
-            .fetch_add(u64::from(stats.races), Ordering::Relaxed);
-        self.race_cp_wins
-            .fetch_add(u64::from(stats.race_cp_wins), Ordering::Relaxed);
-        self.race_ilp_wins
-            .fetch_add(u64::from(stats.race_ilp_wins), Ordering::Relaxed);
     }
 
     /// Counts one opened session.
@@ -159,9 +142,6 @@ impl SwpdStats {
             in_flight: self.in_flight.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
-            races: self.races.load(Ordering::Relaxed),
-            race_cp_wins: self.race_cp_wins.load(Ordering::Relaxed),
-            race_ilp_wins: self.race_ilp_wins.load(Ordering::Relaxed),
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             session_edits: self.session_edits.load(Ordering::Relaxed),
             session_solves: self.session_solves.load(Ordering::Relaxed),
@@ -208,12 +188,6 @@ pub struct StatsSnapshot {
     pub queue_depth: u64,
     /// Artifact records replayed into the cache at startup.
     pub replayed: u64,
-    /// Portfolio races run across all solves (0 outside portfolio mode).
-    pub races: u64,
-    /// Races the CP backend settled first.
-    pub race_cp_wins: u64,
-    /// Races the ILP settled first.
-    pub race_ilp_wins: u64,
     /// Incremental sessions opened.
     pub sessions_opened: u64,
     /// Session edits applied.
@@ -258,7 +232,7 @@ impl StatsSnapshot {
     /// `earlier` snapshot, returning the first violation's field name.
     /// The gauges and the latch are exempt.
     pub fn monotone_regression_from(&self, earlier: &StatsSnapshot) -> Option<&'static str> {
-        let pairs: [(&'static str, u64, u64); 23] = [
+        let pairs: [(&'static str, u64, u64); 20] = [
             ("requests", earlier.requests, self.requests),
             ("ok", earlier.ok, self.ok),
             ("solved", earlier.solved, self.solved),
@@ -278,9 +252,6 @@ impl StatsSnapshot {
                 earlier.internal_errors,
                 self.internal_errors,
             ),
-            ("races", earlier.races, self.races),
-            ("race_cp_wins", earlier.race_cp_wins, self.race_cp_wins),
-            ("race_ilp_wins", earlier.race_ilp_wins, self.race_ilp_wins),
             (
                 "sessions_opened",
                 earlier.sessions_opened,
@@ -341,9 +312,6 @@ impl StatsSnapshot {
             .u64("in_flight", self.in_flight)
             .u64("queue_depth", self.queue_depth)
             .u64("replayed", self.replayed)
-            .u64("races", self.races)
-            .u64("race_cp_wins", self.race_cp_wins)
-            .u64("race_ilp_wins", self.race_ilp_wins)
             .u64("sessions_opened", self.sessions_opened)
             .u64("session_edits", self.session_edits)
             .u64("session_solves", self.session_solves)
@@ -375,9 +343,6 @@ impl StatsSnapshot {
             in_flight: num("in_flight")?,
             queue_depth: num("queue_depth")?,
             replayed: num("replayed")?,
-            races: num("races")?,
-            race_cp_wins: num("race_cp_wins")?,
-            race_ilp_wins: num("race_ilp_wins")?,
             sessions_opened: num("sessions_opened")?,
             session_edits: num("session_edits")?,
             session_solves: num("session_solves")?,
@@ -416,26 +381,6 @@ mod tests {
         let m = parse_object(&w.finish()).expect("flat json");
         assert_eq!(StatsSnapshot::from_fields(&m), Some(snap));
         assert_eq!(StatsSnapshot::from_fields(&BTreeMap::new()), None);
-    }
-
-    #[test]
-    fn race_counters_accumulate_and_round_trip() {
-        let stats = SwpdStats::default();
-        stats.record_races(&SolverStats::default()); // zero races: no-op
-        let mut solver = SolverStats::default();
-        solver.races = 3;
-        solver.race_cp_wins = 2;
-        solver.race_ilp_wins = 1;
-        stats.record_races(&solver);
-        let snap = stats.snapshot();
-        assert_eq!(snap.races, 3);
-        assert_eq!(snap.race_cp_wins, 2);
-        assert_eq!(snap.race_ilp_wins, 1);
-
-        let mut w = ObjectWriter::new();
-        snap.write_fields(&mut w);
-        let m = parse_object(&w.finish()).expect("flat json");
-        assert_eq!(StatsSnapshot::from_fields(&m), Some(snap));
     }
 
     #[test]

@@ -125,9 +125,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
 
     let reply = classify(&req.id, &solved, ticks, solve_time);
     let Ok(solved) = solved else { return reply };
-    if let Ok(result) = &solved {
-        shared.stats.record_races(&result.solver_stats());
-    }
     // Proven schedules and exact refutations (including a zero-distance
     // cycle) are deterministic answers: cache and persist them.
     if matches!(reply.status, ReplyStatus::Solved | ReplyStatus::Unscheduled) {

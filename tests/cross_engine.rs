@@ -150,7 +150,7 @@ fn heuristic_incumbent_does_not_change_achieved_period() {
 #[test]
 fn family_kernels_agree_across_all_engines() {
     // VLIW issue-bundle and register-pressure kernels: the ILP, the CP
-    // backend, and the portfolio racer must land on the same proven
+    // backend, and the staged portfolio must land on the same proven
     // period, and every accepted schedule must pass the independent
     // checker (and the pressure validator when a cap is in force).
     use swp::core::{Budget, Engine};
