@@ -40,7 +40,8 @@ use swp_milp::{Budget, Exhaustion, SolveError, SolveLimits};
 /// Tick allowance for the best-effort heuristic pass that runs after the
 /// main budget is exhausted. Ticks (one per IMS placement) rather than
 /// wall-clock, so the grace pass works even when the deadline is already
-/// past, and stays bounded deterministically.
+/// past, and stays bounded deterministically. The caller's cancel token
+/// still stops it.
 const GRACE_TICKS: u64 = 200_000;
 
 /// Test-only fault injection: forces failures at chosen pipeline stages
@@ -85,7 +86,7 @@ pub enum Engine {
     #[default]
     Ilp,
     /// The constraint-propagation backend (`swp-cpsat`): offset/color
-    /// search with interval, capacity, and hazard-automaton propagators
+    /// search with interval, capacity, and hazard/coloring propagators
     /// plus no-good recording. Proven-exact, decision-equivalent to the
     /// ILP.
     Cp,
@@ -770,7 +771,7 @@ impl RateOptimalScheduler {
             // Graceful degradation: best-effort heuristic schedule under a
             // fresh tick-capped grace allowance (the dead wall-clock
             // deadline must not also kill the fallback).
-            return self.degrade(ddg, t_dep, t_res, first_unrefuted, attempts);
+            return self.degrade(ddg, budget, t_dep, t_res, first_unrefuted, attempts);
         }
         Err(ScheduleError::NotFound {
             t_lb,
@@ -780,17 +781,20 @@ impl RateOptimalScheduler {
     }
 
     /// The post-exhaustion fallback: IMS under [`GRACE_TICKS`], verified
-    /// by the independent checker, tagged budget-exhausted.
+    /// by the independent checker, tagged budget-exhausted. The grace
+    /// budget shares `budget`'s cancel token, so cancelling the solve
+    /// stops the fallback too.
     fn degrade(
         &self,
         ddg: &Ddg,
+        budget: &Budget,
         t_dep: u32,
         t_res: u32,
         first_unrefuted: u32,
         mut attempts: Vec<PeriodAttempt>,
     ) -> Result<ScheduleResult, ScheduleError> {
         let started = Instant::now();
-        let grace = Budget::with_tick_limit(GRACE_TICKS);
+        let grace = Budget::with_tick_limit(GRACE_TICKS).cancelled_by(&budget.cancel_token());
         let res = match self.ims().schedule_with(ddg, &grace) {
             Ok(res) => res,
             Err(HeuristicError::Cancelled) => return Err(ScheduleError::Cancelled),

@@ -20,14 +20,17 @@
 //!    an operation on a saturated stage-step.
 //! 4. **Hazard/coloring** — for classes where the ILP emits
 //!    circular-arc coloring (`count ≥ 2`, `≥ 2` members, unclean
-//!    table), structural conflicts come from the hazard automaton of
-//!    `swp-automata`: two members whose fixed offsets collide (a bit
-//!    test on the precompiled forbidden-latency closure) must take
-//!    distinct colors; members forced onto one unit prune each other's
-//!    offset domains word-parallel via the rotated closure mask
-//!    ([`swp_automata::HazardAutomaton::or_forbidden_from`]); and a
-//!    per-unit pigeonhole bounds each unit's load by the closure-derived
-//!    packing capacity.
+//!    table), structural conflicts come from each class's cyclic
+//!    conflict vector, built from the reservation table's forbidden
+//!    latencies (`ReservationTable::forbidden_latencies`) while the
+//!    model is built: bit `d` is set iff `d ≡ 0` or `d ≡ ±f (mod T)`
+//!    for some forbidden latency `f`. Two members whose fixed
+//!    offsets collide (a bit test on that vector) must take distinct
+//!    colors; members forced onto one unit prune each other's offset
+//!    domains word-parallel with the vector rotated to the fixed
+//!    member's residue; and a per-unit pigeonhole bounds each unit's
+//!    load by `ReservationTable::max_ops_per_period`, the same packing
+//!    capacity the root pre-check uses.
 //!
 //! Dead ends record **no-goods** (refuted decision prefixes, kept
 //! short) that later branches consult before cloning a state, so the
@@ -67,10 +70,8 @@
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
-use swp_automata::HazardAutomaton;
 use swp_ddg::{Ddg, OpClass};
-use swp_machine::Machine;
+use swp_machine::{Machine, ReservationTable};
 use swp_milp::{Budget, Exhaustion};
 
 /// Widest colored class the color-mask representation supports. The
@@ -198,18 +199,62 @@ fn modt(t: i64, period: u32) -> u32 {
     (t.rem_euclid(period as i64)) as u32
 }
 
+/// ORs `src` rotated by `by` into `dst`: bit `d` of `src` lands on bit
+/// `(d + by) mod period`.
+fn or_rotated(dst: &mut [u64], src: &[u64], by: u32, period: u32) {
+    for (w, &word) in src.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            let d = (w * 64) as u32 + word.trailing_zeros();
+            word &= word - 1;
+            let r = ((d + by) % period) as usize;
+            dst[r / 64] |= 1u64 << (r % 64);
+        }
+    }
+}
+
+/// The marked offsets of each reservation stage, empty stages dropped.
+fn stage_offsets(rt: &ReservationTable) -> Vec<Vec<u32>> {
+    (0..rt.stages())
+        .map(|s| rt.stage_offsets(s).into_iter().map(|l| l as u32).collect())
+        .filter(|offs: &Vec<u32>| !offs.is_empty())
+        .collect()
+}
+
+/// The cyclic conflict vector of one class at `period`: bit `d` is set
+/// iff two ops of the class issued `d (mod T)` apart on one unit claim
+/// some stage in the same cycle. That is bit 0 (every table marks
+/// column 0) plus `±f mod T` for each of the table's forbidden
+/// latencies `f` (`ReservationTable::forbidden_latencies`), so the
+/// vector is symmetric under negation mod `T`.
+fn conflict_vector(forbidden: &[u32], period: u32) -> Box<[u64]> {
+    let mut c = vec![0u64; words_for(period)].into_boxed_slice();
+    c[0] = 1;
+    for &f in forbidden {
+        for d in [modt(i64::from(f), period), modt(-i64::from(f), period)] {
+            c[d as usize / 64] |= 1u64 << (d % 64);
+        }
+    }
+    c
+}
+
 /// One function-unit class as the propagators see it.
 #[derive(Debug)]
 struct ClassInfo {
-    class: OpClass,
     count: u32,
     /// Whether the ILP would emit coloring for this class (count ≥ 2,
     /// ≥ 2 members, unclean table) — the CP model colors exactly those.
     colored: bool,
-    /// Max ops one unit carries per period (from the automaton).
-    capacity: u32,
+    /// Max ops one unit carries per period
+    /// (`ReservationTable::max_ops_per_period`); computed only under
+    /// `CpOptions::packing_bound`, the one mode that reads it.
+    capacity: Option<u32>,
     /// Reservation-stage offsets, empty stages dropped.
     stage_offsets: Vec<Vec<u32>>,
+    /// Cyclic conflict vector at the model's period (see
+    /// [`conflict_vector`]), `words_for(T)` words; empty unless
+    /// `colored`, the only case that reads it.
+    conflict: Box<[u64]>,
     /// Node indices of this class, ascending.
     members: Vec<usize>,
 }
@@ -222,7 +267,7 @@ struct CpBundle {
     groups: Vec<(u32, Vec<usize>)>,
 }
 
-/// The immutable model: graph, classes, automaton, options.
+/// The immutable model: graph, classes, options.
 struct CpModel {
     period: u32,
     words: usize,
@@ -230,7 +275,6 @@ struct CpModel {
     classes: Vec<ClassInfo>,
     /// `(src, dst, w)` with `w = d_src − T·m`, self-loops removed.
     edges: Vec<(usize, usize, i64)>,
-    automaton: Arc<HazardAutomaton>,
     colored: Vec<bool>,
     /// Issue-bundle limits, when the machine declares them.
     bundle: Option<CpBundle>,
@@ -322,16 +366,6 @@ impl CpModel {
             *d = next;
         }
         changed
-    }
-
-    fn closure_bit(&self, class: OpClass, delta: u32) -> bool {
-        match self.automaton.forbidden_closure(class) {
-            Some(c) => {
-                let d = (delta % self.period) as usize;
-                c[d / 64] >> (d % 64) & 1 != 0
-            }
-            None => true, // unknown class: conservative, cannot happen post-build
-        }
     }
 
     /// Propagators 1–2: dependence bounds and congruence sync.
@@ -448,7 +482,7 @@ impl CpModel {
     fn coloring_pass(&self, s: &mut CpState, scratch: &mut [u64]) -> Result<bool, bool> {
         let mut changed = false;
         for ci in self.classes.iter().filter(|c| c.colored) {
-            if self.opts.packing_bound {
+            if let Some(capacity) = ci.capacity {
                 // A unit carries at most `capacity` members; once that
                 // many are pinned to it, it is closed to the rest.
                 for u in 0..ci.count {
@@ -459,10 +493,10 @@ impl CpModel {
                             pinned += 1;
                         }
                     }
-                    if pinned > ci.capacity {
+                    if pinned > capacity {
                         return Err(false);
                     }
-                    if pinned == ci.capacity {
+                    if pinned == capacity {
                         for &i in &ci.members {
                             if s.col[i] != bit && s.col[i] & bit != 0 {
                                 s.col[i] &= !bit;
@@ -482,8 +516,8 @@ impl CpModel {
                     if let (Some(ri), Some(rj)) = (fi, fj) {
                         // Both offsets fixed: a structural collision at
                         // their separation forces distinct colors.
-                        let delta = (ri + self.period - rj) % self.period;
-                        if self.closure_bit(ci.class, delta) {
+                        let d = ((ri + self.period - rj) % self.period) as usize;
+                        if ci.conflict[d / 64] >> (d % 64) & 1 != 0 {
                             if s.col[i].count_ones() == 1 && s.col[j] & s.col[i] != 0 {
                                 s.col[j] &= !s.col[i];
                                 changed = true;
@@ -501,14 +535,14 @@ impl CpModel {
                         }
                     } else if s.col[i].count_ones() == 1 && s.col[i] == s.col[j] {
                         // Same unit forced, one offset still open: the
-                        // rotated closure mask prunes it word-parallel.
+                        // rotated conflict vector prunes it word-parallel.
                         let (anchor, open) = match (fi, fj) {
                             (Some(r), None) => (r, j),
                             (None, Some(r)) => (r, i),
                             _ => continue,
                         };
                         scratch.fill(0);
-                        self.automaton.or_forbidden_from(ci.class, anchor, scratch);
+                        or_rotated(scratch, &ci.conflict, anchor, self.period);
                         if self.dom_subtract(s, open, scratch) {
                             changed = true;
                             if self.dom_count(s, open) == 0 {
@@ -1021,7 +1055,6 @@ pub fn solve_at_warm(
         edges.push((e.src.index(), e.dst.index(), w));
     }
 
-    let automaton = HazardAutomaton::for_machine(machine, period);
     let mut classes = Vec::new();
     let mut colored = vec![false; n];
     for class in ddg.classes() {
@@ -1037,11 +1070,12 @@ pub fn solve_at_warm(
         if !rt.modulo_feasible(period) {
             return Ok((CpOutcome::Infeasible, stats));
         }
-        if options.packing_bound && members.len() as u32 > fu.count * rt.max_ops_per_period(period)
-        {
+        let capacity = options.packing_bound.then(|| rt.max_ops_per_period(period));
+        if capacity.is_some_and(|cap| members.len() as u32 > fu.count * cap) {
             return Ok((CpOutcome::Infeasible, stats));
         }
-        let is_colored = fu.count >= 2 && members.len() >= 2 && !rt.is_clean();
+        let forbidden = rt.forbidden_latencies();
+        let is_colored = fu.count >= 2 && members.len() >= 2 && !forbidden.is_empty();
         if is_colored && fu.count > MAX_COLORED_UNITS {
             return Err(CpError::TooManyUnits {
                 class,
@@ -1053,15 +1087,16 @@ pub fn solve_at_warm(
                 colored[i] = true;
             }
         }
-        let stage_offsets: Vec<Vec<u32>> = (0..rt.stages())
-            .map(|s| rt.stage_offsets(s).into_iter().map(|l| l as u32).collect())
-            .filter(|offs: &Vec<u32>| !offs.is_empty())
-            .collect();
+        let stage_offsets = stage_offsets(rt);
         classes.push(ClassInfo {
-            class,
             count: fu.count,
             colored: is_colored,
-            capacity: automaton.max_ops_per_unit(class).unwrap_or(1),
+            capacity,
+            conflict: if is_colored {
+                conflict_vector(&forbidden, period)
+            } else {
+                Box::default()
+            },
             stage_offsets,
             members,
         });
@@ -1114,7 +1149,6 @@ pub fn solve_at_warm(
         n,
         classes,
         edges,
-        automaton,
         colored: colored.clone(),
         bundle,
         outs,
@@ -1185,9 +1219,94 @@ pub fn solve_at_warm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use swp_ddg::Ddg;
     use swp_machine::checker::{check_fixed_assignment, greedy_assignment, PlacedOp};
-    use swp_machine::{FuType, ReservationTable};
+    use swp_machine::FuType;
+
+    fn bit(v: &[u64], d: u32) -> bool {
+        v[d as usize / 64] >> (d % 64) & 1 != 0
+    }
+
+    /// Arbitrary well-formed reservation table (1–4 stages, 1–6
+    /// columns, with a mark at issue time).
+    fn arb_table() -> impl Strategy<Value = ReservationTable> {
+        (1usize..=4, 1usize..=6).prop_flat_map(|(stages, cols)| {
+            proptest::collection::vec(proptest::collection::vec(any::<bool>(), cols), stages)
+                .prop_map(|mut rows| {
+                    rows[0][0] = true;
+                    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
+                    ReservationTable::from_rows(&refs).expect("shape is valid")
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Bit `d` of the conflict vector is set iff the cycle-accurate
+        /// checker rejects two ops of the class at offsets 0 and `d` on
+        /// one unit (for every `T` at which one op alone fits). Half the
+        /// periods exceed 64, so the vector spans two words.
+        #[test]
+        fn conflict_vector_matches_the_checker(
+            reservation in arb_table(),
+            t in (any::<bool>(), 1u32..=10, 65u32..=72)
+                .prop_map(|(wide, narrow, spanning)| if wide { spanning } else { narrow }),
+        ) {
+            prop_assume!(reservation.modulo_feasible(t));
+            let conflict = conflict_vector(&reservation.forbidden_latencies(), t);
+            let machine = Machine::new(vec![FuType {
+                name: "C".into(),
+                count: 1,
+                latency: 1,
+                reservation,
+            }])
+            .expect("valid machine");
+            let class = OpClass::new(0);
+            for d in 0..t {
+                let pair = [
+                    PlacedOp { class, offset: 0, fu: Some(0) },
+                    PlacedOp { class, offset: d, fu: Some(0) },
+                ];
+                prop_assert_eq!(
+                    bit(&conflict, d),
+                    check_fixed_assignment(&machine, t, &pair).is_err(),
+                    "delta {} at T={}", d, t
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pldi95_fp_conflict_vector() {
+        // PLDI'95 FP table: stage 0 at offset 0, stage 1 at offsets
+        // {1, 2}, stage 2 at offset 2. Stage 1 gives deltas ±1 and 0.
+        let machine = Machine::example_pldi95();
+        let rt = &machine.types()[1].reservation;
+        let conflict = conflict_vector(&rt.forbidden_latencies(), 4);
+        let set: Vec<u32> = (0..4).filter(|&d| bit(&conflict, d)).collect();
+        assert_eq!(set, [0, 1, 3]);
+        let mut rotated = vec![0u64; 1];
+        // Anchored at residue 1: an op fixed there forbids 1 + {0, ±1}.
+        or_rotated(&mut rotated, &conflict, 1, 4);
+        let set: Vec<u32> = (0..4).filter(|&d| bit(&rotated, d)).collect();
+        assert_eq!(set, [0, 1, 2]);
+    }
+
+    #[test]
+    fn or_rotated_crosses_word_boundaries() {
+        let period = 130;
+        let mut src = vec![0u64; words_for(period)];
+        for d in [60usize, 129] {
+            src[d / 64] |= 1u64 << (d % 64);
+        }
+        let mut dst = vec![0u64; words_for(period)];
+        or_rotated(&mut dst, &src, 5, period);
+        let set: Vec<u32> = (0..period).filter(|&d| bit(&dst, d)).collect();
+        // 60 + 5 moves up a word; (129 + 5) mod 130 wraps to word 0.
+        assert_eq!(set, [4, 65]);
+    }
 
     fn solve(ddg: &Ddg, machine: &Machine, period: u32) -> Result<(CpOutcome, CpStats), CpError> {
         solve_at(

@@ -149,7 +149,7 @@ fn run() -> Result<ExitCode, String> {
     let gen_ref = &gen_config;
     let opts_ref = &opts;
     let results: Vec<Option<(FuzzCase, CaseReport)>> =
-        executor::run_indexed(cases, workers, move |_worker, index| {
+        executor::run_indexed(cases, workers, move |index| {
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     return Some(None); // budget spent: skip, but keep the slot
@@ -281,7 +281,7 @@ fn run_incremental(
     );
 
     let results: Vec<Option<(FuzzCase, IncrReport)>> =
-        executor::run_indexed(cases, workers, move |_worker, index| {
+        executor::run_indexed(cases, workers, move |index| {
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     return Some(None);

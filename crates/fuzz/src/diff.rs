@@ -19,8 +19,8 @@
 //!    `II ≥` proven `T`;
 //! 4. no configuration *refutes* (proves infeasible) a period another
 //!    configuration certified feasible;
-//! 5. accepted periods respect `max(T_dep, T_res)`, and the hazard-
-//!    automaton `res_mii` equals the exact `Machine::t_res`;
+//! 5. accepted periods respect `max(T_dep, T_res)`, and every
+//!    configuration reports the same `T_dep`/`T_res`;
 //! 6. guaranteed-schedulable cases that run to completion (no budget
 //!    trips) must schedule.
 //!
@@ -74,8 +74,8 @@ pub enum ViolationKind {
     /// An accepted period violates `max(T_dep, T_res)`, or a
     /// budget-exhausted bracket is inconsistent.
     BoundViolated,
-    /// Configurations disagree on `T_dep`/`T_res`, or the automaton
-    /// `res_mii` disagrees with the exact `t_res`.
+    /// A configuration reports `T_dep`/`T_res` other than the exact
+    /// ones.
     BoundsMismatch,
     /// An engine returned an internal-invariant error
     /// (verification failure, mapping gap, solver breakdown).
@@ -374,21 +374,7 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
     let faulted = opts.faults != FaultPlan::default();
     let mut violations: Vec<Violation> = Vec::new();
 
-    // Property 5b: the automaton resource bound is the exact one.
     let t_res = case.machine.t_res(&case.ddg).unwrap_or(0);
-    match swp_automata::res_mii(&case.machine, &case.ddg) {
-        Ok(auto_bound) if auto_bound == t_res => {}
-        Ok(auto_bound) => violations.push(Violation {
-            kind: ViolationKind::BoundsMismatch,
-            config: "res_mii".to_string(),
-            details: format!("automaton res_mii {auto_bound} != exact t_res {t_res}"),
-        }),
-        Err(e) => violations.push(Violation {
-            kind: ViolationKind::EngineError,
-            config: "res_mii".to_string(),
-            details: format!("res_mii failed: {e}"),
-        }),
-    }
     let t_dep = case.ddg.t_dep().unwrap_or(0);
     let t_lb = t_dep.max(t_res);
 

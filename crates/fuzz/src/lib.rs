@@ -3,8 +3,8 @@
 //!
 //! The workspace has three ways to answer "what is the best initiation
 //! interval for this loop on this machine, and what schedule achieves
-//! it?": the unified ILP (simplex + branch & bound), iterative modulo
-//! scheduling, and the automaton-accelerated variants of both. They
+//! it?": the unified ILP (simplex + branch & bound), the
+//! constraint-propagation engine, and iterative modulo scheduling. They
 //! must agree — on feasibility, on proven optimality, and on hazard-
 //! freedom of every schedule they emit. This crate industrializes that
 //! cross-check:

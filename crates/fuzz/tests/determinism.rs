@@ -20,17 +20,16 @@ fn campaign(seed: u64, cases: usize, workers: usize) -> Vec<String> {
     // Generate *and* schedule inside the sharded executor, exactly like
     // the `fuzz` binary, so cross-worker interleaving is part of what
     // this test pins down.
-    let results: Vec<Option<(FuzzCase, String)>> =
-        executor::run_indexed(cases, workers, |_, index| {
-            let case = gen_case(&cfg, index);
-            let report = run_case(&case, &opts);
-            let line = to_json_line(
-                &report,
-                ddg_fingerprint(&case.ddg),
-                machine_fingerprint(&case.machine),
-            );
-            Some((case, line))
-        });
+    let results: Vec<Option<(FuzzCase, String)>> = executor::run_indexed(cases, workers, |index| {
+        let case = gen_case(&cfg, index);
+        let report = run_case(&case, &opts);
+        let line = to_json_line(
+            &report,
+            ddg_fingerprint(&case.ddg),
+            machine_fingerprint(&case.machine),
+        );
+        Some((case, line))
+    });
     results
         .into_iter()
         .map(|r| r.expect("campaign never skips").1)

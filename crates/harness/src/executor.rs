@@ -24,22 +24,21 @@ use std::sync::Mutex;
 /// Runs `f` over the job indices `0..n` on `workers` threads and
 /// returns the results in index order.
 ///
-/// `f` is called as `f(worker, index)`; `worker` identifies the calling
-/// shard (stable in `0..workers`) so callers can give each worker its
-/// own budget slice. A job may return `None` (e.g. when a cancel token
-/// fired and the job drained without running); its slot stays `None`.
+/// `f` is called once per job index. A job may return `None` (e.g. when
+/// a cancel token fired and the job drained without running); its slot
+/// stays `None`.
 ///
 /// `workers` is clamped to `1..=n` (and to 1 when `n` is 0).
 pub fn run_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(usize, usize) -> Option<T> + Sync,
+    F: Fn(usize) -> Option<T> + Sync,
 {
     let workers = workers.clamp(1, n.max(1));
     // Fast path: one worker needs no machinery at all (and keeps the
     // sequential reference semantics trivially exact).
     if workers == 1 {
-        return (0..n).map(|i| f(0, i)).collect();
+        return (0..n).map(&f).collect();
     }
 
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
@@ -54,7 +53,7 @@ where
             let f = &f;
             scope.spawn(move || {
                 while let Some(idx) = take_job(deques, w) {
-                    let result = f(w, idx);
+                    let result = f(idx);
                     *lock_clean(&slots[idx]) = result;
                 }
             });
@@ -105,7 +104,7 @@ mod tests {
     #[test]
     fn computes_all_results_in_index_order() {
         for workers in [1, 2, 4, 9, 64] {
-            let out = run_indexed(33, workers, |_, i| Some(i * i));
+            let out = run_indexed(33, workers, |i| Some(i * i));
             assert_eq!(out.len(), 33);
             for (i, v) in out.iter().enumerate() {
                 assert_eq!(*v, Some(i * i), "workers={workers}");
@@ -115,15 +114,15 @@ mod tests {
 
     #[test]
     fn zero_jobs_and_zero_workers_are_fine() {
-        assert!(run_indexed(0, 4, |_, i| Some(i)).is_empty());
-        let out = run_indexed(3, 0, |_, i| Some(i));
+        assert!(run_indexed(0, 4, Some).is_empty());
+        let out = run_indexed(3, 0, Some);
         assert_eq!(out, vec![Some(0), Some(1), Some(2)]);
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        run_indexed(100, 8, |_, i| {
+        run_indexed(100, 8, |i| {
             counters[i].fetch_add(1, Ordering::Relaxed);
             Some(())
         });
@@ -133,26 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_ids_stay_in_range() {
-        // Which workers end up running jobs is scheduling-dependent (a
-        // fast worker may steal a late-spawning sibling's whole stripe);
-        // what is guaranteed is the id range and that work happened.
-        let seen = Mutex::new(vec![false; 4]);
-        run_indexed(64, 4, |w, _| {
-            assert!(w < 4);
-            lock_clean(&seen)[w] = true;
-            Some(())
-        });
-        assert!(lock_clean(&seen).iter().any(|&b| b));
-    }
-
-    #[test]
     fn stealing_rebalances_a_skewed_stripe() {
         // Worker 0's stripe (0, 2, 4, …) is made artificially slow; the
         // other worker must finish its own stripe and steal. We can't
         // assert *who* ran what (that's scheduling), only that everything
         // completes and the slow stripe doesn't deadlock the pool.
-        let out = run_indexed(16, 2, |_, i| {
+        let out = run_indexed(16, 2, |i| {
             if i % 2 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -163,7 +148,7 @@ mod tests {
 
     #[test]
     fn none_results_leave_holes() {
-        let out = run_indexed(10, 3, |_, i| if i % 3 == 0 { None } else { Some(i) });
+        let out = run_indexed(10, 3, |i| if i % 3 == 0 { None } else { Some(i) });
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, if i % 3 == 0 { None } else { Some(i) });
         }
@@ -174,7 +159,7 @@ mod tests {
         // The scope propagates the panic after all threads join; catch it
         // and make sure the machinery stayed sound up to that point.
         let r = std::panic::catch_unwind(|| {
-            run_indexed(8, 2, |_, i| {
+            run_indexed(8, 2, |i| {
                 if i == 3 {
                     panic!("injected");
                 }

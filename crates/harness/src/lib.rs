@@ -9,10 +9,9 @@
 //!   deques, no external dependencies) that shards the corpus and
 //!   returns results **in corpus order**, so a parallel run is
 //!   indistinguishable from a sequential one;
-//! * [`run`] — the [`Harness`] orchestrator: per-loop
-//!   budgets carved from one global pool (reusing the `swp-milp` budget
-//!   and cancellation machinery), cooperative Ctrl-C-style draining, and
-//!   cache-first execution;
+//! * [`run`] — the [`Harness`] orchestrator: an isolated budget per
+//!   loop (reusing the `swp-milp` budget and cancellation machinery),
+//!   cooperative Ctrl-C-style draining, and cache-first execution;
 //! * [`record`] / [`sink`] — the per-loop [`LoopRecord`] with its JSONL
 //!   schema, and streaming sinks that write each record to disk the
 //!   moment its loop finishes;

@@ -9,16 +9,11 @@
 //!
 //! # Budgets and determinism
 //!
-//! Each loop is solved under its own [`Budget`]. By default
-//! ([`HarnessConfig::global_ticks`] unset) that budget is *isolated*
+//! Each loop is solved under its own *isolated* [`Budget`]
 //! ([`Budget::fork_isolated`]): its tick counter is private to the loop,
 //! so a per-loop tick cap ([`SuiteRunConfig::per_loop_ticks`]) trips at
 //! exactly the same point no matter how many workers run or how the
-//! corpus is sharded — the basis of the determinism guarantee. Setting
-//! `global_ticks` instead slices one shared pool across the workers
-//! ([`Budget::slice`]); total effort is then bounded globally, but which
-//! loop exhausts the pool depends on scheduling, so run-to-run identity
-//! is deliberately traded away (the report is flagged accordingly).
+//! corpus is sharded — the basis of the determinism guarantee.
 //!
 //! Cancellation ([`Harness::cancel_token`]) stops the run cooperatively:
 //! in-flight loops drain (each solver notices the token within one
@@ -44,8 +39,8 @@ use swp_loops::suite::GeneratedLoop;
 use swp_machine::Machine;
 use swp_milp::{Budget, CancelToken};
 
-/// Sharding, artifact, and global-budget knobs (the solve-side knobs
-/// live in [`SuiteRunConfig`]).
+/// Sharding and artifact knobs (the solve-side knobs live in
+/// [`SuiteRunConfig`]).
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Worker threads. `0` means one per available CPU.
@@ -60,13 +55,6 @@ pub struct HarnessConfig {
     /// [`LoopRecord::solve_time`], making records (and artifacts)
     /// byte-identical across runs and worker counts.
     pub record_timing: bool,
-    /// Wall-clock budget for the whole run; when it expires, remaining
-    /// loops are skipped (drained) and the report is marked interrupted.
-    pub global_time_limit: Option<Duration>,
-    /// Global tick pool sliced across workers (see the module docs for
-    /// the determinism trade-off). `None` (default) gives every loop an
-    /// isolated budget.
-    pub global_ticks: Option<u64>,
 }
 
 impl Default for HarnessConfig {
@@ -76,8 +64,6 @@ impl Default for HarnessConfig {
             artifact: None,
             resume: false,
             record_timing: true,
-            global_time_limit: None,
-            global_ticks: None,
         }
     }
 }
@@ -94,7 +80,7 @@ impl HarnessConfig {
 #[derive(Debug)]
 pub struct RunReport {
     /// One record per completed loop, **in corpus order** (loops skipped
-    /// by cancellation or global-budget exhaustion are absent).
+    /// by cancellation are absent).
     pub records: Vec<LoopRecord>,
     /// Whole-run wall time (cache load + solving + artifact I/O) —
     /// deliberately separate from the per-loop
@@ -107,7 +93,7 @@ pub struct RunReport {
     pub fresh_solves: usize,
     /// Corrupt artifact lines skipped while loading the cache.
     pub skipped_lines: usize,
-    /// Whether the run stopped early (cancel token or global budget).
+    /// Whether the run stopped early (cancel token).
     pub interrupted: bool,
     /// Aggregated telemetry.
     pub summary: RunSummary,
@@ -187,16 +173,9 @@ impl Harness {
         let machine_fp = machine_fingerprint(&self.machine);
         let config_fp = self.solve.fingerprint();
 
-        // The global pool: deadline + optional shared ticks + the
-        // harness's cancel token. Rebuilt per run, so the deadline is
-        // anchored at run start and the harness is reusable.
-        let mut pool = Budget::unlimited().cancelled_by(&self.cancel);
-        if let Some(d) = self.config.global_time_limit {
-            pool = pool.deadline_in(d);
-        }
-        if let Some(t) = self.config.global_ticks {
-            pool = pool.limit_ticks(t);
-        }
+        // The run's root budget carries only the harness's cancel
+        // token; every loop forks an isolated counter from it.
+        let pool = Budget::unlimited().cancelled_by(&self.cancel);
 
         let cache = match (&self.config.artifact, self.config.resume) {
             (Some(path), true) => {
@@ -232,19 +211,10 @@ impl Harness {
                 .unwrap_or(1),
             n => n,
         };
-        // Worker shares of the pool: real slices when a global tick pool
-        // is configured, otherwise plain handles to the (uncapped) pool.
-        let shares: Vec<Budget> = (0..workers.max(1))
-            .map(|_| pool.slice(workers as u64))
-            .collect();
-
         let sink = Mutex::new(sink);
-        // Oracle telemetry is process-global; delta against a snapshot so
-        // the summary reports only this run's queries.
-        let oracle_before = swp_automata::stats::snapshot();
-        let results = executor::run_indexed(loops.len(), workers, |w, idx| {
-            // Drain (skip without a record) once the run-wide budget or
-            // the cancel token has tripped.
+        let results = executor::run_indexed(loops.len(), workers, |idx| {
+            // Drain (skip without a record) once the cancel token has
+            // fired.
             if pool.check().is_err() {
                 return None;
             }
@@ -262,7 +232,7 @@ impl Harness {
                 lock(&sink).on_record(&rec);
                 return Some(rec);
             }
-            let rec = self.solve_one(idx, l, &scheduler, key, &shares[w])?;
+            let rec = self.solve_one(idx, l, &scheduler, key, &pool)?;
             if let Some(artifact) = &artifact {
                 lock(artifact).on_record(&rec);
             }
@@ -273,8 +243,7 @@ impl Harness {
         let interrupted = results.iter().any(Option::is_none);
         let records: Vec<LoopRecord> = results.into_iter().flatten().collect();
         let wall_time = started.elapsed();
-        let mut summary = RunSummary::from_records(&records, wall_time);
-        summary.oracle = swp_automata::stats::snapshot().since(&oracle_before);
+        let summary = RunSummary::from_records(&records, wall_time);
         lock(&sink).on_summary(&summary);
         Ok(RunReport {
             cache_hits: summary.cache_hits,
@@ -295,21 +264,15 @@ impl Harness {
         l: &GeneratedLoop,
         scheduler: &RateOptimalScheduler,
         key: CacheKey,
-        share: &Budget,
+        pool: &Budget,
     ) -> Option<LoopRecord> {
-        let loop_budget = if self.config.global_ticks.is_some() {
-            // Shared pool: per-loop allowance drains the worker's share.
-            share.restrict(None, self.solve.per_loop_ticks)
-        } else {
-            // Isolated counter: per-loop ticks are exact and
-            // scheduling-independent (the determinism guarantee).
-            let b = share.fork_isolated();
-            match self.solve.per_loop_ticks {
-                Some(t) => b.limit_ticks(t),
-                None => b,
-            }
+        // Isolated counter: per-loop ticks are exact and
+        // scheduling-independent (the determinism guarantee).
+        let loop_budget = pool.fork_isolated();
+        let loop_budget = match self.solve.per_loop_ticks {
+            Some(t) => loop_budget.limit_ticks(t),
+            None => loop_budget,
         };
-        let ticks_before = loop_budget.ticks_used();
         let solve_started = Instant::now();
         // One warm state per loop: the basis/hint/no-good carry-over is
         // strictly within this loop's T-sweep, so nothing leaks between
@@ -328,7 +291,7 @@ impl Harness {
             &l.ddg,
             &self.machine,
             key,
-            loop_budget.ticks_used().saturating_sub(ticks_before),
+            loop_budget.ticks_used(),
             &warm.reuse,
             solve_time,
         )
@@ -443,30 +406,6 @@ mod tests {
         let report = h.run(&loops, &mut NullSink).expect("run");
         assert!(report.interrupted);
         assert!(report.records.is_empty());
-    }
-
-    #[test]
-    fn global_tick_pool_bounds_total_effort() {
-        let loops = small_corpus(12);
-        let h = Harness::new(
-            Machine::example_pldi95(),
-            SuiteRunConfig {
-                time_limit_per_t: None,
-                ..fast_solve()
-            },
-            HarnessConfig {
-                global_ticks: Some(16),
-                ..HarnessConfig::default()
-            },
-        );
-        let report = h.run(&loops, &mut NullSink).expect("run");
-        // The tiny pool cannot cover 12 loops: the run is interrupted
-        // (drained) partway, but whatever completed is well-formed.
-        assert!(report.interrupted, "16 ticks should not finish 12 loops");
-        assert!(report.records.len() < 12);
-        for r in &report.records {
-            assert!(!r.cached);
-        }
     }
 
     #[test]

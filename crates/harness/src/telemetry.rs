@@ -10,7 +10,6 @@
 use crate::record::{LoopRecord, RecordReuse, SuiteOutcome};
 use std::fmt::Write as _;
 use std::time::Duration;
-use swp_automata::OracleCounters;
 use swp_core::SolvedBy;
 
 /// Upper edges of the solve-time histogram buckets.
@@ -64,10 +63,6 @@ pub struct RunSummary {
     /// Solve-time histogram: `(label, count)` per bucket, including the
     /// final overflow bucket.
     pub histogram: Vec<(&'static str, usize)>,
-    /// Hazard-automaton activity during this run: collision-matrix
-    /// queries, and automaton memo-registry hits vs. builds. Populated by
-    /// the runner from a process-global counter delta, not from records.
-    pub oracle: OracleCounters,
 }
 
 impl RunSummary {
@@ -189,13 +184,6 @@ impl RunSummary {
             self.loops_per_sec(),
             self.speedup()
         );
-        if self.oracle.any() {
-            let _ = writeln!(
-                out,
-                "automata: {} matrix queries | {} memo hits / {} builds",
-                self.oracle.matrix_queries, self.oracle.memo_hits, self.oracle.memo_builds
-            );
-        }
         let max = self.histogram.iter().map(|&(_, c)| c).max().unwrap_or(0);
         if max > 0 {
             let _ = writeln!(out, "solve-time histogram:");

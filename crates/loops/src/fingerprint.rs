@@ -116,8 +116,8 @@ pub fn ddg_fingerprint(ddg: &Ddg) -> u64 {
 /// name, copy count, latency, and full reservation-table mark pattern,
 /// plus the issue-bundle constraints (width and every slot group) —
 /// machines differing only in bundle limits must never alias, or the
-/// hazard-automaton registry and the harness result cache would serve
-/// one machine's answers for the other.
+/// harness and daemon result caches would serve one machine's answers
+/// for the other.
 pub fn machine_fingerprint(machine: &Machine) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(machine.num_classes() as u64);
@@ -252,8 +252,7 @@ mod tests {
                 .unwrap()
         };
         // No-bundle vs bundle, and distinct widths, must never alias:
-        // these keys drive the hazard-automaton registry and the harness
-        // result cache.
+        // these keys drive the harness and daemon result caches.
         assert_ne!(machine_fingerprint(&base), machine_fingerprint(&width(2)));
         assert_ne!(
             machine_fingerprint(&width(2)),

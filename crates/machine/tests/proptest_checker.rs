@@ -1,15 +1,17 @@
 //! Property tests for the fixed-assignment checker: its word-parallel
 //! occupancy probe must be byte-identical to a naive per-cell hash-map
 //! scan — same verdict and the same *first* error — on random machines
-//! and random (frequently invalid) placements.
+//! and random (frequently invalid) placements, and it must agree with
+//! the cycle-accurate simulator on random in-range placements.
 //!
 //! Replay a failing stream with `SWP_PROPTEST_SEED=<seed>`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use swp_ddg::OpClass;
+use swp_ddg::{Ddg, OpClass};
 use swp_machine::{
-    check_fixed_assignment, ConflictError, FuType, Machine, PlacedOp, ReservationTable,
+    check_fixed_assignment, simulate, ConflictError, FuType, Machine, PipelinedSchedule, PlacedOp,
+    ReservationTable, SimError, UnitPolicy,
 };
 
 /// The reference checker: one hash-map entry per claimed
@@ -156,6 +158,40 @@ proptest! {
             check_fixed_assignment(&machine, period, &valid),
             naive_check(&machine, period, &valid)
         );
+    }
+
+    /// Checker-accepted schedules survive the cycle-accurate simulator,
+    /// and simulator-detected collisions are always checker-rejected —
+    /// the checker cannot certify a schedule the hardware would break.
+    #[test]
+    fn checker_accepts_iff_simulator_survives(
+        machine in arb_machine(),
+        t in 1u32..=8,
+        raw in proptest::collection::vec((0usize..3, 0u32..16, 0u32..3), 1..5),
+    ) {
+        let num_classes = machine.types().len();
+        let mut ddg = Ddg::new();
+        let mut starts = Vec::new();
+        let mut assignment = Vec::new();
+        let mut ops = Vec::new();
+        for (i, &(c, offset, fu)) in raw.iter().enumerate() {
+            let class = OpClass::new(c % num_classes);
+            let count = machine.types()[c % num_classes].count;
+            ddg.add_node(format!("n{i}"), class, 1);
+            starts.push(offset % t);
+            assignment.push(Some(fu % count));
+            ops.push(PlacedOp { class, offset: offset % t, fu: Some(fu % count) });
+        }
+        let verdict = check_fixed_assignment(&machine, t, &ops);
+        let schedule = PipelinedSchedule::new(t, starts, assignment);
+        // Enough iterations that every modulo-periodic overlap manifests.
+        let sim = simulate(&machine, &ddg, &schedule, 8, UnitPolicy::Fixed);
+        if verdict.is_ok() {
+            prop_assert!(sim.is_ok(), "checker accepted but simulator found {:?}", sim.err());
+        }
+        if matches!(sim, Err(SimError::Collision { .. })) {
+            prop_assert!(verdict.is_err(), "simulator collided but checker accepted");
+        }
     }
 }
 

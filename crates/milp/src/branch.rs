@@ -32,9 +32,6 @@ pub struct SolveLimits {
     /// The scheduling driver uses this: at a fixed initiation interval it
     /// only needs feasibility, not the objective optimum.
     pub stop_at_first_incumbent: bool,
-    /// Prune nodes whose LP bound (in the *stated* objective direction)
-    /// cannot improve on this value.
-    pub objective_cutoff: Option<f64>,
     /// Shared solve budget: wall-clock deadline, deterministic tick cap,
     /// and cooperative cancellation (default: unlimited). One tick is
     /// spent per simplex pivot, so the cap bounds total work across every
@@ -59,7 +56,6 @@ impl Default for SolveLimits {
             max_nodes: 1_000_000,
             time_limit: None,
             stop_at_first_incumbent: false,
-            objective_cutoff: None,
             budget: Budget::unlimited(),
             warm_basis: None,
             pivot_layout: PivotLayout::default(),
@@ -258,13 +254,6 @@ impl<'a> BranchBound<'a> {
         let mut stack = vec![Node { lo, hi, depth: 0 }];
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (x, min-objective)
         let mut stats = SearchStats::default();
-        let cutoff_min = self.limits.objective_cutoff.map(|c| {
-            if self.model.maximize {
-                -(c - self.model.obj_constant)
-            } else {
-                c - self.model.obj_constant
-            }
-        });
         let mut truncated = false;
 
         'search: while let Some(node) = stack.pop() {
@@ -342,11 +331,6 @@ impl<'a> BranchBound<'a> {
             // Bound pruning.
             if let Some((_, inc)) = &incumbent {
                 if sol.objective >= *inc - 1e-9 {
-                    continue;
-                }
-            }
-            if let Some(cut) = cutoff_min {
-                if sol.objective >= cut - 1e-9 {
                     continue;
                 }
             }
@@ -583,20 +567,6 @@ mod tests {
         let x = m.add_var(VarKind::Continuous, 0.0, f64::INFINITY, "x");
         m.maximize([(x, 1.0)]);
         assert_eq!(m.solve().unwrap_err(), SolveError::Unbounded);
-    }
-
-    #[test]
-    fn objective_cutoff_prunes() {
-        let mut m = Model::new();
-        let x = m.add_integer(10.0, "x");
-        m.minimize([(x, 1.0)]);
-        m.add_constr([(x, 1.0)], Sense::Ge, 4.0);
-        // Cutoff below the true optimum of 4: nothing qualifies.
-        let limits = SolveLimits {
-            objective_cutoff: Some(3.0),
-            ..Default::default()
-        };
-        assert_eq!(m.solve_with(&limits).unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]

@@ -293,12 +293,6 @@ impl Budget {
         self.ticks.load(Ordering::Relaxed)
     }
 
-    /// Whether no axis of this budget can ever trip (ignoring the cancel
-    /// flag, which is always live).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.tick_limit == u64::MAX
-    }
-
     /// Spends one tick.
     ///
     /// The tick cap and the cancel flag are enforced exactly on every

@@ -41,7 +41,6 @@
 pub mod branch;
 pub mod budget;
 pub mod exact;
-mod lpwrite;
 pub mod model;
 pub mod simplex;
 

@@ -91,14 +91,6 @@ impl LinExpr {
         }
     }
 
-    /// A constant expression.
-    pub fn constant_expr(c: f64) -> Self {
-        LinExpr {
-            terms: Vec::new(),
-            constant: c,
-        }
-    }
-
     /// Sum of `coeff·var` terms.
     pub fn sum<I: IntoIterator<Item = (VarId, f64)>>(terms: I) -> Self {
         LinExpr {
@@ -336,32 +328,9 @@ impl Model {
         self.constrs.len()
     }
 
-    /// Number of integer (including binary) variables.
-    pub fn num_integer_vars(&self) -> usize {
-        self.vars
-            .iter()
-            .filter(|v| v.kind != VarKind::Continuous)
-            .count()
-    }
-
-    /// Name given to `var` at creation.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
-
-    /// Kind of `var`.
-    pub fn var_kind(&self, var: VarId) -> VarKind {
-        self.vars[var.0].kind
-    }
-
     /// `(lo, hi)` bounds of `var`.
     pub fn bounds(&self, var: VarId) -> (f64, f64) {
         (self.vars[var.0].lo, self.vars[var.0].hi)
-    }
-
-    /// Objective coefficient of `var`.
-    pub fn objective_coeff(&self, var: VarId) -> f64 {
-        self.obj[var.0]
     }
 
     /// Whether the objective is maximized.

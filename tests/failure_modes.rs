@@ -283,6 +283,66 @@ fn cancellation_mid_solve_stops_promptly() {
     }
 }
 
+/// The grace pass that runs after the main budget is spent must still
+/// honour the caller's cancel token. Adversarial register-pressure case
+/// 16 of generator seed 11 (`max_live` 1, 8 ops) exhausts a 5,000-tick
+/// cap quickly and then spends tens of seconds in the 200,000-tick IMS
+/// grace pass; cancelling during that pass must end the solve at once.
+#[test]
+fn cancellation_reaches_the_grace_pass() {
+    use swp::core::Engine;
+    use swp::fuzz::{gen_cases, GenConfig, MachineFamily};
+    const CAP: u64 = 5_000;
+    let config = GenConfig {
+        seed: 11,
+        family: MachineFamily::RegPressure,
+        ..GenConfig::default()
+    };
+    let case = gen_cases(&config, 17).remove(16);
+    assert!(!case.guaranteed && case.max_live == Some(1));
+    let scheduler = RateOptimalScheduler::new(
+        case.machine,
+        SchedulerConfig {
+            time_limit_per_t: None,
+            max_t_above_lb: 16,
+            engine: Engine::Ilp,
+            max_live: case.max_live,
+            ..SchedulerConfig::default()
+        },
+    );
+    let budget = Budget::unlimited().fork_isolated().limit_ticks(CAP);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let solve_budget = budget.clone();
+    let solver = std::thread::spawn(move || {
+        let _ = tx.send(scheduler.schedule_with(&case.ddg, &solve_budget));
+    });
+    // Wait until the main budget is spent, then a little longer so the
+    // driver is inside the grace pass rather than its own exit check
+    // (a cancel that lands there ends in `Cancelled` too, so this wait
+    // affects only whether the test exercises the grace pass, never
+    // whether it passes on a correct driver).
+    let started = Instant::now();
+    while budget.ticks_used() < CAP {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "main budget never ran out"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        rx.try_recv().is_err(),
+        "the case no longer reaches a long grace pass"
+    );
+    budget.cancel_token().cancel();
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(Err(ScheduleError::Cancelled)) => {}
+        Ok(other) => panic!("expected Cancelled, got {other:?}"),
+        Err(_) => panic!("the grace pass ignored the cancel token"),
+    }
+    solver.join().expect("solver thread");
+}
+
 /// Every injected fault must degrade to a verified schedule or a typed
 /// error — never a panic, never an unverified schedule.
 #[test]
