@@ -1,51 +1,18 @@
-//! Ablations of the design choices DESIGN.md calls out: symmetry
-//! breaking, the heuristic incumbent, and capacity-only vs. unified
-//! coloring formulations.
+//! Ablations of the design choices DESIGN.md calls out: the heuristic
+//! incumbent, and capacity-only vs. unified coloring formulations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use swp_core::{MappingMode, RateOptimalScheduler, SchedulerConfig};
 use swp_loops::kernels;
 use swp_machine::Machine;
 
-fn cfg(mapping: MappingMode, symmetry: bool, incumbent: bool) -> SchedulerConfig {
+fn cfg(mapping: MappingMode, incumbent: bool) -> SchedulerConfig {
     SchedulerConfig {
         mapping,
-        symmetry_breaking: symmetry,
         heuristic_incumbent: incumbent,
         time_limit_per_t: Some(std::time::Duration::from_secs(10)),
         ..Default::default()
     }
-}
-
-/// The packing-bound ablation runs on a kernel whose counting T_lb is a
-/// pigeonhole-infeasible period: with the bound the driver rejects it
-/// instantly; without, branch-and-bound must refute it.
-fn bench_packing_bound(c: &mut Criterion) {
-    let machine = Machine::example_pldi95();
-    let ddg = kernels::all(&machine, swp_loops::ClassConvention::example())
-        .into_iter()
-        .find(|k| k.name == "stencil3")
-        .expect("kernel exists")
-        .ddg;
-    let mut group = c.benchmark_group("ablation_packing_bound_stencil3");
-    group.sample_size(10);
-    for (name, packing) in [("with-packing", true), ("without-packing", false)] {
-        let config = SchedulerConfig {
-            packing_bound: packing,
-            heuristic_incumbent: true,
-            // Without the packing bound, refuting the pigeonhole period
-            // T = 5 exceeds any sane budget; the 2 s cap makes the cost
-            // visible (time out, then certify T = 6) without stalling
-            // the bench.
-            time_limit_per_t: Some(std::time::Duration::from_secs(2)),
-            ..Default::default()
-        };
-        group.bench_function(name, |b| {
-            let s = RateOptimalScheduler::new(machine.clone(), config.clone());
-            b.iter(|| s.schedule(std::hint::black_box(&ddg)).expect("feasible"));
-        });
-    }
-    group.finish();
 }
 
 fn bench_ablations(c: &mut Criterion) {
@@ -54,24 +21,10 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations_motivating_example");
     group.sample_size(10);
 
-    let variants: [(&str, SchedulerConfig); 5] = [
-        (
-            "unified+symmetry",
-            cfg(MappingMode::UnifiedColoring, true, false),
-        ),
-        (
-            "unified-no-symmetry",
-            cfg(MappingMode::UnifiedColoring, false, false),
-        ),
-        (
-            "unified+incumbent",
-            cfg(MappingMode::UnifiedColoring, true, true),
-        ),
-        ("capacity-only", cfg(MappingMode::CapacityOnly, true, false)),
-        (
-            "capacity-no-symmetry",
-            cfg(MappingMode::CapacityOnly, false, false),
-        ),
+    let variants: [(&str, SchedulerConfig); 3] = [
+        ("unified", cfg(MappingMode::UnifiedColoring, false)),
+        ("unified+incumbent", cfg(MappingMode::UnifiedColoring, true)),
+        ("capacity-only", cfg(MappingMode::CapacityOnly, false)),
     ];
     for (name, config) in variants {
         group.bench_function(name, |b| {
@@ -82,5 +35,5 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ablations, bench_packing_bound);
+criterion_group!(benches, bench_ablations);
 criterion_main!(benches);

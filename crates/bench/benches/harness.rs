@@ -4,10 +4,11 @@
 //! The solves are tick-capped (no wall-clock deadlines) so each
 //! iteration does the same amount of work regardless of machine speed;
 //! the measured difference between worker counts is then the sharding
-//! overhead and the realized parallelism of the work-stealing pool.
+//! overhead and the realized parallelism of the pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swp_harness::{Harness, HarnessConfig, NullSink, SuiteRunConfig};
+use swp_core::SchedulerConfig;
+use swp_harness::{Harness, HarnessConfig, NullSink};
 use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
@@ -16,11 +17,10 @@ fn bench_workers(c: &mut Criterion) {
         num_loops: 128,
         ..SuiteConfig::pldi95_default()
     });
-    let solve = SuiteRunConfig {
-        num_loops: corpus.len(),
+    let solve = SchedulerConfig {
         time_limit_per_t: None,
-        per_loop_ticks: Some(20_000),
-        ..Default::default()
+        max_t_above_lb: 8,
+        ..SchedulerConfig::default()
     };
     let mut group = c.benchmark_group("harness_corpus_128");
     group.sample_size(10);
@@ -33,6 +33,7 @@ fn bench_workers(c: &mut Criterion) {
             solve.clone(),
             HarnessConfig {
                 workers,
+                per_loop_ticks: Some(20_000),
                 ..HarnessConfig::default()
             },
         );

@@ -8,16 +8,9 @@
 //!   machine-wide drift (thermal throttling, background load) hits each
 //!   arm equally, and keeping the per-arm minimum filters scheduler
 //!   noise without biasing the comparison.
-//! * **Batched per-query micro timing** — a query batch amortizes the
-//!   `Instant` overhead; the minimum over repetitions is reported.
-//! * **Byte-level outcome comparison** — A/B record lines are compared
-//!   verbatim after stripping only the fields that legitimately differ
-//!   (config fingerprints, wall-clock timings).
 //!
 //! This module is that discipline, factored once; the binaries keep
 //! their own constants, arm definitions, and artifact schemas.
-
-use std::time::Instant;
 
 /// Runs `arms` measurement arms for `reps` interleaved repetitions and
 /// returns one folded result per arm, in arm order.
@@ -49,63 +42,6 @@ pub fn interleave_min<T>(
     best.into_iter().map(|b| b.expect("reps > 0")).collect()
 }
 
-/// Minimum-of-`reps` per-query nanoseconds for `f` over a `batch` of
-/// queries.
-///
-/// `f` takes the query index (already passed through
-/// [`std::hint::black_box`]) and returns a boolean whose sum is
-/// black-boxed too, so the compiler can neither hoist the query nor
-/// discard its result.
-pub fn time_per_query(batch: u32, reps: usize, mut f: impl FnMut(u32) -> bool) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        let mut hits = 0u32;
-        for q in 0..batch {
-            hits += u32::from(f(std::hint::black_box(q)));
-        }
-        std::hint::black_box(hits);
-        let ns = started.elapsed().as_nanos() as f64 / f64::from(batch);
-        best = best.min(ns);
-    }
-    best
-}
-
-/// Removes one `"key":value` member (and an adjoining comma) from a
-/// flat JSON line. Values must not contain `,` or `}` (fingerprint hex
-/// strings and integers both qualify).
-pub fn drop_field(line: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let Some(at) = line.find(&needle) else {
-        return line.to_string();
-    };
-    let val_end = line[at..].find([',', '}']).map_or(line.len(), |e| at + e);
-    if line[val_end..].starts_with(',') {
-        format!("{}{}", &line[..at], &line[val_end + 1..])
-    } else {
-        let prefix = line[..at].strip_suffix(',').unwrap_or(&line[..at]);
-        format!("{prefix}{}", &line[val_end..])
-    }
-}
-
-/// Strips every named field from every line — the prelude to a
-/// byte-for-byte A/B outcome comparison. The stripped fields are the
-/// ones that legitimately differ between arms (config fingerprints that
-/// encode the arm itself, wall-clock timings); everything else,
-/// including deterministic effort counters, must match exactly.
-pub fn strip_fields(lines: &[String], keys: &[&str]) -> Vec<String> {
-    lines
-        .iter()
-        .map(|l| {
-            let mut l = l.clone();
-            for key in keys {
-                l = drop_field(&l, key);
-            }
-            l
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,26 +66,5 @@ mod tests {
         );
         assert_eq!(trace, [0, 1, 0, 1, 0, 1]);
         assert_eq!(best, [100 - 5, 100 + 2]);
-    }
-
-    #[test]
-    fn drop_field_handles_every_position() {
-        let line = r#"{"a":1,"b":"0xff","c":2}"#;
-        assert_eq!(drop_field(line, "a"), r#"{"b":"0xff","c":2}"#);
-        assert_eq!(drop_field(line, "b"), r#"{"a":1,"c":2}"#);
-        assert_eq!(drop_field(line, "c"), r#"{"a":1,"b":"0xff"}"#);
-        assert_eq!(drop_field(line, "missing"), line);
-    }
-
-    #[test]
-    fn strip_fields_removes_each_key() {
-        let lines = vec![r#"{"a":1,"b":2,"c":3}"#.to_string()];
-        assert_eq!(strip_fields(&lines, &["a", "c"]), [r#"{"b":2}"#]);
-    }
-
-    #[test]
-    fn time_per_query_is_finite_and_positive() {
-        let ns = time_per_query(64, 2, |q| q % 2 == 0);
-        assert!(ns.is_finite() && ns >= 0.0);
     }
 }

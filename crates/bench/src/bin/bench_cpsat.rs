@@ -17,8 +17,8 @@
 
 use std::process::ExitCode;
 use swp_bench::ab;
-use swp_core::Engine;
-use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink, SuiteRunConfig};
+use swp_core::{Engine, SchedulerConfig};
+use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
 
@@ -35,18 +35,16 @@ struct EngineRun {
 fn run_engine(machine: &Machine, loops: &[GeneratedLoop], engine: Engine, ticks: u64) -> EngineRun {
     let harness = Harness::new(
         machine.clone(),
-        SuiteRunConfig {
-            num_loops: loops.len(),
+        SchedulerConfig {
             time_limit_per_t: None,
-            per_loop_ticks: Some(ticks),
             max_t_above_lb: 8,
             heuristic_incumbent: false,
             engine,
-            warm: true,
-            max_live: None,
+            ..SchedulerConfig::default()
         },
         HarnessConfig {
             workers: 1,
+            per_loop_ticks: Some(ticks),
             record_timing: true,
             ..HarnessConfig::default()
         },

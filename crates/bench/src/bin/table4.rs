@@ -19,8 +19,9 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use swp_bench::{parse_engine, render_table, SuiteOutcome, SuiteRunConfig};
-use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink};
+use swp_bench::{parse_engine, render_table};
+use swp_core::SchedulerConfig;
+use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome};
 use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
@@ -58,12 +59,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let run = SuiteRunConfig {
-        num_loops,
+    let run = SchedulerConfig {
         time_limit_per_t: Some(Duration::from_secs(secs)),
+        max_t_above_lb: 8,
         engine,
-        warm: !flags.has("cold"),
-        ..Default::default()
+        warm_sweep: !flags.has("cold"),
+        ..SchedulerConfig::default()
     };
     let config = HarnessConfig {
         workers,

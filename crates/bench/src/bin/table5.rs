@@ -14,9 +14,9 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use swp_bench::{parse_engine, render_table, SuiteOutcome, SuiteRunConfig};
-use swp_core::SolvedBy;
-use swp_harness::{Flags, Harness, HarnessConfig, NullSink};
+use swp_bench::{parse_engine, render_table};
+use swp_core::{SchedulerConfig, SolvedBy};
+use swp_harness::{Flags, Harness, HarnessConfig, NullSink, SuiteOutcome};
 use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
@@ -51,13 +51,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let run = SuiteRunConfig {
-        num_loops,
+    let run = SchedulerConfig {
         time_limit_per_t: Some(Duration::from_secs(secs)),
+        max_t_above_lb: 8,
         heuristic_incumbent: false,
         engine,
-        warm: !flags.has("cold"),
-        ..Default::default()
+        warm_sweep: !flags.has("cold"),
+        ..SchedulerConfig::default()
     };
     let config = HarnessConfig {
         workers,

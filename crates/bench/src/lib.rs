@@ -16,7 +16,7 @@ pub mod suite_run;
 pub mod tables;
 
 pub use gantt::{flat_gantt, kernel_gantt};
-pub use suite_run::{run_suite, LoopRecord, SuiteOutcome, SuiteRunConfig};
+pub use suite_run::run_suite;
 pub use tables::render_table;
 
 /// Parses the shared `--engine ilp|cp|portfolio` harness flag (default

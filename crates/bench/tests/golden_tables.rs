@@ -13,22 +13,32 @@
 //! `GOLDEN_PRINT=1 cargo test -p swp-bench --test golden_tables -- --nocapture`
 //! and paste the printed block over the stale constant.
 
-use swp_bench::suite_run::{run_suite, SuiteOutcome, SuiteRunConfig};
-use swp_harness::LoopRecord;
+use swp_bench::run_suite;
+use swp_core::SchedulerConfig;
+use swp_harness::{LoopRecord, SuiteOutcome};
 use swp_loops::suite::SuiteConfig;
 use swp_machine::Machine;
 
-fn deterministic(num_loops: usize, heuristic_incumbent: bool) -> SuiteRunConfig {
-    SuiteRunConfig {
-        num_loops,
+/// Per-loop tick cap: small enough that a budget-bound loop stays cheap
+/// in debug builds, big enough that most prefix loops solve to proven
+/// optimality; budget-exhausted outcomes are pinned like any other
+/// (ticks are deterministic, wall clock is not consulted).
+const TICKS: Option<u64> = Some(60_000);
+
+fn deterministic(heuristic_incumbent: bool) -> SchedulerConfig {
+    SchedulerConfig {
         time_limit_per_t: None,
-        // Small enough that a budget-bound loop stays cheap in debug
-        // builds, big enough that most prefix loops solve to proven
-        // optimality; budget-exhausted outcomes are pinned like any
-        // other (ticks are deterministic, wall clock is not consulted).
-        per_loop_ticks: Some(60_000),
+        max_t_above_lb: 8,
         heuristic_incumbent,
-        ..Default::default()
+        ..SchedulerConfig::default()
+    }
+}
+
+/// The first `num_loops` loops of `corpus`.
+fn prefix(num_loops: usize, corpus: SuiteConfig) -> SuiteConfig {
+    SuiteConfig {
+        num_loops,
+        ..corpus
     }
 }
 
@@ -92,8 +102,9 @@ loop0015 nodes=4 t_lb=2 period=2 scheduled by=Heuristic proven=true
 fn table4_corpus_prefix_is_pinned() {
     let records = run_suite(
         &Machine::example_pldi95(),
-        &SuiteConfig::pldi95_default(),
-        &deterministic(16, true),
+        &prefix(16, SuiteConfig::pldi95_default()),
+        &deterministic(true),
+        TICKS,
     );
     check("table4", GOLDEN_TABLE4, &records);
 }
@@ -123,8 +134,9 @@ loop0015 nodes=4 t_lb=2 period=2 scheduled by=Ilp proven=true
 fn table5_corpus_prefix_is_pinned() {
     let records = run_suite(
         &Machine::example_pldi95(),
-        &SuiteConfig::pldi95_default(),
-        &deterministic(16, false),
+        &prefix(16, SuiteConfig::pldi95_default()),
+        &deterministic(false),
+        TICKS,
     );
     check("table5", GOLDEN_TABLE5, &records);
 }
@@ -145,8 +157,9 @@ loop0007 nodes=14 t_lb=14 period=14 scheduled by=Heuristic proven=true
 fn ppc604_corpus_prefix_is_pinned() {
     let records = run_suite(
         &Machine::ppc604(),
-        &SuiteConfig::ppc604(),
-        &deterministic(8, true),
+        &prefix(8, SuiteConfig::ppc604()),
+        &deterministic(true),
+        TICKS,
     );
     check("ppc604", GOLDEN_PPC604, &records);
 }
@@ -158,13 +171,15 @@ fn table4_and_table5_agree_on_proven_periods() {
     // changes *how* the optimum is found.
     let a = run_suite(
         &Machine::example_pldi95(),
-        &SuiteConfig::pldi95_default(),
-        &deterministic(12, true),
+        &prefix(12, SuiteConfig::pldi95_default()),
+        &deterministic(true),
+        TICKS,
     );
     let b = run_suite(
         &Machine::example_pldi95(),
-        &SuiteConfig::pldi95_default(),
-        &deterministic(12, false),
+        &prefix(12, SuiteConfig::pldi95_default()),
+        &deterministic(false),
+        TICKS,
     );
     for (x, y) in a.iter().zip(&b) {
         if x.proven && y.proven {

@@ -72,12 +72,6 @@ pub struct FormulationOptions {
     pub mapping: MappingMode,
     /// Objective on top of feasibility.
     pub objective: Objective,
-    /// Pin node 0's offset and each class's first color (safe: rotation
-    /// and color permutation preserve feasibility).
-    pub symmetry_breaking: bool,
-    /// Reject periods where a class provably cannot pack onto its units
-    /// (`ReservationTable::max_ops_per_period`); ablatable.
-    pub packing_bound: bool,
     /// Emit the paper-literal formulation with *explicit* stage-usage
     /// variables `U_s[t, i]` defined by eq. (25) and capacity rows over
     /// them (eq. (5)), instead of inlining the `a`-sums. Mathematically
@@ -91,14 +85,12 @@ pub struct FormulationOptions {
 }
 
 impl FormulationOptions {
-    /// The defaults the scheduler uses: unified coloring, feasibility
-    /// objective, symmetry breaking and the packing pre-check on.
+    /// The defaults the scheduler uses: unified coloring and the
+    /// feasibility objective.
     pub fn standard() -> Self {
         FormulationOptions {
             mapping: MappingMode::UnifiedColoring,
             objective: Objective::Feasible,
-            symmetry_breaking: true,
-            packing_bound: true,
             explicit_usage: false,
             max_live: None,
         }
@@ -171,8 +163,6 @@ pub fn build_with(
     let FormulationOptions {
         mapping,
         objective,
-        symmetry_breaking,
-        packing_bound,
         explicit_usage,
         max_live,
     } = options;
@@ -276,7 +266,7 @@ pub fn build_with(
                 return Err(ScheduleError::PeriodInfeasible { period });
             }
             // Packing pre-check: pigeonhole facts the LP cannot see.
-            if packing_bound && (members.len() as u32) > fu.count * rt.max_ops_per_period(period) {
+            if (members.len() as u32) > fu.count * rt.max_ops_per_period(period) {
                 return Err(ScheduleError::PeriodInfeasible { period });
             }
         }
@@ -334,22 +324,20 @@ pub fn build_with(
     // group's classes. Offset-based, so mapping mode is irrelevant.
     if let Some(bundle) = machine.bundle() {
         bail()?;
-        if packing_bound {
-            // Root pigeonholes, mirrored verbatim by the CP backend.
-            // `Machine::bundle_bound` folds them into T_res, but the
-            // formulation can be probed below T_res directly.
-            if n as u64 > u64::from(bundle.width) * u64::from(period) {
+        // Root pigeonholes, mirrored verbatim by the CP backend.
+        // `Machine::bundle_bound` folds them into T_res, but the
+        // formulation can be probed below T_res directly.
+        if n as u64 > u64::from(bundle.width) * u64::from(period) {
+            return Err(ScheduleError::PeriodInfeasible { period });
+        }
+        for g in &bundle.groups {
+            let members: u64 = g
+                .classes
+                .iter()
+                .map(|&c| ddg.nodes_of_class(OpClass::new(c)).len() as u64)
+                .sum();
+            if members > u64::from(g.cap) * u64::from(period) {
                 return Err(ScheduleError::PeriodInfeasible { period });
-            }
-            for g in &bundle.groups {
-                let members: u64 = g
-                    .classes
-                    .iter()
-                    .map(|&c| ddg.nodes_of_class(OpClass::new(c)).len() as u64)
-                    .sum();
-                if members > u64::from(g.cap) * u64::from(period) {
-                    return Err(ScheduleError::PeriodInfeasible { period });
-                }
             }
         }
         for rho in 0..period as usize {
@@ -456,12 +444,10 @@ pub fn build_with(
                 let c = model.add_var(VarKind::Integer, 1.0, r, format!("c[{}]", id.index()));
                 color[id.index()] = Some(c);
             }
-            if symmetry_breaking {
-                // Colors are interchangeable: pin the first member to 1.
-                if let Some(&first) = members.first() {
-                    if let Some(c) = color[first.index()] {
-                        model.set_upper_bound(c, 1.0);
-                    }
+            // Colors are interchangeable: pin the first member to 1.
+            if let Some(&first) = members.first() {
+                if let Some(c) = color[first.index()] {
+                    model.set_upper_bound(c, 1.0);
                 }
             }
             if objective == Objective::MinUnits {
@@ -532,11 +518,9 @@ pub fn build_with(
     // Any periodic schedule can be rotated so an arbitrary instruction
     // issues at pattern step 0 (adding one period to every start keeps
     // all constraints), so this prunes a factor-T symmetry safely.
-    if symmetry_breaking && n > 0 {
-        for (t, &v) in a[0].iter().enumerate() {
-            if t > 0 {
-                model.set_upper_bound(v, 0.0);
-            }
+    if let Some(row) = a.first() {
+        for &v in &row[1..] {
+            model.set_upper_bound(v, 0.0);
         }
     }
 

@@ -134,11 +134,6 @@ pub struct SchedulerConfig {
     pub time_limit_total: Option<Duration>,
     /// Give up after `T_lb + max_t_above_lb` (default 16).
     pub max_t_above_lb: u32,
-    /// Prune rotation and color-permutation symmetry (default on).
-    pub symmetry_breaking: bool,
-    /// Use the exact class-packing capacity to refine `T_res` and reject
-    /// impossible periods before solving (default on; ablatable).
-    pub packing_bound: bool,
     /// Try iterative modulo scheduling at each candidate period before
     /// the ILP (default on). A heuristic schedule at `T` is a feasibility
     /// certificate, so rate-optimality is unaffected: every smaller
@@ -175,8 +170,6 @@ impl Default for SchedulerConfig {
             time_limit_per_t: Some(Duration::from_secs(10)),
             time_limit_total: None,
             max_t_above_lb: 16,
-            symmetry_breaking: true,
-            packing_bound: true,
             heuristic_incumbent: true,
             engine: Engine::default(),
             warm_sweep: true,
@@ -226,7 +219,7 @@ pub enum PeriodOutcome {
     Infeasible,
     /// Rejected before solving (modulo constraint / self-loop test).
     RejectedAtBuild,
-    /// The time, node, or tick budget ran out undecided.
+    /// The time or tick budget ran out undecided.
     TimedOut,
     /// The ILP failed numerically at this period (simplex stall); the
     /// period stays undecided unless the heuristic certifies it.
@@ -692,14 +685,13 @@ impl RateOptimalScheduler {
             panic!("injected fault: panic_in_solver");
         }
         let t_dep = ddg.t_dep().ok_or(ScheduleError::NoFinitePeriod)?;
-        let t_res = match (self.config.mapping, self.config.packing_bound) {
-            // Fixed-assignment problem: counting bound, optionally
-            // strengthened by the exact packing capacity.
-            (MappingMode::UnifiedColoring, true) => self.machine.t_res(ddg),
-            (MappingMode::UnifiedColoring, false) => self.machine.t_res_counting(ddg),
+        let t_res = match self.config.mapping {
+            // Fixed-assignment problem: the counting bound strengthened
+            // by the exact packing capacity.
+            MappingMode::UnifiedColoring => self.machine.t_res(ddg),
             // Run-time unit choice: instances may rotate across units, so
             // only pure stage-demand counting is a valid bound.
-            (MappingMode::CapacityOnly, _) => self.machine.t_res_capacity(ddg),
+            MappingMode::CapacityOnly => self.machine.t_res_capacity(ddg),
         }
         .map_err(|e| match e {
             swp_machine::MachineError::UnknownClass(c) => ScheduleError::UnknownClass(c),
@@ -994,8 +986,6 @@ impl RateOptimalScheduler {
             FormulationOptions {
                 mapping: self.config.mapping,
                 objective: self.config.objective,
-                symmetry_breaking: self.config.symmetry_breaking,
-                packing_bound: self.config.packing_bound,
                 max_live: self.config.max_live,
                 ..FormulationOptions::standard()
             },
@@ -1008,8 +998,8 @@ impl RateOptimalScheduler {
             Err(ScheduleError::Cancelled) => return (ExactVerdict::Cancelled, Effort::default()),
             Err(e) => return (ExactVerdict::Error(e), Effort::default()),
         };
+        // `period_budget` already carries the per-period deadline.
         let mut limits = SolveLimits {
-            time_limit: self.config.time_limit_per_t,
             budget: period_budget.clone(),
             ..SolveLimits::default()
         };
@@ -1071,9 +1061,8 @@ impl RateOptimalScheduler {
         warm: Option<&mut WarmState>,
     ) -> (ExactVerdict, Effort) {
         let opts = CpOptions {
-            symmetry_breaking: self.config.symmetry_breaking,
-            packing_bound: self.config.packing_bound,
             max_live: self.config.max_live,
+            ..CpOptions::default()
         };
         // A cold solve learns into a throwaway store.
         let mut scratch = swp_cpsat::NoGoodStore::default();

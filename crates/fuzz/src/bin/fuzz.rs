@@ -11,7 +11,7 @@
 //!     [--incremental [--edits 4]]
 //! ```
 //!
-//! Cases are sharded over the `swp-harness` work-stealing executor and
+//! Cases are sharded over the `swp-harness` thread-pool executor and
 //! reported in campaign order, so the JSONL artifact for a completed
 //! same-seed run is byte-identical at any worker count. `--budget-ms`
 //! is a wall-clock stop for CI smoke runs: cases not started before the

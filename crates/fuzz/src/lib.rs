@@ -27,7 +27,7 @@
 //!   same-seed campaigns byte-identical.
 //!
 //! The `fuzz` binary shards a campaign over the `swp-harness`
-//! work-stealing executor (`--seed --cases --workers --budget-ms
+//! thread-pool executor (`--seed --cases --workers --budget-ms
 //! --shrink`); see `TESTING.md` at the repo root for the full test
 //! taxonomy this crate slots into.
 

@@ -126,15 +126,6 @@ impl ResultCache {
     pub fn loaded_lines(&self) -> usize {
         self.loaded_lines
     }
-
-    /// All cached records in corpus-index order — the rebuild path:
-    /// table bins can reconstruct their buckets from the artifact alone,
-    /// without re-solving anything.
-    pub fn records_in_corpus_order(&self) -> Vec<&LoopRecord> {
-        let mut v: Vec<&LoopRecord> = self.map.values().collect();
-        v.sort_by_key(|r| r.index);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn loads_lines_skips_corruption_and_reorders() {
+    fn loads_lines_and_skips_corruption() {
         let path = tmp("mixed.jsonl");
         let good0 = rec(0, 1).to_json_line();
         let good2 = rec(2, 1).to_json_line();
@@ -199,13 +190,9 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.skipped_lines(), 2);
         assert_eq!(c.loaded_lines(), 3);
-        let order: Vec<usize> = c
-            .records_in_corpus_order()
-            .iter()
-            .map(|r| r.index)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2]);
-        assert!(c.lookup(&rec(1, 1).key).is_some());
+        for i in 0..3 {
+            assert_eq!(c.lookup(&rec(i, 1).key).map(|r| r.index), Some(i));
+        }
         assert!(c.lookup(&rec(1, 999).key).is_none(), "config key mismatch");
     }
 

@@ -1,24 +1,18 @@
-//! A small hand-rolled work-stealing thread pool for corpus sharding.
+//! A small scoped thread pool for corpus sharding.
 //!
 //! The corpus is a fixed list of independent jobs known up front, so the
-//! pool is deliberately simple: every worker owns a deque seeded with a
-//! stripe of the job indices, pops its own work LIFO, and steals FIFO
-//! from a sibling when it runs dry. Because jobs never re-enter a deque,
-//! a worker that finds every deque empty can simply exit — no condition
-//! variables, no spinning.
-//!
-//! Striped seeding (`worker w` gets jobs `w, w+W, w+2W, …`) spreads the
-//! corpus's hard-loop tail across workers instead of handing one worker
-//! a contiguous block of expensive loops; stealing FIFO takes the
-//! *oldest* job of the victim's stripe, which is the one the victim
-//! would reach last.
+//! pool is deliberately simple: the workers share one atomic next-index
+//! counter and each claims the next unstarted job until the counter runs
+//! past the end. A worker that finishes a cheap job simply claims
+//! another, so one slow job never stalls the rest of the corpus — no
+//! per-worker queues, no stealing, no condition variables.
 //!
 //! Results are written into per-index slots, so the output order is the
 //! job-index order **regardless of completion order** — this is what
 //! makes a parallel corpus run's record sequence identical to the
 //! sequential one.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Runs `f` over the job indices `0..n` on `workers` threads and
@@ -35,49 +29,27 @@ where
     F: Fn(usize) -> Option<T> + Sync,
 {
     let workers = workers.clamp(1, n.max(1));
-    // Fast path: one worker needs no machinery at all (and keeps the
-    // sequential reference semantics trivially exact).
+    // Fast path: one worker needs no threads at all.
     if workers == 1 {
         return (0..n).map(&f).collect();
     }
 
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(idx) = take_job(deques, w) {
-                    let result = f(idx);
-                    *lock_clean(&slots[idx]) = result;
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
                 }
+                let result = f(idx);
+                *lock_clean(&slots[idx]) = result;
             });
         }
     });
 
     slots.into_iter().map(into_inner_clean).collect()
-}
-
-/// Pops the next job for worker `w`: own deque from the back (LIFO),
-/// then each sibling's from the front (FIFO steal). `None` means the
-/// whole pool is drained.
-fn take_job(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(job) = lock_clean(&deques[w]).pop_back() {
-        return Some(job);
-    }
-    let workers = deques.len();
-    for k in 1..workers {
-        let victim = (w + k) % workers;
-        if let Some(job) = lock_clean(&deques[victim]).pop_front() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Locks a mutex, tolerating poisoning: a panicked sibling worker must
@@ -99,7 +71,6 @@ fn into_inner_clean<T>(m: Mutex<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn computes_all_results_in_index_order() {
@@ -132,11 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_a_skewed_stripe() {
-        // Worker 0's stripe (0, 2, 4, …) is made artificially slow; the
-        // other worker must finish its own stripe and steal. We can't
-        // assert *who* ran what (that's scheduling), only that everything
-        // completes and the slow stripe doesn't deadlock the pool.
+    fn slow_jobs_do_not_stall_the_pool() {
+        // Every even job is made artificially slow; the other worker
+        // keeps claiming jobs meanwhile. We can't assert *who* ran what
+        // (that's scheduling), only that everything completes and the
+        // slow jobs don't deadlock the pool.
         let out = run_indexed(16, 2, |i| {
             if i % 2 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));

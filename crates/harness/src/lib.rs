@@ -5,15 +5,15 @@
 //! embarrassingly parallel at once: every loop is independent. This
 //! crate is the harness that exploits that:
 //!
-//! * [`executor`] — a hand-rolled work-stealing thread pool (per-worker
-//!   deques, no external dependencies) that shards the corpus and
+//! * [`executor`] — a small scoped thread pool (one shared next-job
+//!   counter, no external dependencies) that shards the corpus and
 //!   returns results **in corpus order**, so a parallel run is
 //!   indistinguishable from a sequential one;
 //! * [`run`] — the [`Harness`] orchestrator: an isolated budget per
 //!   loop (reusing the `swp-milp` budget and cancellation machinery),
 //!   cooperative Ctrl-C-style draining, and cache-first execution;
 //! * [`record`] / [`sink`] — the per-loop [`LoopRecord`] with its JSONL
-//!   schema, and streaming sinks that write each record to disk the
+//!   schema, the [`config_fingerprint`] that keys it, and streaming sinks that write each record to disk the
 //!   moment its loop finishes;
 //! * [`cache`] — the on-disk result cache: the JSONL artifact read back
 //!   keyed by `(DDG, machine, config)` fingerprints, so re-runs skip
@@ -46,7 +46,7 @@ pub mod telemetry;
 
 pub use cache::ResultCache;
 pub use cli::Flags;
-pub use record::{CacheKey, LoopRecord, RecordReuse, SuiteOutcome, SuiteRunConfig, SCHEMA_VERSION};
+pub use record::{config_fingerprint, CacheKey, LoopRecord, SuiteOutcome, SCHEMA_VERSION};
 pub use run::{Harness, HarnessConfig, HarnessError, RunReport};
 pub use sink::{JsonlSink, NullSink, RunSink, VecSink};
 pub use telemetry::RunSummary;

@@ -1,4 +1,4 @@
-//! Per-loop records, run configuration, and the JSONL artifact schema.
+//! Per-loop records, the solve-configuration fingerprint, and the JSONL artifact schema.
 //!
 //! One [`LoopRecord`] is produced per corpus loop and serialized as one
 //! JSON line (see [`LoopRecord::to_json_line`] for the schema). The
@@ -20,7 +20,8 @@
 use crate::json::{parse_object, ObjectWriter};
 use std::time::Duration;
 use swp_core::{
-    Engine, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy, SolverStats,
+    MappingMode, Objective, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy,
+    SolverStats,
 };
 use swp_ddg::Ddg;
 use swp_loops::fingerprint::{from_hex, to_hex, Fnv64};
@@ -30,151 +31,57 @@ use swp_machine::Machine;
 /// portfolio-race counters (`races`, `race_cp`, `race_ilp`); v3 added
 /// the warm-sweep reuse counters (`reuse_*`); v4 dropped the race
 /// counters when the portfolio became a staged CP-then-ILP solve, whose
-/// `ticks` and budget-limited periods differ from a v3 race's.
-pub const SCHEMA_VERSION: u64 = 4;
+/// `ticks` and budget-limited periods differ from a v3 race's; v5 keys
+/// records by [`config_fingerprint`] over the whole `SchedulerConfig`
+/// and adds `reuse_exports`.
+pub const SCHEMA_VERSION: u64 = 5;
 
-/// Configuration for a corpus run (the solve-side knobs; sharding and
-/// artifact knobs live in [`HarnessConfig`]).
+/// Stable fingerprint of a solve configuration: every
+/// [`SchedulerConfig`] field plus the per-loop tick cap the caller puts
+/// on each solve's budget (`None` for uncapped). A cached record is
+/// reusable exactly when this matches.
 ///
-/// [`HarnessConfig`]: crate::run::HarnessConfig
-#[derive(Debug, Clone)]
-pub struct SuiteRunConfig {
-    /// Number of loops (paper: 1066). Override with fewer for smoke runs.
-    pub num_loops: usize,
-    /// Per-period ILP wall-clock budget. `None` disables the per-period
-    /// deadline — combine with [`per_loop_ticks`](Self::per_loop_ticks)
-    /// for fully deterministic, machine-speed-independent runs.
-    pub time_limit_per_t: Option<Duration>,
-    /// Deterministic per-loop tick cap (simplex pivots + B&B nodes + IMS
-    /// placements all count). `None` leaves ticks uncapped.
-    pub per_loop_ticks: Option<u64>,
-    /// Stop at `T_lb + span`.
-    pub max_t_above_lb: u32,
-    /// Let iterative modulo scheduling certify feasible periods
-    /// (rate-optimality is unaffected; see `SchedulerConfig`).
-    pub heuristic_incumbent: bool,
-    /// Exact engine per candidate period: the unified ILP, the CP
-    /// backend, or a portfolio that runs CP and then the ILP on one
-    /// budget ([`Engine`]). All three are decision-equivalent on proven
-    /// outcomes; the fingerprint still distinguishes them so A/B records
-    /// never mix.
-    pub engine: Engine,
-    /// Warm-start each loop's `T`-sweep: carry the simplex basis, the
-    /// IMS schedule hint, and the CP no-good store from period `T` into
-    /// `T+1` (`SchedulerConfig::warm_sweep`). Decision-equivalent to a
-    /// cold sweep — warm facts are hints re-validated before use — but
-    /// fingerprinted anyway so warm-vs-cold A/B records never mix.
-    pub warm: bool,
-    /// Register-pressure cap (`SchedulerConfig::max_live`). Changes
-    /// which periods are feasible, so it is part of the fingerprint:
-    /// capped and uncapped sweeps never share cached records.
-    pub max_live: Option<u32>,
-}
-
-impl Default for SuiteRunConfig {
-    fn default() -> Self {
-        SuiteRunConfig {
-            num_loops: 1066,
-            time_limit_per_t: Some(Duration::from_secs(3)),
-            per_loop_ticks: None,
-            max_t_above_lb: 8,
-            heuristic_incumbent: true,
-            engine: Engine::default(),
-            warm: true,
-            max_live: None,
-        }
-    }
-}
-
-impl SuiteRunConfig {
-    /// The scheduler configuration these knobs solve under; the
-    /// per-loop tick cap goes on the budget instead. Solving with it is
-    /// what makes a record's fingerprint describe the solve.
-    pub fn scheduler_config(&self) -> SchedulerConfig {
-        SchedulerConfig {
-            time_limit_per_t: self.time_limit_per_t,
-            max_t_above_lb: self.max_t_above_lb,
-            heuristic_incumbent: self.heuristic_incumbent,
-            engine: self.engine,
-            warm_sweep: self.warm,
-            max_live: self.max_live,
-            ..SchedulerConfig::default()
-        }
-    }
-
-    /// Stable fingerprint of every field that can change a loop's
-    /// *outcome*. `num_loops` is deliberately excluded: a longer run
-    /// over the same corpus prefix must be able to reuse cached records.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(SCHEMA_VERSION);
-        h.write_u64(match self.time_limit_per_t {
-            Some(d) => d.as_millis() as u64,
-            None => u64::MAX,
-        });
-        h.write_u64(self.per_loop_ticks.unwrap_or(u64::MAX));
-        h.write_u64(u64::from(self.max_t_above_lb));
-        h.write_u64(u64::from(self.heuristic_incumbent));
-        h.write_u64(match self.engine {
-            Engine::Ilp => 0,
-            Engine::Cp => 1,
-            Engine::Portfolio => 2,
-        });
-        h.write_u64(u64::from(self.warm));
-        h.write_u64(self.max_live.map_or(u64::MAX, u64::from));
-        h.finish()
-    }
-}
-
-/// Warm-sweep reuse telemetry carried on each record (schema v3): what
-/// the warm-started `T`-sweep actually reused while solving this loop.
-/// All zeros under a cold configuration ([`SuiteRunConfig::warm`]
-/// off); `replays` and `cone_nodes` are only filled by callers that
-/// host incremental sessions (the daemon), never by the corpus sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecordReuse {
-    /// Root LPs crash-started from the previous period's simplex basis.
-    pub basis_hits: u64,
-    /// CP no-good clauses replayed from the carried store.
-    pub nogood_replays: u64,
-    /// IMS probes settled by validating the carried schedule hint.
-    pub ims_hint_hits: u64,
-    /// Sweep periods skipped on carried (proven) refutations.
-    pub periods_skipped: u64,
-    /// Whole solves answered by replaying a cached session result.
-    pub replays: u64,
-    /// Total size of dependency cones invalidated by session edits.
-    pub cone_nodes: u64,
-}
-
-impl RecordReuse {
-    /// Whether any reuse happened at all.
-    pub fn any(&self) -> bool {
-        *self != RecordReuse::default()
-    }
-
-    /// Adds `other`'s counters into `self` (all fields are additive).
-    pub fn absorb(&mut self, other: &RecordReuse) {
-        self.basis_hits += other.basis_hits;
-        self.nogood_replays += other.nogood_replays;
-        self.ims_hint_hits += other.ims_hint_hits;
-        self.periods_skipped += other.periods_skipped;
-        self.replays += other.replays;
-        self.cone_nodes += other.cone_nodes;
-    }
-}
-
-impl From<&ReuseStats> for RecordReuse {
-    fn from(r: &ReuseStats) -> RecordReuse {
-        RecordReuse {
-            basis_hits: r.basis_hits,
-            nogood_replays: r.nogood_replays,
-            ims_hint_hits: r.ims_hint_hits,
-            periods_skipped: r.periods_skipped,
-            replays: r.replays,
-            cone_nodes: r.cone_nodes,
-        }
-    }
+/// The destructuring names every field, so a field added to
+/// `SchedulerConfig` fails to compile here until it is hashed or
+/// skipped with a reason. The corpus size is no part of it: a longer
+/// run over the same corpus prefix reuses cached records.
+pub fn config_fingerprint(config: &SchedulerConfig, per_loop_ticks: Option<u64>) -> u64 {
+    let SchedulerConfig {
+        mapping,
+        objective,
+        time_limit_per_t,
+        time_limit_total,
+        max_t_above_lb,
+        heuristic_incumbent,
+        engine,
+        warm_sweep,
+        max_live,
+        // Test-only: the daemon sends fault-injected requests past its
+        // cache, and no harness caller sets faults.
+        faults: _,
+    } = config;
+    let millis = |d: &Option<Duration>| d.map_or(u64::MAX, |d| d.as_millis() as u64);
+    let mut h = Fnv64::new();
+    h.write_u64(SCHEMA_VERSION);
+    h.write_u64(match mapping {
+        MappingMode::CapacityOnly => 0,
+        MappingMode::UnifiedColoring => 1,
+    });
+    h.write_u64(match objective {
+        Objective::Feasible => 0,
+        Objective::MinStartTimes => 1,
+        Objective::MinUnits => 2,
+        Objective::MinBuffers => 3,
+    });
+    h.write_u64(millis(time_limit_per_t));
+    h.write_u64(millis(time_limit_total));
+    h.write_u64(u64::from(*max_t_above_lb));
+    h.write_u64(u64::from(*heuristic_incumbent));
+    h.write_str(engine.name());
+    h.write_u64(u64::from(*warm_sweep));
+    h.write_u64(max_live.map_or(u64::MAX, u64::from));
+    h.write_u64(per_loop_ticks.unwrap_or(u64::MAX));
+    h.finish()
 }
 
 /// The cache key: a record is reusable iff the loop, the machine, and
@@ -185,7 +92,7 @@ pub struct CacheKey {
     pub ddg: u64,
     /// [`swp_loops::fingerprint::machine_fingerprint`] of the target.
     pub machine: u64,
-    /// [`SuiteRunConfig::fingerprint`] of the solve configuration.
+    /// [`config_fingerprint`] of the solve configuration.
     pub config: u64,
 }
 
@@ -238,8 +145,10 @@ pub struct LoopRecord {
     pub periods_attempted: u32,
     /// Whether any attempted period timed out undecided.
     pub any_timeout: bool,
-    /// Warm-sweep reuse counters (all zeros under a cold config).
-    pub reuse: RecordReuse,
+    /// Warm-sweep reuse counters (all zeros under a cold config;
+    /// `replays` and `cone_nodes` are only filled by callers that host
+    /// incremental sessions, never by the corpus sweep).
+    pub reuse: ReuseStats,
     /// Per-loop on-thread solve time (see the module docs; zeroed when
     /// the harness runs with timing recording off).
     pub solve_time: Duration,
@@ -303,7 +212,7 @@ impl LoopRecord {
             ticks,
             periods_attempted: stats.periods_attempted,
             any_timeout: stats.any_timeout(),
-            reuse: RecordReuse::from(reuse),
+            reuse: *reuse,
             solve_time,
             cached: false,
         })
@@ -314,13 +223,13 @@ impl LoopRecord {
     /// Schema (`v` = [`SCHEMA_VERSION`]):
     ///
     /// ```json
-    /// {"v":4,"idx":7,"name":"loop0007","nodes":9,
+    /// {"v":5,"idx":7,"name":"loop0007","nodes":9,
     ///  "ddg_fp":"9f…16 hex…","mach_fp":"…","cfg_fp":"…",
     ///  "t_lb":4,"t_lb_counting":4,"status":"scheduled",
     ///  "period":4,"slack":0,"solved_by":"heuristic","proven":true,
     ///  "bb_nodes":0,"lp_iters":0,"ticks":151,"periods":1,
     ///  "timeout":false,
-    ///  "reuse_basis":0,"reuse_nogoods":0,"reuse_hints":1,
+    ///  "reuse_basis":0,"reuse_exports":0,"reuse_nogoods":0,"reuse_hints":1,
     ///  "reuse_skips":0,"reuse_replays":0,"reuse_cone":0,
     ///  "solve_us":423}
     /// ```
@@ -359,6 +268,7 @@ impl LoopRecord {
             .u64("periods", u64::from(self.periods_attempted))
             .bool("timeout", self.any_timeout)
             .u64("reuse_basis", self.reuse.basis_hits)
+            .u64("reuse_exports", self.reuse.basis_exports)
             .u64("reuse_nogoods", self.reuse.nogood_replays)
             .u64("reuse_hints", self.reuse.ims_hint_hits)
             .u64("reuse_skips", self.reuse.periods_skipped)
@@ -433,8 +343,9 @@ impl LoopRecord {
             ticks: num("ticks")?,
             periods_attempted: num("periods")? as u32,
             any_timeout: flag("timeout")?,
-            reuse: RecordReuse {
+            reuse: ReuseStats {
                 basis_hits: num("reuse_basis")?,
+                basis_exports: num("reuse_exports")?,
                 nogood_replays: num("reuse_nogoods")?,
                 ims_hint_hits: num("reuse_hints")?,
                 periods_skipped: num("reuse_skips")?,
@@ -450,6 +361,7 @@ impl LoopRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swp_core::{Engine, FaultPlan};
 
     fn sample(scheduled: bool) -> LoopRecord {
         LoopRecord {
@@ -478,8 +390,9 @@ mod tests {
             ticks: 151,
             periods_attempted: 1,
             any_timeout: !scheduled,
-            reuse: RecordReuse {
+            reuse: ReuseStats {
                 basis_hits: 2,
+                basis_exports: 5,
                 nogood_replays: 1,
                 ims_hint_hits: 3,
                 periods_skipped: 1,
@@ -533,53 +446,66 @@ mod tests {
     }
 
     #[test]
-    fn config_fingerprint_tracks_outcome_relevant_fields_only() {
-        let base = SuiteRunConfig::default();
-        let fp = base.fingerprint();
-        assert_eq!(fp, SuiteRunConfig::default().fingerprint());
-        // num_loops must NOT change the key (prefix reuse).
-        let more = SuiteRunConfig {
-            num_loops: 9999,
+    fn config_fingerprint_covers_every_hashed_field() {
+        let base = SchedulerConfig::default();
+        let fp = config_fingerprint(&base, None);
+        assert_eq!(fp, config_fingerprint(&SchedulerConfig::default(), None));
+        // Faults never key a record: fault-injected solves bypass caches.
+        let faulty = SchedulerConfig {
+            faults: FaultPlan {
+                panic_in_solver: true,
+                ..FaultPlan::default()
+            },
             ..base.clone()
         };
-        assert_eq!(fp, more.fingerprint());
-        // Every outcome-relevant knob must.
+        assert_eq!(fp, config_fingerprint(&faulty, None));
+        // The per-loop tick cap does.
+        assert_ne!(fp, config_fingerprint(&base, Some(1000)));
+        // And so does every other field.
         let variants = [
-            SuiteRunConfig {
+            SchedulerConfig {
+                mapping: MappingMode::CapacityOnly,
+                ..base.clone()
+            },
+            SchedulerConfig {
+                objective: Objective::MinUnits,
+                ..base.clone()
+            },
+            SchedulerConfig {
                 time_limit_per_t: None,
                 ..base.clone()
             },
-            SuiteRunConfig {
-                per_loop_ticks: Some(1000),
+            SchedulerConfig {
+                time_limit_total: Some(Duration::from_secs(1)),
                 ..base.clone()
             },
-            SuiteRunConfig {
+            SchedulerConfig {
                 max_t_above_lb: 2,
                 ..base.clone()
             },
-            SuiteRunConfig {
+            SchedulerConfig {
                 heuristic_incumbent: false,
                 ..base.clone()
             },
-            SuiteRunConfig {
+            SchedulerConfig {
                 engine: Engine::Cp,
                 ..base.clone()
             },
-            SuiteRunConfig {
+            SchedulerConfig {
                 engine: Engine::Portfolio,
                 ..base.clone()
             },
-            SuiteRunConfig {
-                warm: false,
+            SchedulerConfig {
+                warm_sweep: false,
                 ..base.clone()
             },
-            SuiteRunConfig {
+            SchedulerConfig {
                 max_live: Some(4),
                 ..base.clone()
             },
         ];
         for v in variants {
-            assert_ne!(fp, v.fingerprint(), "{v:?}");
+            assert_ne!(fp, config_fingerprint(&v, None), "{v:?}");
         }
     }
 }

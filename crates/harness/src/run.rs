@@ -1,7 +1,7 @@
 //! The corpus-run orchestrator: sharding, budgets, cache, sinks.
 //!
 //! [`Harness::run`] drives a loop corpus through the rate-optimal
-//! scheduler on a work-stealing pool ([`crate::executor`]), consulting
+//! scheduler on a small thread pool ([`crate::executor`]), consulting
 //! the on-disk result cache first ([`crate::cache`]) and streaming every
 //! fresh record to the artifact and the caller's sink as it completes.
 //! The returned [`RunReport`] carries the records **in corpus order**,
@@ -11,7 +11,7 @@
 //!
 //! Each loop is solved under its own *isolated* [`Budget`]
 //! ([`Budget::fork_isolated`]): its tick counter is private to the loop,
-//! so a per-loop tick cap ([`SuiteRunConfig::per_loop_ticks`]) trips at
+//! so a per-loop tick cap ([`HarnessConfig::per_loop_ticks`]) trips at
 //! exactly the same point no matter how many workers run or how the
 //! corpus is sharded — the basis of the determinism guarantee.
 //!
@@ -24,7 +24,7 @@
 
 use crate::cache::ResultCache;
 use crate::executor;
-use crate::record::{CacheKey, LoopRecord, SuiteRunConfig};
+use crate::record::{config_fingerprint, CacheKey, LoopRecord};
 use crate::sink::{JsonlSink, RunSink};
 use crate::telemetry::RunSummary;
 use std::error::Error;
@@ -33,18 +33,24 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use swp_core::{RateOptimalScheduler, WarmState};
+use swp_core::{RateOptimalScheduler, SchedulerConfig, WarmState};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
 use swp_loops::suite::GeneratedLoop;
 use swp_machine::Machine;
 use swp_milp::{Budget, CancelToken};
 
-/// Sharding and artifact knobs (the solve-side knobs live in
-/// [`SuiteRunConfig`]).
+/// Sharding, budget and artifact knobs (the solve itself is described
+/// by the [`SchedulerConfig`] the harness runs).
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Worker threads. `0` means one per available CPU.
     pub workers: usize,
+    /// Deterministic per-loop tick cap (simplex pivots + B&B nodes + IMS
+    /// placements all count). `None` leaves ticks uncapped; with the
+    /// scheduler's `time_limit_per_t` also `None`, runs are fully
+    /// deterministic and machine-speed-independent. Part of the cache
+    /// key ([`config_fingerprint`]).
+    pub per_loop_ticks: Option<u64>,
     /// JSONL artifact path: every fresh record is streamed here.
     pub artifact: Option<PathBuf>,
     /// Load the artifact as a result cache before running and append to
@@ -61,18 +67,11 @@ impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
             workers: 1,
+            per_loop_ticks: None,
             artifact: None,
             resume: false,
             record_timing: true,
         }
-    }
-}
-
-impl HarnessConfig {
-    /// A sequential, artifact-less configuration — the `run_suite`
-    /// compatibility mode.
-    pub fn sequential() -> Self {
-        HarnessConfig::default()
     }
 }
 
@@ -127,18 +126,19 @@ impl Error for HarnessError {}
 /// The sharded corpus runner.
 pub struct Harness {
     machine: Machine,
-    solve: SuiteRunConfig,
-    config: HarnessConfig,
+    config: SchedulerConfig,
+    harness: HarnessConfig,
     cancel: CancelToken,
 }
 
 impl Harness {
-    /// Creates a harness for `machine` under the given configurations.
-    pub fn new(machine: Machine, solve: SuiteRunConfig, config: HarnessConfig) -> Harness {
+    /// Creates a harness that solves every loop on `machine` under
+    /// `config`, sharded and budgeted as `harness` says.
+    pub fn new(machine: Machine, config: SchedulerConfig, harness: HarnessConfig) -> Harness {
         Harness {
             machine,
-            solve,
             config,
+            harness,
             cancel: CancelToken::new(),
         }
     }
@@ -171,13 +171,13 @@ impl Harness {
     ) -> Result<RunReport, HarnessError> {
         let started = Instant::now();
         let machine_fp = machine_fingerprint(&self.machine);
-        let config_fp = self.solve.fingerprint();
+        let config_fp = config_fingerprint(&self.config, self.harness.per_loop_ticks);
 
         // The run's root budget carries only the harness's cancel
         // token; every loop forks an isolated counter from it.
         let pool = Budget::unlimited().cancelled_by(&self.cancel);
 
-        let cache = match (&self.config.artifact, self.config.resume) {
+        let cache = match (&self.harness.artifact, self.harness.resume) {
             (Some(path), true) => {
                 ResultCache::load(path).map_err(|error| HarnessError::Artifact {
                     path: path.clone(),
@@ -186,9 +186,9 @@ impl Harness {
             }
             _ => ResultCache::empty(),
         };
-        let artifact: Option<Mutex<JsonlSink>> = match &self.config.artifact {
+        let artifact: Option<Mutex<JsonlSink>> = match &self.harness.artifact {
             Some(path) => {
-                let sink = if self.config.resume {
+                let sink = if self.harness.resume {
                     JsonlSink::append(path)
                 } else {
                     JsonlSink::create(path)
@@ -202,10 +202,9 @@ impl Harness {
             None => None,
         };
 
-        let scheduler =
-            RateOptimalScheduler::new(self.machine.clone(), self.solve.scheduler_config());
+        let scheduler = RateOptimalScheduler::new(self.machine.clone(), self.config.clone());
 
-        let workers = match self.config.workers {
+        let workers = match self.harness.workers {
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -269,7 +268,7 @@ impl Harness {
         // Isolated counter: per-loop ticks are exact and
         // scheduling-independent (the determinism guarantee).
         let loop_budget = pool.fork_isolated();
-        let loop_budget = match self.solve.per_loop_ticks {
+        let loop_budget = match self.harness.per_loop_ticks {
             Some(t) => loop_budget.limit_ticks(t),
             None => loop_budget,
         };
@@ -279,7 +278,7 @@ impl Harness {
         // DDGs and per-loop records stay scheduling-independent.
         let mut warm = WarmState::new();
         let solved = scheduler.schedule_with_warm(&l.ddg, &loop_budget, &mut warm);
-        let solve_time = if self.config.record_timing {
+        let solve_time = if self.harness.record_timing {
             solve_started.elapsed()
         } else {
             Duration::ZERO
@@ -310,8 +309,9 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RecordReuse, SuiteOutcome};
+    use crate::record::SuiteOutcome;
     use crate::sink::{NullSink, VecSink};
+    use swp_core::ReuseStats;
     use swp_loops::suite::{generate, SuiteConfig};
 
     fn small_corpus(n: usize) -> Vec<GeneratedLoop> {
@@ -321,16 +321,11 @@ mod tests {
         })
     }
 
-    fn fast_solve() -> SuiteRunConfig {
-        SuiteRunConfig {
-            num_loops: 0, // unused by the harness itself
+    fn fast_solve() -> SchedulerConfig {
+        SchedulerConfig {
             time_limit_per_t: Some(Duration::from_millis(500)),
-            per_loop_ticks: None,
             max_t_above_lb: 8,
-            heuristic_incumbent: true,
-            engine: Default::default(),
-            warm: true,
-            max_live: None,
+            ..SchedulerConfig::default()
         }
     }
 
@@ -374,7 +369,7 @@ mod tests {
         let loops = small_corpus(4);
         let h = Harness::new(
             Machine::example_pldi95(),
-            SuiteRunConfig {
+            SchedulerConfig {
                 heuristic_incumbent: false,
                 engine: swp_core::Engine::Portfolio,
                 ..fast_solve()
@@ -415,19 +410,18 @@ mod tests {
         // reuse telemetry and effort counters free to differ. Tick caps
         // keep both runs deterministic.
         let loops = small_corpus(16);
-        let solve = SuiteRunConfig {
-            time_limit_per_t: None,
-            per_loop_ticks: Some(50_000),
-            ..fast_solve()
-        };
-        let run = |warm: bool| {
+        let run = |warm_sweep: bool| {
             Harness::new(
                 Machine::example_pldi95(),
-                SuiteRunConfig {
-                    warm,
-                    ..solve.clone()
+                SchedulerConfig {
+                    time_limit_per_t: None,
+                    warm_sweep,
+                    ..fast_solve()
                 },
-                HarnessConfig::default(),
+                HarnessConfig {
+                    per_loop_ticks: Some(50_000),
+                    ..HarnessConfig::default()
+                },
             )
             .run(&loops, &mut NullSink)
             .expect("run")
@@ -438,12 +432,17 @@ mod tests {
             assert_eq!(a.period, b.period, "{}", a.name);
             assert_eq!(a.outcome, b.outcome, "{}", a.name);
             assert_eq!(a.proven, b.proven, "{}", a.name);
-            assert!(!b.reuse.any(), "cold record reports reuse: {}", b.name);
+            assert_eq!(
+                b.reuse,
+                ReuseStats::default(),
+                "cold record reports reuse: {}",
+                b.name
+            );
         }
         // The two configs must never share cache entries.
         assert_ne!(w.records[0].key.config, c.records[0].key.config);
         // Summary totals aggregate the per-record counters exactly.
-        let mut total = RecordReuse::default();
+        let mut total = ReuseStats::default();
         for r in &w.records {
             total.absorb(&r.reuse);
         }

@@ -7,10 +7,10 @@
 //! *versus* whole-run wall time, whose ratio is the realized parallel
 //! speedup.
 
-use crate::record::{LoopRecord, RecordReuse, SuiteOutcome};
+use crate::record::{LoopRecord, SuiteOutcome};
 use std::fmt::Write as _;
 use std::time::Duration;
-use swp_core::SolvedBy;
+use swp_core::{ReuseStats, SolvedBy};
 
 /// Upper edges of the solve-time histogram buckets.
 const BUCKET_EDGES_US: [(u64, &str); 6] = [
@@ -55,7 +55,7 @@ pub struct RunSummary {
     /// Total budget ticks (pivots + B&B nodes + IMS placements).
     pub ticks: u64,
     /// Summed warm-sweep reuse counters (all zeros for a cold run).
-    pub reuse: RecordReuse,
+    pub reuse: ReuseStats,
     /// Sum of per-loop on-thread solve times (CPU-side effort).
     pub solve_time_total: Duration,
     /// Whole-run wall time (what a user actually waits).
@@ -164,7 +164,7 @@ impl RunSummary {
             "effort: {} B&B nodes, {} simplex iterations, {} budget ticks",
             self.bb_nodes, self.lp_iterations, self.ticks
         );
-        if self.reuse.any() {
+        if self.reuse != ReuseStats::default() {
             let _ = writeln!(
                 out,
                 "reuse: {} basis hits, {} IMS hint hits, {} no-good replays, {} periods skipped, {} replays, {} cone nodes",
@@ -236,9 +236,9 @@ mod tests {
             ticks: 111,
             periods_attempted: 1,
             any_timeout: false,
-            reuse: RecordReuse {
+            reuse: ReuseStats {
                 ims_hint_hits: 1,
-                ..RecordReuse::default()
+                ..ReuseStats::default()
             },
             solve_time: Duration::from_micros(solve_us),
             cached,

@@ -4,9 +4,8 @@
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use swp_harness::{
-    Harness, HarnessConfig, LoopRecord, NullSink, RunReport, SuiteRunConfig, VecSink,
-};
+use swp_core::SchedulerConfig;
+use swp_harness::{Harness, HarnessConfig, LoopRecord, NullSink, RunReport, VecSink};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
 
@@ -17,20 +16,19 @@ fn corpus(n: usize) -> Vec<GeneratedLoop> {
     })
 }
 
-fn solve_cfg() -> SuiteRunConfig {
-    SuiteRunConfig {
-        num_loops: 32,
+/// Per-loop tick cap of every run here: with no deadline, solves are
+/// deterministic.
+const TICKS: Option<u64> = Some(50_000);
+
+fn solve_cfg() -> SchedulerConfig {
+    SchedulerConfig {
         time_limit_per_t: None,
-        per_loop_ticks: Some(50_000),
         max_t_above_lb: 8,
-        heuristic_incumbent: true,
-        engine: Default::default(),
-        warm: true,
-        max_live: None,
+        ..SchedulerConfig::default()
     }
 }
 
-fn harness(solve: SuiteRunConfig, config: HarnessConfig) -> Harness {
+fn harness(solve: SchedulerConfig, config: HarnessConfig) -> Harness {
     Harness::new(Machine::example_pldi95(), solve, config)
 }
 
@@ -45,13 +43,14 @@ fn artifact(name: &str) -> PathBuf {
 
 fn run_to_artifact(
     loops: &[GeneratedLoop],
-    solve: SuiteRunConfig,
+    solve: SchedulerConfig,
     path: &Path,
     resume: bool,
 ) -> RunReport {
     harness(
         solve,
         HarnessConfig {
+            per_loop_ticks: TICKS,
             artifact: Some(path.to_path_buf()),
             resume,
             record_timing: false,
@@ -97,6 +96,7 @@ fn a_changed_machine_invalidates_the_cache() {
         Machine::ppc604(),
         solve_cfg(),
         HarnessConfig {
+            per_loop_ticks: TICKS,
             artifact: Some(path.clone()),
             resume: true,
             record_timing: false,
@@ -115,7 +115,7 @@ fn a_changed_config_invalidates_the_cache() {
     let path = artifact("config.jsonl");
     run_to_artifact(&loops, solve_cfg(), &path, false);
 
-    let tighter = SuiteRunConfig {
+    let tighter = SchedulerConfig {
         max_t_above_lb: 2,
         ..solve_cfg()
     };
@@ -202,6 +202,7 @@ fn sinks_see_cached_records_flagged() {
     harness(
         solve_cfg(),
         HarnessConfig {
+            per_loop_ticks: TICKS,
             artifact: Some(path.clone()),
             resume: true,
             record_timing: false,

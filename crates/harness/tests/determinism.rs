@@ -11,8 +11,8 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use swp_core::Engine;
-use swp_harness::{Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome, SuiteRunConfig};
+use swp_core::{Engine, SchedulerConfig};
+use swp_harness::{Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
 
@@ -23,17 +23,13 @@ fn corpus(n: usize) -> Vec<GeneratedLoop> {
     })
 }
 
-/// A fully deterministic solve configuration: tick-capped, no deadlines.
-fn deterministic_solve() -> SuiteRunConfig {
-    SuiteRunConfig {
-        num_loops: 64,
+/// A deterministic solve configuration: no deadlines (the harness adds
+/// a per-loop tick cap).
+fn deterministic_solve() -> SchedulerConfig {
+    SchedulerConfig {
         time_limit_per_t: None,
-        per_loop_ticks: Some(50_000),
         max_t_above_lb: 8,
-        heuristic_incumbent: true,
-        engine: Default::default(),
-        warm: true,
-        max_live: None,
+        ..SchedulerConfig::default()
     }
 }
 
@@ -41,12 +37,13 @@ fn run_with_workers(loops: &[GeneratedLoop], workers: usize) -> Vec<LoopRecord> 
     run_solve(loops, workers, deterministic_solve())
 }
 
-fn run_solve(loops: &[GeneratedLoop], workers: usize, solve: SuiteRunConfig) -> Vec<LoopRecord> {
+fn run_solve(loops: &[GeneratedLoop], workers: usize, solve: SchedulerConfig) -> Vec<LoopRecord> {
     let harness = Harness::new(
         Machine::example_pldi95(),
         solve,
         HarnessConfig {
             workers,
+            per_loop_ticks: Some(50_000),
             record_timing: false,
             ..HarnessConfig::default()
         },
@@ -79,7 +76,7 @@ fn worker_count_does_not_change_the_records() {
     // The default ILP sweep with the IMS probe, and the staged
     // portfolio with the probe off, so CP and the ILP settle every
     // period between them.
-    let portfolio = SuiteRunConfig {
+    let portfolio = SchedulerConfig {
         heuristic_incumbent: false,
         engine: Engine::Portfolio,
         ..deterministic_solve()

@@ -68,13 +68,6 @@ pub struct HeuristicResult {
     pub evictions: u64,
 }
 
-impl HeuristicResult {
-    /// `II − MII`: zero means the heuristic hit the lower bound.
-    pub fn slack_above_mii(&self) -> u32 {
-        self.schedule.initiation_interval() - self.mii
-    }
-}
-
 /// Rau's iterative modulo scheduling with reservation tables and fixed
 /// unit binding.
 ///
@@ -99,8 +92,6 @@ pub struct IterativeModuloScheduler {
     machine: Machine,
     /// Eviction budget per candidate II, as a multiple of the op count.
     budget_ratio: u32,
-    /// Give up after `MII + ii_span`.
-    ii_span: u32,
     /// Register-pressure cap audited on every produced schedule.
     max_live: Option<u32>,
 }
@@ -112,7 +103,6 @@ impl IterativeModuloScheduler {
         IterativeModuloScheduler {
             machine,
             budget_ratio: 6,
-            ii_span: 32,
             max_live: None,
         }
     }
@@ -120,12 +110,6 @@ impl IterativeModuloScheduler {
     /// Overrides the eviction budget multiplier.
     pub fn with_budget_ratio(mut self, ratio: u32) -> Self {
         self.budget_ratio = ratio;
-        self
-    }
-
-    /// Overrides the II search span.
-    pub fn with_ii_span(mut self, span: u32) -> Self {
-        self.ii_span = span;
         self
     }
 
@@ -164,7 +148,6 @@ impl IterativeModuloScheduler {
         run(
             &self.machine,
             ddg,
-            self.ii_span,
             Some(self.budget_ratio),
             budget,
             self.max_live,
@@ -250,16 +233,12 @@ impl IterativeModuloScheduler {
 #[derive(Debug, Clone)]
 pub struct ListModuloScheduler {
     machine: Machine,
-    ii_span: u32,
 }
 
 impl ListModuloScheduler {
     /// Creates a list scheduler with an II span of 32.
     pub fn new(machine: Machine) -> Self {
-        ListModuloScheduler {
-            machine,
-            ii_span: 32,
-        }
+        ListModuloScheduler { machine }
     }
 
     /// Schedules `ddg` without backtracking.
@@ -281,7 +260,7 @@ impl ListModuloScheduler {
         ddg: &Ddg,
         budget: &Budget,
     ) -> Result<HeuristicResult, HeuristicError> {
-        run(&self.machine, ddg, self.ii_span, None, budget, None)
+        run(&self.machine, ddg, None, budget, None)
     }
 }
 
@@ -330,10 +309,12 @@ struct ImsScratch {
     evict_victims: Vec<usize>,
 }
 
+/// Both whole-loop schedulers give up after `MII + II_SPAN`.
+const II_SPAN: u32 = 32;
+
 fn run(
     machine: &Machine,
     ddg: &Ddg,
-    ii_span: u32,
     budget_ratio: Option<u32>,
     budget: &Budget,
     max_live: Option<u32>,
@@ -350,7 +331,7 @@ fn run(
     let mut tried = Vec::new();
     let mut evictions = 0u64;
     let mut scratch = ImsScratch::default();
-    for ii in mii..=mii + ii_span {
+    for ii in mii..=mii + II_SPAN {
         budget.check()?;
         tried.push(ii);
         if let Some(schedule) = try_ii(
@@ -373,7 +354,7 @@ fn run(
     }
     Err(HeuristicError::NotFound {
         mii,
-        ii_max: mii + ii_span,
+        ii_max: mii + II_SPAN,
     })
 }
 

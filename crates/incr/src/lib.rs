@@ -107,14 +107,6 @@ pub enum EditOp {
     },
 }
 
-impl EditOp {
-    /// Whether the edit can only shrink the solution set (so proven
-    /// refutations and learned no-goods survive it).
-    pub fn is_tightening(&self) -> bool {
-        matches!(self, EditOp::AddNode { .. } | EditOp::AddEdge { .. })
-    }
-}
-
 /// Errors from applying an edit to a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {

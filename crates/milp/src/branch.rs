@@ -21,11 +21,10 @@ use std::time::{Duration, Instant};
 pub const INT_TOL: f64 = 1e-6;
 
 /// Search limits for [`Model::solve_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveLimits {
-    /// Maximum branch-and-bound nodes to explore.
-    pub max_nodes: u64,
-    /// Wall-clock budget for the whole search.
+    /// Wall-clock budget for the whole search, folded into
+    /// [`budget`](Self::budget)'s deadline when the search starts.
     pub time_limit: Option<Duration>,
     /// Stop as soon as any integer-feasible point is found.
     ///
@@ -50,19 +49,6 @@ pub struct SolveLimits {
     pub pivot_layout: PivotLayout,
 }
 
-impl Default for SolveLimits {
-    fn default() -> Self {
-        SolveLimits {
-            max_nodes: 1_000_000,
-            time_limit: None,
-            stop_at_first_incumbent: false,
-            budget: Budget::unlimited(),
-            warm_basis: None,
-            pivot_layout: PivotLayout::default(),
-        }
-    }
-}
-
 impl SolveLimits {
     /// Limits suitable for a feasibility probe with a wall-clock budget.
     pub fn feasibility(time_limit: Duration) -> Self {
@@ -82,11 +68,8 @@ pub enum StopReason {
     Exhausted,
     /// `stop_at_first_incumbent` fired.
     FirstIncumbent,
-    /// The node limit was reached.
-    NodeLimit,
-    /// The [`SolveLimits::time_limit`] wall clock ran out.
-    TimeLimit,
-    /// The shared [`Budget`] tripped (deadline, tick cap, or cancel).
+    /// The shared [`Budget`] tripped (deadline — including
+    /// [`SolveLimits::time_limit`] — tick cap, or cancel).
     Budget(Exhaustion),
 }
 
@@ -165,8 +148,10 @@ pub struct BranchBound<'a> {
 }
 
 impl<'a> BranchBound<'a> {
-    /// Prepares a search over `model` with the given `limits`.
-    pub fn new(model: &'a Model, limits: SolveLimits) -> Self {
+    /// Prepares a search over `model` with the given `limits`; the
+    /// search's wall clock starts here.
+    pub fn new(model: &'a Model, mut limits: SolveLimits) -> Self {
+        limits.budget = limits.budget.restrict(limits.time_limit, None);
         let int_vars: Vec<usize> = model
             .vars
             .iter()
@@ -226,11 +211,12 @@ impl<'a> BranchBound<'a> {
     ///
     /// [`SolveError::Infeasible`] if no integer point exists,
     /// [`SolveError::Unbounded`] if the root relaxation is unbounded,
-    /// [`SolveError::LimitReached`] if limits (node, time, or budget)
-    /// were hit before any integer-feasible point was found,
+    /// [`SolveError::LimitReached`] if the budget (its deadline, the
+    /// time limit, or its tick cap) tripped before any integer-feasible
+    /// point was found,
     /// [`SolveError::Cancelled`] if the budget's cancel token fired, and
-    /// [`SolveError::Numerical`] if a node LP stalled. If node/time/
-    /// budget limits are hit *after* an incumbent was found, that
+    /// [`SolveError::Numerical`] if a node LP stalled. If the budget
+    /// trips *after* an incumbent was found, that
     /// incumbent is returned with `proven_optimal == false` and the
     /// tripping limit in [`SearchStats::stop_reason`].
     pub fn run(self) -> Result<MipSolution, SolveError> {
@@ -257,18 +243,6 @@ impl<'a> BranchBound<'a> {
         let mut truncated = false;
 
         'search: while let Some(node) = stack.pop() {
-            if stats.nodes >= self.limits.max_nodes {
-                truncated = true;
-                stats.stop_reason = StopReason::NodeLimit;
-                break;
-            }
-            if let Some(tl) = self.limits.time_limit {
-                if start.elapsed() >= tl {
-                    truncated = true;
-                    stats.stop_reason = StopReason::TimeLimit;
-                    break;
-                }
-            }
             // Full budget check at every node boundary so cancellation is
             // honoured promptly even when node LPs are tiny.
             match self.limits.budget.check() {
@@ -530,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn node_limit_without_incumbent_errors() {
+    fn spent_budget_without_incumbent_errors() {
         let mut m = Model::new();
         // Infeasible parity-style system that needs branching to refute.
         let xs: Vec<_> = (0..4).map(|i| m.add_binary(format!("x{i}"))).collect();
@@ -539,8 +513,10 @@ mod tests {
             Sense::Eq,
             1.5,
         );
+        // A 0-tick budget trips at the root node: the search is
+        // truncated before any incumbent exists.
         let limits = SolveLimits {
-            max_nodes: 0,
+            budget: Budget::with_tick_limit(0),
             ..Default::default()
         };
         assert_eq!(

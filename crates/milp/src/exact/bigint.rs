@@ -59,17 +59,6 @@ impl BigInt {
         !self.neg && !self.is_zero()
     }
 
-    /// Sign as -1, 0, or 1.
-    pub fn signum(&self) -> i32 {
-        if self.is_zero() {
-            0
-        } else if self.neg {
-            -1
-        } else {
-            1
-        }
-    }
-
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
         BigInt {
@@ -284,30 +273,6 @@ impl BigInt {
             v
         }
     }
-
-    /// Exact conversion to `i64` when in range.
-    pub fn to_i64(&self) -> Option<i64> {
-        if self.mag.len() > 2 {
-            return None;
-        }
-        let mut v: u64 = 0;
-        for (i, &limb) in self.mag.iter().enumerate() {
-            v |= (limb as u64) << (32 * i);
-        }
-        if self.neg {
-            if v > 1u64 << 63 {
-                None
-            } else if v == 1u64 << 63 {
-                Some(i64::MIN)
-            } else {
-                Some(-(v as i64))
-            }
-        } else if v <= i64::MAX as u64 {
-            Some(v as i64)
-        } else {
-            None
-        }
-    }
 }
 
 fn shl_bits(v: &[u32], shift: u32) -> Vec<u32> {
@@ -500,9 +465,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_i64() {
+    fn i64_values_display_exactly() {
         for v in [0i64, 1, -1, 42, -42, i64::MAX, i64::MIN + 1, 1 << 40] {
-            assert_eq!(BigInt::from(v).to_i64(), Some(v), "{v}");
+            assert_eq!(BigInt::from(v).to_string(), v.to_string());
         }
     }
 

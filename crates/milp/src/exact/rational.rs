@@ -65,16 +65,6 @@ impl BigRat {
         BigRat { num, den }
     }
 
-    /// Numerator (sign-carrying).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
-    }
-
-    /// Denominator (always positive).
-    pub fn denom(&self) -> &BigInt {
-        &self.den
-    }
-
     /// Whether the value is zero.
     pub fn is_zero(&self) -> bool {
         self.num.is_zero()

@@ -10,7 +10,7 @@
 //!   pivoting, Dantzig pricing and a Bland anti-cycling fallback.
 //! * [`branch`] — branch-and-bound for mixed-integer models with
 //!   most-fractional branching, depth-first search with best-bound
-//!   tie-breaking, an LP-rounding primal heuristic, and node/time limits.
+//!   tie-breaking, an LP-rounding primal heuristic, and budget limits.
 //! * [`exact`] — arbitrary-precision integers and rationals plus a dense
 //!   exact rational simplex, used in tests and audits to cross-check the
 //!   `f64` path on small instances.
@@ -59,8 +59,7 @@ pub enum SolveError {
     Infeasible,
     /// The objective is unbounded over the feasible region.
     Unbounded,
-    /// The node, time, or tick limit was reached before optimality was
-    /// proven.
+    /// The time or tick budget ran out before optimality was proven.
     ///
     /// Carries the best incumbent objective found, if any.
     LimitReached(Option<f64>),

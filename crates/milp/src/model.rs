@@ -333,11 +333,6 @@ impl Model {
         (self.vars[var.0].lo, self.vars[var.0].hi)
     }
 
-    /// Whether the objective is maximized.
-    pub fn is_maximize(&self) -> bool {
-        self.maximize
-    }
-
     /// Checks structural validity (bound order, finite coefficients).
     ///
     /// # Errors

@@ -20,7 +20,7 @@ use swp_core::{
     FaultPlan, Optimality, RateOptimalScheduler, ScheduleError, ScheduleResult, SchedulerConfig,
     WarmState,
 };
-use swp_harness::{CacheKey, LoopRecord, SuiteOutcome, SuiteRunConfig};
+use swp_harness::{config_fingerprint, CacheKey, LoopRecord, SuiteOutcome};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
 
 /// One worker thread's main loop: runs until draining *and* the queue
@@ -67,25 +67,23 @@ fn process(shared: &Shared, job: &Job) -> Reply {
     };
     let (machine, ddg) = (parsed.machine, parsed.ddg);
 
-    // Cache key: only outcome-relevant knobs, never budgets, so client
-    // deadlines don't fragment the cache (see the harness's
-    // SuiteRunConfig::fingerprint contract).
-    let cache_cfg = SuiteRunConfig {
-        num_loops: 1,
+    // The request's deadline and ticks go on the budget, never on the
+    // config, so client budgets don't fragment the cache.
+    let config = SchedulerConfig {
         time_limit_per_t: None,
-        per_loop_ticks: None,
         max_t_above_lb: req.max_t.unwrap_or(8),
         heuristic_incumbent: req.heuristic.unwrap_or(true),
         engine: req.engine.unwrap_or_default(),
-        // Warm sweeps, as in the harness, so daemon records stay
-        // interchangeable with the harness's warm records.
-        warm: true,
-        max_live: None,
+        faults: FaultPlan {
+            panic_in_solver: req.inject_panic,
+            ..FaultPlan::default()
+        },
+        ..SchedulerConfig::default()
     };
     let key = CacheKey {
         ddg: ddg_fingerprint(&ddg),
         machine: machine_fingerprint(&machine),
-        config: cache_cfg.fingerprint(),
+        config: config_fingerprint(&config, None),
     };
     // Fault-injected requests bypass the cache: the injection must
     // reach the solver even when the fingerprint happens to collide
@@ -99,14 +97,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
     let budget = match shared.admit(&req.id, req.ticks, req.timeout_ms, &job.cancel) {
         Ok(budget) => budget,
         Err(refused) => return *refused,
-    };
-    let faults = FaultPlan {
-        panic_in_solver: req.inject_panic,
-        ..FaultPlan::default()
-    };
-    let config = SchedulerConfig {
-        faults,
-        ..cache_cfg.scheduler_config()
     };
     let scheduler = RateOptimalScheduler::new(machine.clone(), config);
 
