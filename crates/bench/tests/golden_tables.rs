@@ -117,13 +117,13 @@ loop0001 nodes=5 t_lb=3 period=3 scheduled by=Ilp proven=true
 loop0002 nodes=4 t_lb=2 period=2 scheduled by=Ilp proven=true
 loop0003 nodes=9 t_lb=4 period=4 scheduled by=Ilp proven=true
 loop0004 nodes=5 t_lb=2 period=2 scheduled by=Ilp proven=true
-loop0005 nodes=17 t_lb=8 period=8 scheduled by=Heuristic proven=false
+loop0005 nodes=17 t_lb=8 period=8 scheduled by=Heuristic proven=true
 loop0006 nodes=6 t_lb=4 period=4 scheduled by=Ilp proven=true
 loop0007 nodes=7 t_lb=4 period=4 scheduled by=Ilp proven=true
 loop0008 nodes=6 t_lb=3 period=3 scheduled by=Ilp proven=true
-loop0009 nodes=15 t_lb=7 period=7 scheduled by=Heuristic proven=false
+loop0009 nodes=15 t_lb=7 period=7 scheduled by=Ilp proven=true
 loop0010 nodes=4 t_lb=3 period=3 scheduled by=Ilp proven=true
-loop0011 nodes=18 t_lb=7 period=7 scheduled by=Heuristic proven=false
+loop0011 nodes=18 t_lb=7 period=7 scheduled by=Heuristic proven=true
 loop0012 nodes=4 t_lb=3 period=3 scheduled by=Ilp proven=true
 loop0013 nodes=9 t_lb=5 period=5 scheduled by=Ilp proven=true
 loop0014 nodes=7 t_lb=4 period=4 scheduled by=Ilp proven=true

@@ -17,6 +17,15 @@
 //!   overlap indicators `δ_{ij}` forced to 1 whenever `i` and `j` occupy
 //!   the same stage at the same step, and Hu's 0-1 linearization
 //!   (`w_{ij}`) of `|c_i − c_j| ≥ δ_{ij}` (eqs. (12)–(14), Theorem 4.1).
+//!   Two ops overlap iff `(t_j − t_i) mod T` lies in the forbidden set
+//!   `D = {0} ∪ {±f mod T}` of the class's reservation table, so `δ_{ij}`
+//!   is forced by one row per step,
+//!   `a_{t,i} + Σ_{d∈D} a_{(t+d) mod T, j} − δ_{ij} ≤ 1`, rather than one
+//!   per stage and step.
+//!
+//! The paper-literal forms — explicit usage variables `U_s[t, i]` with
+//! their defining equalities and the per-stage overlap rows — live in
+//! the test module as the reference this formulation is checked against.
 //!
 //! Clean pipelines never overlap on a stage across distinct ops issued at
 //! distinct steps, and classes with a single unit are fully constrained
@@ -72,11 +81,6 @@ pub struct FormulationOptions {
     pub mapping: MappingMode,
     /// Objective on top of feasibility.
     pub objective: Objective,
-    /// Emit the paper-literal formulation with *explicit* stage-usage
-    /// variables `U_s[t, i]` defined by eq. (25) and capacity rows over
-    /// them (eq. (5)), instead of inlining the `a`-sums. Mathematically
-    /// equivalent; kept for fidelity and used in equivalence tests.
-    pub explicit_usage: bool,
     /// Register-pressure cap: bound the number of simultaneously live
     /// values (counted per pattern residue, exactly as
     /// [`swp_machine::PipelinedSchedule::live_per_residue`]) by this
@@ -91,7 +95,6 @@ impl FormulationOptions {
         FormulationOptions {
             mapping: MappingMode::UnifiedColoring,
             objective: Objective::Feasible,
-            explicit_usage: false,
             max_live: None,
         }
     }
@@ -163,7 +166,6 @@ pub fn build_with(
     let FormulationOptions {
         mapping,
         objective,
-        explicit_usage,
         max_live,
     } = options;
     let n = ddg.num_nodes();
@@ -276,43 +278,15 @@ pub fn build_with(
             if offsets.is_empty() {
                 continue;
             }
-            if explicit_usage {
-                // Paper-literal: U_s[t, i] variables with their defining
-                // equalities (eq. (25)), capacity over the U's (eq. (5)).
-                let mut usage_vars: Vec<Vec<VarId>> = Vec::with_capacity(members.len());
+            for t in 0..period {
+                let mut expr = LinExpr::new();
                 for &id in &members {
-                    let i = id.index();
-                    let row: Vec<VarId> = (0..period)
-                        .map(|t| {
-                            model.add_var(VarKind::Continuous, 0.0, 1.0, format!("U[{s},{t},{i}]"))
-                        })
-                        .collect();
-                    for (t, &u) in row.iter().enumerate() {
-                        let mut expr = LinExpr::term(u, 1.0);
-                        for &l in &offsets {
-                            let src = ((t as i64 - l as i64).rem_euclid(period as i64)) as usize;
-                            expr.add_term(a[i][src], -1.0);
-                        }
-                        model.add_constr(expr, Sense::Eq, 0.0);
+                    for &l in &offsets {
+                        let src = ((t as i64 - l as i64).rem_euclid(period as i64)) as usize;
+                        expr.add_term(a[id.index()][src], 1.0);
                     }
-                    usage_vars.push(row);
                 }
-                for t in 0..period as usize {
-                    let expr: Vec<(VarId, f64)> =
-                        usage_vars.iter().map(|row| (row[t], 1.0)).collect();
-                    model.add_constr(expr, Sense::Le, fu.count as f64);
-                }
-            } else {
-                for t in 0..period {
-                    let mut expr = LinExpr::new();
-                    for &id in &members {
-                        for &l in &offsets {
-                            let src = ((t as i64 - l as i64).rem_euclid(period as i64)) as usize;
-                            expr.add_term(a[id.index()][src], 1.0);
-                        }
-                    }
-                    model.add_constr(expr, Sense::Le, fu.count as f64);
-                }
+                model.add_constr(expr, Sense::Le, fu.count as f64);
             }
         }
     }
@@ -469,29 +443,24 @@ pub fn build_with(
             if !needs_coloring {
                 continue;
             }
-            let rt = &fu.reservation;
+            // D: the issue distances mod T at which two ops collide.
+            let conflicts = fu.reservation.forbidden_residues(period);
             for (x, &i_id) in members.iter().enumerate() {
                 bail()?;
                 for &j_id in &members[x + 1..] {
                     let (i, j) = (i_id.index(), j_id.index());
-                    // δ_{ij}: 1 if the two ops overlap on some stage/step.
+                    // δ_{ij}: 1 if the two ops overlap on some stage/step,
+                    // i.e. iff `(t_j − t_i) mod T ∈ D`. Each op issues at
+                    // exactly one step, so one row per step is exact:
+                    // a_{t,i} + Σ_{d∈D} a_{(t+d) mod T, j} − δ_{ij} ≤ 1.
                     let delta = model.add_binary(format!("ov[{i},{j}]"));
-                    for s in 0..rt.stages() {
-                        let offsets = rt.stage_offsets(s);
-                        if offsets.is_empty() {
-                            continue;
+                    for t in 0..period as usize {
+                        let mut expr = LinExpr::term(delta, -1.0);
+                        expr.add_term(a[i][t], 1.0);
+                        for &d in &conflicts {
+                            expr.add_term(a[j][(t + d as usize) % period as usize], 1.0);
                         }
-                        for t in 0..period {
-                            // U_s[t,i] + U_s[t,j] − 1 ≤ δ_{ij}
-                            let mut expr = LinExpr::term(delta, -1.0);
-                            for &l in &offsets {
-                                let src =
-                                    ((t as i64 - l as i64).rem_euclid(period as i64)) as usize;
-                                expr.add_term(a[i][src], 1.0);
-                                expr.add_term(a[j][src], 1.0);
-                            }
-                            model.add_constr(expr, Sense::Le, 1.0);
-                        }
+                        model.add_constr(expr, Sense::Le, 1.0);
                     }
                     // Hu linearization of |c_i − c_j| ≥ δ_{ij}:
                     //   c_i − c_j ≥ δ − R·w,   c_j − c_i ≥ δ − R·(1−w).
@@ -597,8 +566,9 @@ impl Formulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swp_ddg::OpClass;
-    use swp_milp::SolveLimits;
+    use proptest::prelude::*;
+    use swp_machine::{FuType, PipelinedSchedule, ReservationTable};
+    use swp_milp::{SolveError, SolveLimits};
 
     fn opts(mapping: MappingMode, objective: Objective) -> FormulationOptions {
         FormulationOptions {
@@ -735,24 +705,224 @@ mod tests {
         assert!(f.color.iter().all(|c| c.is_some()));
     }
 
+    /// The paper-literal model, the reference the formulation is checked
+    /// against: explicit stage-usage variables `U_s[t, i]` defined by
+    /// eq. (25), capacity over them (eq. (5)), and overlap rows
+    /// `U_s[t,i] + U_s[t,j] − 1 ≤ δ_{ij}` per pair, stage and step. Unified
+    /// coloring only, and without the build-time pre-checks: the model
+    /// refutes those periods itself. Returns the model with its `t_i` and
+    /// color variables.
+    fn paper_literal(
+        ddg: &Ddg,
+        machine: &Machine,
+        period: u32,
+        objective: Objective,
+    ) -> (Model, Vec<VarId>, Vec<Option<VarId>>) {
+        let n = ddg.num_nodes();
+        let t_f = period as f64;
+        let steps = period as usize;
+        let wrap = |t: usize, l: usize| (t as i64 - l as i64).rem_euclid(period as i64) as usize;
+        let horizon = (ddg.total_latency() + period) as f64 + t_f;
+        let mut model = Model::new();
+        let mut a = Vec::new();
+        let mut t_vars = Vec::new();
+        for i in 0..n {
+            let row: Vec<VarId> = (0..steps)
+                .map(|t| model.add_binary(format!("a[{t},{i}]")))
+                .collect();
+            let t_i = model.add_var(VarKind::Integer, 0.0, horizon, format!("t[{i}]"));
+            let k_i = model.add_var(VarKind::Integer, 0.0, (horizon / t_f).ceil(), "k");
+            model.add_constr(
+                row.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+                Sense::Eq,
+                1.0,
+            );
+            let mut link = LinExpr::term(t_i, 1.0);
+            link.add_term(k_i, -t_f);
+            for (t, &v) in row.iter().enumerate() {
+                link.add_term(v, -(t as f64));
+            }
+            model.add_constr(link, Sense::Eq, 0.0);
+            a.push(row);
+            t_vars.push(t_i);
+        }
+        for e in ddg.edges() {
+            let rhs = ddg.node(e.src).latency as f64 - t_f * e.distance as f64;
+            let expr = LinExpr::term(t_vars[e.dst.index()], 1.0)
+                - LinExpr::term(t_vars[e.src.index()], 1.0);
+            model.add_constr(expr, Sense::Ge, rhs);
+        }
+        let mut color = vec![None; n];
+        for class in ddg.classes() {
+            let fu = machine.fu_type(class).expect("known class");
+            let rt = &fu.reservation;
+            let members = ddg.nodes_of_class(class);
+            // usage[s][member][t] = U_s[t, i]
+            let mut usage: Vec<Vec<Vec<VarId>>> = Vec::new();
+            for s in 0..rt.stages() {
+                let offsets = rt.stage_offsets(s);
+                if offsets.is_empty() {
+                    continue;
+                }
+                let mut rows = Vec::new();
+                for &id in &members {
+                    let i = id.index();
+                    let mut row = Vec::new();
+                    for t in 0..steps {
+                        let u =
+                            model.add_var(VarKind::Continuous, 0.0, 1.0, format!("U[{s},{t},{i}]"));
+                        let mut expr = LinExpr::term(u, 1.0);
+                        for &l in &offsets {
+                            expr.add_term(a[i][wrap(t, l)], -1.0);
+                        }
+                        model.add_constr(expr, Sense::Eq, 0.0);
+                        row.push(u);
+                    }
+                    rows.push(row);
+                }
+                for t in 0..steps {
+                    let expr: Vec<(VarId, f64)> = rows.iter().map(|row| (row[t], 1.0)).collect();
+                    model.add_constr(expr, Sense::Le, fu.count as f64);
+                }
+                usage.push(rows);
+            }
+            if fu.count < 2 || members.len() < 2 || rt.is_clean() {
+                continue;
+            }
+            let r = fu.count as f64;
+            for (x, &id) in members.iter().enumerate() {
+                let hi = if x == 0 { 1.0 } else { r };
+                color[id.index()] = Some(model.add_var(VarKind::Integer, 1.0, hi, "c"));
+            }
+            for x in 0..members.len() {
+                for y in x + 1..members.len() {
+                    let delta = model.add_binary("ov");
+                    for rows in &usage {
+                        for (&ui, &uj) in rows[x].iter().zip(&rows[y]) {
+                            let expr = vec![(ui, 1.0), (uj, 1.0), (delta, -1.0)];
+                            model.add_constr(expr, Sense::Le, 1.0);
+                        }
+                    }
+                    let w = model.add_binary("w");
+                    let ci = color[members[x].index()].expect("colored");
+                    let cj = color[members[y].index()].expect("colored");
+                    let e1 = vec![(ci, 1.0), (cj, -1.0), (delta, -1.0), (w, r)];
+                    model.add_constr(e1, Sense::Ge, 0.0);
+                    let e2 = vec![(cj, 1.0), (ci, -1.0), (delta, -1.0), (w, -r)];
+                    model.add_constr(e2, Sense::Ge, -r);
+                }
+            }
+        }
+        if let Some(row) = a.first() {
+            for &v in &row[1..] {
+                model.set_upper_bound(v, 0.0);
+            }
+        }
+        if objective == Objective::MinStartTimes {
+            model.minimize(t_vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>());
+        }
+        (model, t_vars, color)
+    }
+
     #[test]
     fn explicit_usage_is_equivalent() {
-        // Same loop, same period: the inlined and paper-literal
-        // formulations must agree on feasibility and optimal objective.
+        // Same loop, same period: the formulation and the paper-literal
+        // reference must agree on feasibility and optimal objective.
         let g = simple_chain();
         let m = Machine::example_pldi95();
         for period in 2..6u32 {
-            let solve = |explicit: bool| {
-                let o = FormulationOptions {
-                    objective: Objective::MinStartTimes,
-                    explicit_usage: explicit,
-                    ..FormulationOptions::standard()
-                };
-                build(&g, &m, period, o)
-                    .ok()
-                    .and_then(|f| f.model.solve().ok().map(|s| s.objective().round() as i64))
+            let ours = build(
+                &g,
+                &m,
+                period,
+                opts(MappingMode::UnifiedColoring, Objective::MinStartTimes),
+            )
+            .ok()
+            .and_then(|f| f.model.solve().ok())
+            .map(|s| s.objective().round() as i64);
+            let (reference, _, _) = paper_literal(&g, &m, period, Objective::MinStartTimes);
+            let theirs = reference.solve().ok().map(|s| s.objective().round() as i64);
+            assert_eq!(ours, theirs, "period {period}");
+        }
+    }
+
+    fn arb_table() -> impl Strategy<Value = ReservationTable> {
+        (1usize..=4, 1usize..=6).prop_flat_map(|(stages, cols)| {
+            proptest::collection::vec(proptest::collection::vec(any::<bool>(), cols), stages)
+                .prop_map(|mut rows| {
+                    rows[0][0] = true;
+                    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
+                    ReservationTable::from_rows(&refs).expect("shape is valid")
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On one colored class, the forbidden-set overlap rows and the
+        /// per-stage reference agree on feasibility at every period, and
+        /// every schedule either returns passes the checker.
+        #[test]
+        fn overlap_rows_match_the_per_stage_reference(
+            reservation in arb_table(),
+            count in 2u32..=3,
+            period in 1u32..=12,
+            ops in 2usize..=4,
+            edges in proptest::collection::vec((0usize..4, 0usize..4, 0u32..=2), 0..4),
+        ) {
+            prop_assume!(!reservation.is_clean());
+            let fu = FuType { name: "C".into(), count, latency: 1, reservation };
+            let machine = Machine::new(vec![fu]).expect("valid machine");
+            let mut g = Ddg::new();
+            let ids: Vec<_> = (0..ops)
+                .map(|i| g.add_node(format!("op{i}"), OpClass::new(0), 1))
+                .collect();
+            for (s, d, distance) in edges {
+                let (s, d) = (s % ops, d % ops);
+                // Only forward edges may carry distance 0: no
+                // zero-distance cycle can form.
+                let distance = if s < d { distance } else { distance.max(1) };
+                g.add_edge(ids[s], ids[d], distance).expect("valid edge");
+            }
+            let limits = SolveLimits { stop_at_first_incumbent: true, ..SolveLimits::default() };
+            let validate = |starts, colors| {
+                PipelinedSchedule::new(period, starts, colors).validate(&g, &machine)
             };
-            assert_eq!(solve(false), solve(true), "period {period}");
+            let ours = match build(&g, &machine, period, FormulationOptions::standard()) {
+                Ok(f) => match f.model.solve_with(&limits) {
+                    Ok(sol) => {
+                        let (starts, colors) = f.extract(&sol);
+                        prop_assert_eq!(validate(starts, colors), Ok(()));
+                        true
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e, SolveError::Infeasible);
+                        false
+                    }
+                },
+                Err(e) => {
+                    prop_assert!(matches!(e, ScheduleError::PeriodInfeasible { .. }), "{e:?}");
+                    false
+                }
+            };
+            let (reference, t_vars, color) = paper_literal(&g, &machine, period, Objective::Feasible);
+            let theirs = match reference.solve_with(&limits) {
+                Ok(sol) => {
+                    let starts = t_vars.iter().map(|&v| sol.value_int(v) as u32).collect();
+                    let colors = color
+                        .iter()
+                        .map(|c| c.map(|v| (sol.value_int(v) - 1) as u32))
+                        .collect();
+                    prop_assert_eq!(validate(starts, colors), Ok(()));
+                    true
+                }
+                Err(e) => {
+                    prop_assert_eq!(e, SolveError::Infeasible);
+                    false
+                }
+            };
+            prop_assert_eq!(ours, theirs, "period {}", period);
         }
     }
 

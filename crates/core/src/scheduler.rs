@@ -773,7 +773,8 @@ impl RateOptimalScheduler {
     }
 
     /// The post-exhaustion fallback: IMS under [`GRACE_TICKS`], verified
-    /// by the independent checker, tagged budget-exhausted. The grace
+    /// by the independent checker, tagged budget-exhausted — or proven,
+    /// when its period is the refutation frontier itself. The grace
     /// budget shares `budget`'s cancel token, so cancelling the solve
     /// stops the fallback too.
     fn degrade(
@@ -813,14 +814,21 @@ impl RateOptimalScheduler {
                 error,
             });
         }
+        // Every period below the frontier is refuted, so a grace
+        // schedule at the frontier is as proven as one the sweep finds.
+        let optimality = if c.period == first_unrefuted {
+            Optimality::Proven
+        } else {
+            Optimality::BudgetExhausted {
+                smallest_refuted: first_unrefuted,
+            }
+        };
         Ok(ScheduleResult {
             schedule: res.schedule,
             t_dep,
             t_res,
             attempts,
-            optimality: Optimality::BudgetExhausted {
-                smallest_refuted: first_unrefuted,
-            },
+            optimality,
         })
     }
 
@@ -987,7 +995,6 @@ impl RateOptimalScheduler {
                 mapping: self.config.mapping,
                 objective: self.config.objective,
                 max_live: self.config.max_live,
-                ..FormulationOptions::standard()
             },
             period_budget,
         ) {
@@ -1405,7 +1412,10 @@ mod tests {
         let s = RateOptimalScheduler::new(machine.clone(), SchedulerConfig::default())
             .schedule_with(&g, &Budget::with_tick_limit(0))
             .expect("degrades, not errors");
-        assert!(matches!(s.optimality, Optimality::BudgetExhausted { .. }));
+        // Nothing was refuted, so the frontier is T_lb; the grace
+        // schedule reaches it, which proves it.
+        assert_eq!(s.schedule.initiation_interval(), s.t_lb());
+        assert_eq!(s.optimality, Optimality::Proven);
         assert_eq!(s.schedule.validate(&g, &machine), Ok(()));
     }
 
@@ -1633,7 +1643,7 @@ mod tests {
         let hazard = Machine::example_pldi95;
         assert_eq!(
             log(hazard(), Engine::Ilp, false, None),
-            [(2, Feasible(SolvedBy::Ilp), (3, 30, 20, 27))]
+            [(2, Feasible(SolvedBy::Ilp), (5, 14, 20, 23))]
         );
         for engine in [Engine::Cp, Engine::Portfolio] {
             assert_eq!(
@@ -1644,7 +1654,7 @@ mod tests {
         assert_eq!(
             log(hazard(), Engine::Ilp, true, None),
             [
-                (2, EngineFailed, (0, 0, 20, 27)),
+                (2, EngineFailed, (0, 0, 20, 23)),
                 (2, Feasible(SolvedBy::Heuristic), (0, 0, 0, 0)),
             ]
         );
@@ -1655,7 +1665,7 @@ mod tests {
                 (2, Infeasible, (0, 0, 22, 25)),
                 (3, Infeasible, (0, 0, 29, 32)),
                 (4, Infeasible, (0, 0, 36, 39)),
-                (5, Feasible(SolvedBy::Ilp), (32, 723, 43, 46)),
+                (5, Feasible(SolvedBy::Ilp), (40, 78, 43, 46)),
             ]
         );
         for engine in [Engine::Cp, Engine::Portfolio] {

@@ -22,7 +22,7 @@
 //!    circular-arc coloring (`count ≥ 2`, `≥ 2` members, unclean
 //!    table), structural conflicts come from each class's cyclic
 //!    conflict vector, built from the reservation table's forbidden
-//!    latencies (`ReservationTable::forbidden_latencies`) while the
+//!    residues (`ReservationTable::forbidden_residues`) while the
 //!    model is built: bit `d` is set iff `d ≡ 0` or `d ≡ ±f (mod T)`
 //!    for some forbidden latency `f`. Two members whose fixed
 //!    offsets collide (a bit test on that vector) must take distinct
@@ -223,17 +223,13 @@ fn stage_offsets(rt: &ReservationTable) -> Vec<Vec<u32>> {
 
 /// The cyclic conflict vector of one class at `period`: bit `d` is set
 /// iff two ops of the class issued `d (mod T)` apart on one unit claim
-/// some stage in the same cycle. That is bit 0 (every table marks
-/// column 0) plus `±f mod T` for each of the table's forbidden
-/// latencies `f` (`ReservationTable::forbidden_latencies`), so the
-/// vector is symmetric under negation mod `T`.
-fn conflict_vector(forbidden: &[u32], period: u32) -> Box<[u64]> {
+/// some stage in the same cycle — the table's forbidden residues
+/// (`ReservationTable::forbidden_residues`), so the vector is symmetric
+/// under negation mod `T`.
+fn conflict_vector(rt: &ReservationTable, period: u32) -> Box<[u64]> {
     let mut c = vec![0u64; words_for(period)].into_boxed_slice();
-    c[0] = 1;
-    for &f in forbidden {
-        for d in [modt(i64::from(f), period), modt(-i64::from(f), period)] {
-            c[d as usize / 64] |= 1u64 << (d % 64);
-        }
+    for d in rt.forbidden_residues(period) {
+        c[d as usize / 64] |= 1u64 << (d % 64);
     }
     c
 }
@@ -1074,8 +1070,7 @@ pub fn solve_at_warm(
         if capacity.is_some_and(|cap| members.len() as u32 > fu.count * cap) {
             return Ok((CpOutcome::Infeasible, stats));
         }
-        let forbidden = rt.forbidden_latencies();
-        let is_colored = fu.count >= 2 && members.len() >= 2 && !forbidden.is_empty();
+        let is_colored = fu.count >= 2 && members.len() >= 2 && !rt.is_clean();
         if is_colored && fu.count > MAX_COLORED_UNITS {
             return Err(CpError::TooManyUnits {
                 class,
@@ -1093,7 +1088,7 @@ pub fn solve_at_warm(
             colored: is_colored,
             capacity,
             conflict: if is_colored {
-                conflict_vector(&forbidden, period)
+                conflict_vector(rt, period)
             } else {
                 Box::default()
             },
@@ -1255,7 +1250,7 @@ mod tests {
                 .prop_map(|(wide, narrow, spanning)| if wide { spanning } else { narrow }),
         ) {
             prop_assume!(reservation.modulo_feasible(t));
-            let conflict = conflict_vector(&reservation.forbidden_latencies(), t);
+            let conflict = conflict_vector(&reservation, t);
             let machine = Machine::new(vec![FuType {
                 name: "C".into(),
                 count: 1,
@@ -1284,7 +1279,7 @@ mod tests {
         // {1, 2}, stage 2 at offset 2. Stage 1 gives deltas ±1 and 0.
         let machine = Machine::example_pldi95();
         let rt = &machine.types()[1].reservation;
-        let conflict = conflict_vector(&rt.forbidden_latencies(), 4);
+        let conflict = conflict_vector(rt, 4);
         let set: Vec<u32> = (0..4).filter(|&d| bit(&conflict, d)).collect();
         assert_eq!(set, [0, 1, 3]);
         let mut rotated = vec![0u64; 1];

@@ -185,6 +185,24 @@ impl ReservationTable {
         forb
     }
 
+    /// The forbidden set reduced mod `period`: the issue distances
+    /// `d ∈ 0..period` at which a second operation collides with a first
+    /// on one unit. That is 0 (every table marks column 0) and `±f mod
+    /// period` for each forbidden latency `f`, sorted and deduplicated.
+    /// The ILP's overlap rows and the CP engine's conflict vectors both
+    /// read it.
+    pub fn forbidden_residues(&self, period: u32) -> Vec<u32> {
+        assert!(period > 0, "period must be positive");
+        let mut residues = vec![0];
+        for f in self.forbidden_latencies() {
+            let f = f % period;
+            residues.extend([f, (period - f) % period]);
+        }
+        residues.sort_unstable();
+        residues.dedup();
+        residues
+    }
+
     /// The *modulo* usage of stage `s` at residue `t` for period `T`:
     /// true iff some offset `l ≡ t (mod T)` is marked. This is the
     /// extended reservation table of Govindarajan et al. \[8\] collapsed

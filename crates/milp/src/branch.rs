@@ -1,18 +1,19 @@
 //! Branch-and-bound search for mixed-integer models.
 //!
 //! Depth-first search over LP relaxations solved by [`crate::simplex`].
-//! Branching picks the most fractional integer variable; the child whose
-//! branch is nearer the LP value is explored first. An LP-rounding primal
-//! heuristic runs at the root and periodically thereafter, which matters
-//! for the scheduling models in `swp-core`: their LP relaxations are often
-//! integral or nearly so, and rounding finds a schedule without descending
-//! the tree.
+//! The relaxation's tableau is built once; each node applies its bounds
+//! to the current basis and re-solves it in place by dual simplex, so a
+//! node costs the pivots it needs and nothing more. Branching picks the
+//! most fractional integer variable; the child whose branch is nearer the
+//! LP value is explored first. An LP-rounding primal heuristic runs at
+//! the root and periodically thereafter, which matters for the
+//! scheduling models in `swp-core`: their LP relaxations are often
+//! integral or nearly so, and rounding finds a schedule without
+//! descending the tree.
 
 use crate::budget::{Budget, Exhaustion};
-use crate::model::{Model, Sense, VarKind};
-use crate::simplex::{
-    solve_lp_warm, solve_lp_with, LpBasis, LpOutcome, LpProblem, PivotLayout, FEAS_TOL,
-};
+use crate::model::{Model, VarKind};
+use crate::simplex::{Lp, LpBasis, LpOutcome, LpProblem, PivotLayout, FEAS_TOL};
 use crate::SolveError;
 use std::time::{Duration, Instant};
 
@@ -33,15 +34,17 @@ pub struct SolveLimits {
     pub stop_at_first_incumbent: bool,
     /// Shared solve budget: wall-clock deadline, deterministic tick cap,
     /// and cooperative cancellation (default: unlimited). One tick is
-    /// spent per simplex pivot, so the cap bounds total work across every
-    /// node LP; the cancel token stops the search within one check
+    /// spent per simplex iteration and every node LP spends at least one,
+    /// so the cap bounds total work and the node count across the tree;
+    /// the cancel token stops the search within one check
     /// interval with [`SolveError::Cancelled`].
     pub budget: Budget,
     /// Optional basis hint for the **root** relaxation, typically
     /// exported from a closely related earlier solve (the previous
-    /// period of a T-sweep, or the pre-edit instance). Crash-started
-    /// with a full ratio test, so the hint can never change the verdict
-    /// — only the pivot count (default: none).
+    /// period of a T-sweep, or the pre-edit instance). Its columns are
+    /// crashed into the starting basis in place of slacks and the
+    /// simplex runs to completion from there, so the hint can never
+    /// change the verdict — only the pivot count (default: none).
     pub warm_basis: Option<LpBasis>,
     /// Inert: [`PivotLayout`] has the single variant
     /// [`PivotLayout::SparseRow`], which every node LP uses. The field
@@ -141,10 +144,10 @@ pub struct BranchBound<'a> {
     limits: SolveLimits,
     /// Indices of integer/binary variables.
     int_vars: Vec<usize>,
-    /// Rows shared by every node LP.
-    rows: Vec<(Vec<(usize, f64)>, Sense, f64)>,
-    /// Minimization objective (negated if the model maximizes).
-    obj_min: Vec<f64>,
+    /// The root relaxation: the minimization objective (negated if the
+    /// model maximizes), the rows, and the root bounds (integer bounds
+    /// rounded inward).
+    root: LpProblem,
 }
 
 impl<'a> BranchBound<'a> {
@@ -159,7 +162,7 @@ impl<'a> BranchBound<'a> {
             .filter(|(_, v)| v.kind != VarKind::Continuous)
             .map(|(i, _)| i)
             .collect();
-        let rows = model
+        let rows: Vec<_> = model
             .constrs
             .iter()
             .map(|c| {
@@ -171,20 +174,10 @@ impl<'a> BranchBound<'a> {
             })
             .collect();
         let sign = if model.maximize { -1.0 } else { 1.0 };
-        let obj_min = model.obj.iter().map(|&c| sign * c).collect();
-        BranchBound {
-            model,
-            limits,
-            int_vars,
-            rows,
-            obj_min,
-        }
-    }
-
-    fn root_bounds(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut lo: Vec<f64> = self.model.vars.iter().map(|v| v.lo).collect();
-        let mut hi: Vec<f64> = self.model.vars.iter().map(|v| v.hi).collect();
-        for &j in &self.int_vars {
+        let obj = model.obj.iter().map(|&c| sign * c).collect();
+        let mut lo: Vec<f64> = model.vars.iter().map(|v| v.lo).collect();
+        let mut hi: Vec<f64> = model.vars.iter().map(|v| v.hi).collect();
+        for &j in &int_vars {
             if lo[j].is_finite() {
                 lo[j] = (lo[j] - INT_TOL).ceil();
             }
@@ -192,7 +185,17 @@ impl<'a> BranchBound<'a> {
                 hi[j] = (hi[j] + INT_TOL).floor();
             }
         }
-        (lo, hi)
+        BranchBound {
+            model,
+            limits,
+            int_vars,
+            root: LpProblem { obj, rows, lo, hi },
+        }
+    }
+
+    /// Minimization objective of a point.
+    fn min_objective(&self, x: &[f64]) -> f64 {
+        self.root.obj.iter().zip(x).map(|(&c, &v)| c * v).sum()
     }
 
     /// Stated-direction objective from a minimization objective value.
@@ -236,16 +239,27 @@ impl<'a> BranchBound<'a> {
     pub fn run_with_basis(self) -> (Result<MipSolution, SolveError>, Option<LpBasis>) {
         let mut root_basis: Option<LpBasis> = None;
         let start = Instant::now();
-        let (lo, hi) = self.root_bounds();
-        let mut stack = vec![Node { lo, hi, depth: 0 }];
+        let budget = &self.limits.budget;
+        let mut stack = vec![Node {
+            lo: self.root.lo.clone(),
+            hi: self.root.hi.clone(),
+            depth: 0,
+        }];
         let mut incumbent: Option<(Vec<f64>, f64)> = None; // (x, min-objective)
         let mut stats = SearchStats::default();
         let mut truncated = false;
+        // One tableau for the whole search. The caller's hint (if any) is
+        // crashed into the root basis; `None` means the root bounds cross.
+        let mut lp = Lp::new(&self.root);
+        let crashed = match (&mut lp, &self.limits.warm_basis) {
+            (Some(lp), Some(hint)) => lp.crash(hint, budget).map(|_| ()),
+            _ => Ok(()),
+        };
 
         'search: while let Some(node) = stack.pop() {
             // Full budget check at every node boundary so cancellation is
             // honoured promptly even when node LPs are tiny.
-            match self.limits.budget.check() {
+            match budget.check() {
                 Ok(()) => {}
                 Err(Exhaustion::Cancelled) => return (Err(SolveError::Cancelled), root_basis),
                 Err(e) => {
@@ -256,24 +270,19 @@ impl<'a> BranchBound<'a> {
             }
             stats.nodes += 1;
 
-            let lp = LpProblem {
-                obj: self.obj_min.clone(),
-                rows: self.rows.clone(),
-                lo: node.lo.clone(),
-                hi: node.hi.clone(),
+            // Every node LP spends at least one tick, crossed bounds
+            // included, so a tick cap bounds the node count.
+            let lp_result = match (lp.as_mut(), &crashed) {
+                (_, Err(e)) => Err(e.clone()),
+                (Some(lp), Ok(())) => match lp.set_bounds(&node.lo, &node.hi) {
+                    true => lp.solve(budget),
+                    false => crossed(budget),
+                },
+                (None, Ok(())) => crossed(budget),
             };
-            // The root relaxation is warm-started from the caller's hint
-            // (if any) and its terminal basis exported for the caller's
-            // next solve; deeper nodes stay on the cold path, whose pivot
-            // sequence is untouched.
-            let lp_result = if node.depth == 0 {
-                solve_lp_warm(&lp, &self.limits.budget, self.limits.warm_basis.as_ref()).map(|r| {
-                    root_basis = Some(r.basis);
-                    r.outcome
-                })
-            } else {
-                solve_lp_with(&lp, &self.limits.budget)
-            };
+            if let (0, Some(lp), Ok(_)) = (node.depth, &lp, &lp_result) {
+                root_basis = Some(lp.basis());
+            }
             let sol = match lp_result {
                 Ok(LpOutcome::Optimal(s)) => s,
                 Ok(LpOutcome::Infeasible) => continue,
@@ -290,11 +299,7 @@ impl<'a> BranchBound<'a> {
                     stats.stop_reason = StopReason::Budget(
                         // Distinguish deadline from ticks for the log; a
                         // second check cannot un-trip.
-                        self.limits
-                            .budget
-                            .check()
-                            .err()
-                            .unwrap_or(Exhaustion::Deadline),
+                        budget.check().err().unwrap_or(Exhaustion::Deadline),
                     );
                     break;
                 }
@@ -328,7 +333,7 @@ impl<'a> BranchBound<'a> {
                     for &j in &self.int_vars {
                         x[j] = x[j].round();
                     }
-                    let obj: f64 = self.obj_min.iter().zip(&x).map(|(&c, &v)| c * v).sum();
+                    let obj = self.min_objective(&x);
                     let better = incumbent
                         .as_ref()
                         .map(|(_, inc)| obj < *inc - 1e-9)
@@ -410,12 +415,18 @@ impl<'a> BranchBound<'a> {
             y[j] = y[j].round().clamp(node.lo[j], node.hi[j]);
         }
         if self.model.is_feasible_point(&y, FEAS_TOL * 10.0) {
-            let obj: f64 = self.obj_min.iter().zip(&y).map(|(&c, &v)| c * v).sum();
+            let obj = self.min_objective(&y);
             Some((y, obj))
         } else {
             None
         }
     }
+}
+
+/// The outcome of a node whose bounds cross: infeasible, for one tick.
+fn crossed(budget: &Budget) -> Result<LpOutcome, SolveError> {
+    budget.tick().map_err(SolveError::from)?;
+    Ok(LpOutcome::Infeasible)
 }
 
 #[cfg(test)]

@@ -6,11 +6,14 @@
 //!
 //! * [`Model`] — a small modeling layer: variables (continuous, integer,
 //!   binary) with bounds, linear constraints, and a linear objective.
-//! * [`simplex`] — a two-phase primal simplex over `f64` with sparse-row
-//!   pivoting, Dantzig pricing and a Bland anti-cycling fallback.
+//! * [`simplex`] — a bounded-variable simplex over `f64`: one slack per
+//!   row, box bounds in the ratio tests, dual iterations to restore
+//!   feasibility after bounds change and primal ones to finish a cold
+//!   start, sparse-row pivoting, and a Bland anti-cycling fallback.
 //! * [`branch`] — branch-and-bound for mixed-integer models with
-//!   most-fractional branching, depth-first search with best-bound
-//!   tie-breaking, an LP-rounding primal heuristic, and budget limits.
+//!   most-fractional branching, depth-first search, an LP-rounding
+//!   primal heuristic, and budget limits. The relaxation's tableau is
+//!   built once and re-solved in place at every node.
 //! * [`exact`] — arbitrary-precision integers and rationals plus a dense
 //!   exact rational simplex, used in tests and audits to cross-check the
 //!   `f64` path on small instances.

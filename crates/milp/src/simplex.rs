@@ -1,15 +1,47 @@
-//! Two-phase primal simplex over `f64` on a dense row-major tableau.
+//! Bounded-variable simplex over `f64` on a dense row-major tableau.
 //!
 //! The solver accepts problems in the *bounded row form* used by the
 //! branch-and-bound driver: minimize `c·x` subject to rows
 //! `a·x {<=, >=, ==} b` and box bounds `lo <= x <= hi` (bounds may be
-//! infinite). Internally every variable is shifted/split to be
-//! non-negative, finite upper bounds become rows, and slack/artificial
-//! columns complete a basis for phase 1.
+//! infinite). Columns fixed by their bounds are substituted out. Every
+//! row gets one slack `s = b − a·x` whose bounds come from the row's
+//! sense (`Le`: `s ≥ 0`, `Ge`: `s ≤ 0`, `Eq`: `s = 0`), and the box
+//! bounds stay in the ratio tests. The tableau therefore has one row per
+//! constraint, no bound rows and no artificial columns, and the
+//! all-slack basis is always a valid (if primal-infeasible) start.
 //!
-//! Pricing is Dantzig (most negative reduced cost) with an automatic
-//! switch to Bland's rule after a run of degenerate pivots, which
-//! guarantees termination.
+//! The crate-private `Lp` holds the tableau `B⁻¹[A | I]`, every
+//! column's value and the reduced costs, and is re-solved in place:
+//!
+//! * **Dual iterations** restore primal feasibility while the reduced
+//!   costs stay dual feasible. They solve a cold start from the slack
+//!   basis and every branch-and-bound node after its bounds change.
+//! * **Primal iterations** finish a solve whose start was not dual
+//!   feasible (a column with a cost toward an open bound): a dual pass
+//!   under a cost that prices the current positions as optimal first
+//!   reaches a feasible vertex, then primal iterations optimize the real
+//!   cost from there.
+//!
+//! A model whose objective is zero (every feasibility probe of the
+//! scheduler) is solved under a fixed perturbation instead: each column
+//! gets a cost in `[1, 2)` that pulls it toward the bound it starts at.
+//! Every feasible point is optimal for the zero objective, so this
+//! changes which vertex is reported, never the verdict, and it keeps the
+//! dual ratio test from tying on every column. The reported objective is
+//! always the model's own.
+//!
+//! Pricing is dual Devex in the dual (the largest squared bound violation
+//! relative to the row's reference weight leaves) and Dantzig in the
+//! primal (the largest reduced cost enters), with a switch to Bland's
+//! least-index rule after a run of degenerate pivots. A cycle consists
+//! of degenerate pivots only, so once it starts Bland's rule governs it
+//! and termination is guaranteed; a pivot cap still reports any stall as
+//! [`SolveError::Numerical`], and no path accepts a stalled vertex.
+//!
+//! Drift is contained twice over: basic values are recomputed from the
+//! tableau at every re-solve, and every 1,024 pivots the tableau itself
+//! is rebuilt from the original rows for the current basis. An infeasibility verdict is only given after the offending
+//! row's value has been recomputed from scratch.
 //!
 //! The pivot sweeps only the pivot row's nonzero columns, collected
 //! once per pivot, and skips the exact zeros in every eliminated row.
@@ -21,9 +53,8 @@
 //! `-0.0 == 0.0`), so the pivot sequence is the one a full-width sweep
 //! would take.
 //!
-//! [`solve_lp_with`] and [`solve_lp_warm`] are the only entry points.
-//! Both report a pivot-cap stall as [`SolveError::Numerical`]; no path
-//! accepts a stalled vertex.
+//! [`solve_lp_with`] and [`solve_lp_warm`] solve one problem;
+//! branch-and-bound drives an `Lp` directly.
 
 // Tableau arithmetic is clearer with explicit indices.
 #![allow(clippy::needless_range_loop)]
@@ -36,8 +67,16 @@ use crate::SolveError;
 pub const FEAS_TOL: f64 = 1e-7;
 /// Pivot magnitude below which a column entry is treated as zero.
 const PIVOT_TOL: f64 = 1e-9;
+/// Reduced-cost magnitude below which a column counts as dual-degenerate.
+const DUAL_TOL: f64 = 1e-9;
+/// Ratios within this of each other tie.
+const RATIO_TIE: f64 = 1e-12;
 /// Number of consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_SWITCH: usize = 60;
+/// Pivots between two rebuilds of the tableau from the original rows.
+const REFACTOR_PIVOTS: usize = 1024;
+/// Marks a column that is not basic in any row.
+const NONBASIC: usize = usize::MAX;
 
 /// Inner-loop layout of the pivot elimination. Only the sparse-row sweep
 /// exists; the type and [`SolveLimits::pivot_layout`] are inert and kept
@@ -79,19 +118,18 @@ pub struct LpSolution {
     pub x: Vec<f64>,
     /// Objective value `c·x`.
     pub objective: f64,
-    /// Simplex iterations used (both phases).
+    /// Simplex iterations used (pivots and bound flips, crash included).
     pub iterations: usize,
 }
 
 /// A simplex basis exported in *structural* (model-variable) space.
 ///
 /// `cols` lists the problem columns that were basic when the solve
-/// terminated (sorted, deduplicated; split free variables report their
-/// structural index once). The basis is a **hint**, never a contract: a
-/// warm solve crashes the hinted columns into the starting basis with a
-/// full ratio test, so primal feasibility is preserved no matter how
-/// stale the hint is, and phases 1/2 still run to completion. A useless
-/// hint costs a few extra pivots; it can never change the outcome.
+/// terminated (sorted, deduplicated). The basis is a **hint**, never a
+/// contract: a warm solve crashes the hinted columns into the starting
+/// basis in place of slacks, and the simplex then runs to completion
+/// from there. A useless hint costs a few extra pivots; it can never
+/// change the outcome.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LpBasis {
     /// Structural column indices basic at termination.
@@ -140,105 +178,31 @@ impl LpOutcome {
     }
 }
 
-/// Column bookkeeping: how a structural variable maps into tableau columns.
-#[derive(Debug, Clone, Copy)]
-enum ColMap {
-    /// `x = lo + y`, single tableau column (shifted non-negative).
-    Shifted { col: usize, lo: f64 },
-    /// Free variable split `x = y⁺ − y⁻`.
-    Split { plus: usize, minus: usize },
-    /// Fixed: `lo == hi`, no tableau column.
-    Fixed { value: f64 },
-}
-
-/// Dense row-major tableau.
-struct Tableau {
-    m: usize,
-    n: usize, // columns excluding rhs
-    a: Vec<f64>,
-    rhs: Vec<f64>,
-    basis: Vec<usize>,
-}
-
-impl Tableau {
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * self.n + c]
-    }
-
-    /// Pivots on `(pr, pc)`, sweeping only the pivot row's nonzeros.
-    /// They are collected into `nz` (reused across pivots), which is left
-    /// holding them for the caller's reduced-cost update. Every
-    /// elimination this skips is `row[c] -= f * (±0.0)` — a value-level
-    /// no-op (see the module docs).
-    fn pivot(&mut self, pr: usize, pc: usize, nz: &mut Vec<usize>) {
-        let n = self.n;
-        let piv = self.a[pr * n + pc];
-        let inv = 1.0 / piv;
-        nz.clear();
-        for (c, v) in self.a[pr * n..(pr + 1) * n].iter_mut().enumerate() {
-            if *v != 0.0 {
-                *v *= inv;
-                nz.push(c);
-            }
-        }
-        self.rhs[pr] *= inv;
-        let rhs_pr = self.rhs[pr];
-        // Split the pivot row out so other rows can be updated without
-        // aliasing the borrow.
-        let (before, rest) = self.a.split_at_mut(pr * n);
-        let (prow, after) = rest.split_at_mut(n);
-        for (ri, row) in before.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for &c in nz.iter() {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0; // exact zero to contain drift
-                self.rhs[ri] -= f * rhs_pr;
-            }
-        }
-        for (ri, row) in after.chunks_exact_mut(n).enumerate() {
-            let f = row[pc];
-            if f != 0.0 {
-                for &c in nz.iter() {
-                    row[c] -= f * prow[c];
-                }
-                row[pc] = 0.0;
-                self.rhs[pr + 1 + ri] -= f * rhs_pr;
-            }
-        }
-        self.basis[pr] = pc;
-    }
-}
-
-/// Solves the LP by two-phase primal simplex under a [`Budget`], with
-/// strict stall detection.
+/// Solves the LP under a [`Budget`], with strict stall detection.
 ///
 /// Column bounds with `lo > hi` (to within [`FEAS_TOL`]) yield
-/// [`LpOutcome::Infeasible`] immediately — branch-and-bound relies on this
-/// when a branch empties a variable's domain.
+/// [`LpOutcome::Infeasible`] immediately.
 ///
 /// # Errors
 ///
 /// * [`SolveError::LimitReached`] — the budget's deadline or tick cap
-///   tripped mid-solve (one tick is spent per simplex pivot);
+///   tripped mid-solve (one tick is spent per simplex iteration, and
+///   every solve spends at least one);
 /// * [`SolveError::Cancelled`] — the budget's cancel token fired;
 /// * [`SolveError::Numerical`] — the pivot cap was exhausted without
 ///   convergence (a stall or cycling even Bland's rule did not resolve).
 pub fn solve_lp_with(p: &LpProblem, budget: &Budget) -> Result<LpOutcome, SolveError> {
-    solve_lp_impl(p, budget, None).map(|r| r.outcome)
+    solve_lp_warm(p, budget, None).map(|r| r.outcome)
 }
 
 /// Solves the LP under a [`Budget`] with an optional basis hint, and
 /// exports the terminal basis for carry-over to the next instance.
 ///
-/// The hint is crashed into the starting basis by forced-entering pivots
-/// with a full ratio test, so the right-hand side stays non-negative and
-/// both simplex phases run unchanged afterwards: the verdict is always
-/// identical to a cold [`solve_lp_with`] (a vertex-degenerate optimum may
-/// sit at a different vertex, but feasibility/unboundedness and the
-/// optimal objective value agree). With `hint == None` the pivot sequence
-/// is bit-identical to the cold path.
+/// Each hinted column is pivoted into the starting basis in place of a
+/// slack (largest pivot first); the solve then runs exactly as a cold
+/// one from that basis, so the verdict and the optimal objective always
+/// agree with [`solve_lp_with`] (a degenerate optimum may sit at a
+/// different vertex).
 ///
 /// # Errors
 ///
@@ -249,485 +213,725 @@ pub fn solve_lp_warm(
     budget: &Budget,
     hint: Option<&LpBasis>,
 ) -> Result<WarmLpResult, SolveError> {
-    solve_lp_impl(p, budget, hint)
-}
-
-fn solve_lp_impl(
-    p: &LpProblem,
-    budget: &Budget,
-    hint: Option<&LpBasis>,
-) -> Result<WarmLpResult, SolveError> {
-    let ncols = p.num_cols();
-    // Early exits happen before any tableau exists; they carry an empty
-    // basis (nothing useful to hand to the next solve).
-    let bare = |outcome: LpOutcome| WarmLpResult {
-        outcome,
-        basis: LpBasis::default(),
-        crash_pivots: 0,
+    let Some(mut lp) = Lp::new(p) else {
+        return Ok(WarmLpResult {
+            outcome: LpOutcome::Infeasible,
+            basis: LpBasis::default(),
+            crash_pivots: 0,
+        });
     };
-    for j in 0..ncols {
-        if p.lo[j] > p.hi[j] + FEAS_TOL {
-            return Ok(bare(LpOutcome::Infeasible));
-        }
-    }
-
-    // --- Build the column map and count tableau columns. ---
-    let mut map = Vec::with_capacity(ncols);
-    let mut next = 0usize;
-    let mut ub_rows = 0usize;
-    for j in 0..ncols {
-        let (lo, hi) = (p.lo[j], p.hi[j]);
-        if lo == hi {
-            map.push(ColMap::Fixed { value: lo });
-        } else if lo.is_finite() {
-            map.push(ColMap::Shifted { col: next, lo });
-            next += 1;
-            if hi.is_finite() {
-                ub_rows += 1;
-            }
-        } else if hi.is_finite() {
-            // x <= hi with free lower end: substitute x = hi - y, y >= 0.
-            // Model as shifted with negated column; simpler: split.
-            map.push(ColMap::Split {
-                plus: next,
-                minus: next + 1,
-            });
-            next += 2;
-            ub_rows += 1;
-        } else {
-            map.push(ColMap::Split {
-                plus: next,
-                minus: next + 1,
-            });
-            next += 2;
-        }
-    }
-    let nstruct = next;
-
-    // --- Assemble rows: user rows plus upper-bound rows. ---
-    // Each row: dense coefficient vec over nstruct, sense, rhs.
-    let total_rows = p.rows.len() + ub_rows;
-    let mut rows: Vec<(Vec<f64>, Sense, f64)> = Vec::with_capacity(total_rows);
-    for (terms, sense, rhs) in &p.rows {
-        let mut dense = vec![0.0; nstruct];
-        let mut b = *rhs;
-        for &(j, coeff) in terms {
-            match map[j] {
-                ColMap::Shifted { col, lo } => {
-                    dense[col] += coeff;
-                    b -= coeff * lo;
-                }
-                ColMap::Split { plus, minus } => {
-                    dense[plus] += coeff;
-                    dense[minus] -= coeff;
-                }
-                ColMap::Fixed { value } => b -= coeff * value,
-            }
-        }
-        rows.push((dense, *sense, b));
-    }
-    for j in 0..ncols {
-        let hi = p.hi[j];
-        if !hi.is_finite() {
-            continue;
-        }
-        match map[j] {
-            ColMap::Shifted { col, lo } => {
-                let mut dense = vec![0.0; nstruct];
-                dense[col] = 1.0;
-                rows.push((dense, Sense::Le, hi - lo));
-            }
-            ColMap::Split { plus, minus } => {
-                let mut dense = vec![0.0; nstruct];
-                dense[plus] = 1.0;
-                dense[minus] = -1.0;
-                rows.push((dense, Sense::Le, hi));
-            }
-            ColMap::Fixed { .. } => {}
-        }
-    }
-
-    // Rows that are vacuous (all-zero lhs) are resolved immediately.
-    rows.retain(|(dense, sense, b)| {
-        if dense.iter().any(|&c| c != 0.0) {
-            return true;
-        }
-        // 0 {sense} b — keep only to detect infeasibility below via flag.
-        let ok = match sense {
-            Sense::Le => *b >= -FEAS_TOL,
-            Sense::Ge => *b <= FEAS_TOL,
-            Sense::Eq => b.abs() <= FEAS_TOL,
-        };
-        !ok // keep violated vacuous rows; they force infeasibility
-    });
-    if rows
-        .iter()
-        .any(|(dense, _, _)| dense.iter().all(|&c| c == 0.0))
-    {
-        return Ok(bare(LpOutcome::Infeasible));
-    }
-
-    let m = rows.len();
-    // Count slacks and artificials.
-    let mut nslack = 0usize;
-    let mut nart = 0usize;
-    for (_, sense, b) in &rows {
-        let bneg = *b < 0.0;
-        match (sense, bneg) {
-            (Sense::Le, false) => nslack += 1, // +slack basic
-            (Sense::Le, true) => {
-                nslack += 1;
-                nart += 1;
-            } // becomes Ge after negate
-            (Sense::Ge, false) => {
-                nslack += 1;
-                nart += 1;
-            }
-            (Sense::Ge, true) => nslack += 1, // becomes Le after negate
-            (Sense::Eq, _) => nart += 1,
-        }
-    }
-    let n = nstruct + nslack + nart;
-    let mut t = Tableau {
-        m,
-        n,
-        a: vec![0.0; m * n],
-        rhs: vec![0.0; m],
-        basis: vec![usize::MAX; m],
+    let crash_pivots = match hint {
+        Some(h) => lp.crash(h, budget)?,
+        None => 0,
     };
-    let mut art_cols: Vec<usize> = Vec::with_capacity(nart);
-    let mut sc = nstruct; // next slack column
-    let mut ac = nstruct + nslack; // next artificial column
-    for (r, (dense, sense, b)) in rows.iter().enumerate() {
-        let neg = *b < 0.0;
-        let sgn = if neg { -1.0 } else { 1.0 };
-        for c in 0..nstruct {
-            t.a[r * n + c] = sgn * dense[c];
-        }
-        t.rhs[r] = sgn * b;
-        let eff_sense = match (sense, neg) {
-            (Sense::Le, false) | (Sense::Ge, true) => Sense::Le,
-            (Sense::Ge, false) | (Sense::Le, true) => Sense::Ge,
-            (Sense::Eq, _) => Sense::Eq,
-        };
-        match eff_sense {
-            Sense::Le => {
-                t.a[r * n + sc] = 1.0;
-                t.basis[r] = sc;
-                sc += 1;
-            }
-            Sense::Ge => {
-                t.a[r * n + sc] = -1.0;
-                sc += 1;
-                t.a[r * n + ac] = 1.0;
-                t.basis[r] = ac;
-                art_cols.push(ac);
-                ac += 1;
-            }
-            Sense::Eq => {
-                t.a[r * n + ac] = 1.0;
-                t.basis[r] = ac;
-                art_cols.push(ac);
-                ac += 1;
-            }
-        }
-    }
-
-    // Reverse map: tableau structural column → problem column, used for
-    // basis export and for applying a basis hint.
-    let mut rev = vec![usize::MAX; nstruct];
-    for j in 0..ncols {
-        match map[j] {
-            ColMap::Shifted { col, .. } => rev[col] = j,
-            ColMap::Split { plus, minus } => {
-                rev[plus] = j;
-                rev[minus] = j;
-            }
-            ColMap::Fixed { .. } => {}
-        }
-    }
-
-    let mut iterations = 0usize;
-    let mut crash_pivots = 0usize;
-    // The pivot's reusable pivot-row nonzero list.
-    let mut nz: Vec<usize> = Vec::new();
-
-    // --- Crash the hinted basis in before phase 1. ---
-    // Forced-entering pivots with the usual ratio test: the rhs stays
-    // non-negative, so the tableau remains a valid phase-1 start no
-    // matter how stale the hint is. On a good hint this drives the
-    // artificials out up front and phase 1 terminates immediately.
-    if let Some(hint) = hint {
-        let art_start = nstruct + nslack;
-        for &j in &hint.cols {
-            if j >= ncols {
-                continue; // hint from a differently-shaped model
-            }
-            let pc = match map[j] {
-                ColMap::Shifted { col, .. } => col,
-                ColMap::Split { plus, .. } => plus,
-                ColMap::Fixed { .. } => continue,
-            };
-            if t.basis.contains(&pc) {
-                continue;
-            }
-            let mut pr = usize::MAX;
-            let mut best_ratio = f64::INFINITY;
-            for r in 0..m {
-                let a = t.at(r, pc);
-                if a <= PIVOT_TOL {
-                    continue;
-                }
-                let ratio = t.rhs[r] / a;
-                if ratio < best_ratio - 1e-12 {
-                    best_ratio = ratio;
-                    pr = r;
-                } else if ratio < best_ratio + 1e-12 && pr != usize::MAX {
-                    // Among ties, prefer evicting an artificial: that is
-                    // the whole point of crashing.
-                    if t.basis[r] >= art_start && t.basis[pr] < art_start {
-                        pr = r;
-                    }
-                }
-            }
-            if pr == usize::MAX {
-                continue; // no feasibility-preserving pivot for this column
-            }
-            budget.tick().map_err(SolveError::from)?;
-            t.pivot(pr, pc, &mut nz);
-            crash_pivots += 1;
-            iterations += 1;
-        }
-    }
-
-    // --- Phase 1: minimize sum of artificials. ---
-    if !art_cols.is_empty() {
-        let mut cost = vec![0.0; n];
-        for &c in &art_cols {
-            cost[c] = 1.0;
-        }
-        match run_simplex(&mut t, &cost, &mut iterations, budget).map_err(SolveError::from)? {
-            SimplexEnd::Optimal => {}
-            SimplexEnd::Unbounded => return Ok(bare(LpOutcome::Infeasible)), // cannot happen; safe
-            SimplexEnd::Stalled => {
-                return Err(SolveError::Numerical(
-                    "phase-1 simplex stalled: pivot cap exhausted without convergence".into(),
-                ))
-            }
-        }
-        let phase1: f64 = t
-            .basis
-            .iter()
-            .zip(&t.rhs)
-            .filter(|(b, _)| art_cols.contains(b))
-            .map(|(_, &v)| v)
-            .sum();
-        if phase1 > 1e-6 {
-            // Infeasible, but the phase-1 terminal basis is still a
-            // useful hint for the next (e.g. T+1) instance: export it.
-            return Ok(WarmLpResult {
-                outcome: LpOutcome::Infeasible,
-                basis: export_basis(&t, &rev, nstruct),
-                crash_pivots,
-            });
-        }
-        // Drive remaining artificials out of the basis where possible.
-        for r in 0..m {
-            if art_cols.contains(&t.basis[r]) {
-                if let Some(pc) = (0..nstruct + nslack).find(|&c| t.at(r, c).abs() > PIVOT_TOL) {
-                    t.pivot(r, pc, &mut nz);
-                }
-                // If no pivot exists the row is redundant (all zeros); the
-                // artificial stays basic at value 0 and is harmless as long
-                // as its column never re-enters, which the cost filter below
-                // ensures.
-            }
-        }
-    }
-
-    // --- Phase 2: minimize the real objective. ---
-    let mut cost = vec![0.0; n];
-    for j in 0..ncols {
-        let cj = p.obj[j];
-        if cj == 0.0 {
-            continue;
-        }
-        match map[j] {
-            ColMap::Shifted { col, .. } => cost[col] += cj,
-            ColMap::Split { plus, minus } => {
-                cost[plus] += cj;
-                cost[minus] -= cj;
-            }
-            ColMap::Fixed { .. } => {}
-        }
-    }
-    // Forbid artificials from re-entering.
-    let art_start = nstruct + nslack;
-    match run_simplex_restricted(&mut t, &cost, art_start, &mut iterations, budget)
-        .map_err(SolveError::from)?
-    {
-        SimplexEnd::Optimal => {}
-        SimplexEnd::Unbounded => {
-            return Ok(WarmLpResult {
-                outcome: LpOutcome::Unbounded,
-                basis: export_basis(&t, &rev, nstruct),
-                crash_pivots,
-            })
-        }
-        SimplexEnd::Stalled => {
-            return Err(SolveError::Numerical(
-                "phase-2 simplex stalled: pivot cap exhausted without convergence".into(),
-            ))
-        }
-    }
-
-    // --- Extract structural values. ---
-    let mut y = vec![0.0; n];
-    for r in 0..m {
-        y[t.basis[r]] = t.rhs[r];
-    }
-    let mut x = vec![0.0; ncols];
-    let mut objective = 0.0;
-    for j in 0..ncols {
-        x[j] = match map[j] {
-            ColMap::Shifted { col, lo } => lo + y[col],
-            ColMap::Split { plus, minus } => y[plus] - y[minus],
-            ColMap::Fixed { value } => value,
-        };
-        objective += p.obj[j] * x[j];
+    let mut outcome = lp.solve(budget)?;
+    if let LpOutcome::Optimal(s) = &mut outcome {
+        s.iterations += crash_pivots;
     }
     Ok(WarmLpResult {
-        outcome: LpOutcome::Optimal(LpSolution {
-            x,
-            objective,
-            iterations,
-        }),
-        basis: export_basis(&t, &rev, nstruct),
+        outcome,
+        basis: lp.basis(),
         crash_pivots,
     })
 }
 
-/// Maps the tableau's basic structural columns back to problem columns.
-fn export_basis(t: &Tableau, rev: &[usize], nstruct: usize) -> LpBasis {
-    let mut cols: Vec<usize> = t
-        .basis
-        .iter()
-        .filter(|&&c| c < nstruct)
-        .map(|&c| rev[c])
-        .filter(|&j| j != usize::MAX)
-        .collect();
-    cols.sort_unstable();
-    cols.dedup();
-    LpBasis { cols }
+/// Where a problem column lives in the tableau.
+#[derive(Debug, Clone, Copy)]
+enum ColMap {
+    /// Tableau column.
+    Col(usize),
+    /// Fixed by its bounds and substituted into the right-hand sides.
+    Fixed(f64),
 }
 
-enum SimplexEnd {
+/// How a simplex pass ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
     Optimal,
+    Infeasible,
     Unbounded,
-    /// The pivot cap ran out before the reduced costs turned non-negative.
+    /// The pivot cap ran out before the pass converged.
     Stalled,
 }
 
-fn run_simplex(
-    t: &mut Tableau,
-    cost: &[f64],
-    iterations: &mut usize,
-    budget: &Budget,
-) -> Result<SimplexEnd, Exhaustion> {
-    let n = t.n;
-    run_simplex_restricted(t, cost, n, iterations, budget)
+/// An LP kept as a live tableau, re-solved in place after bound changes.
+///
+/// Columns `0..nx` are the problem's non-fixed columns, `nx..nx + m` the
+/// row slacks. Nonbasic columns sit at a finite bound (a free one at 0),
+/// and `d` holds the reduced costs of `cost`, the cost the solver
+/// minimizes.
+pub(crate) struct Lp {
+    m: usize,
+    n: usize,
+    nx: usize,
+    /// `B⁻¹[A | I]`, row-major.
+    a: Vec<f64>,
+    /// `B⁻¹b`.
+    rhs: Vec<f64>,
+    basis: Vec<usize>,
+    /// Row of each basic column, [`NONBASIC`] otherwise.
+    row_of: Vec<usize>,
+    x: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    d: Vec<f64>,
+    /// The model's objective per column, or (if that is zero) the
+    /// perturbation that stands in for it.
+    cost: Vec<f64>,
+    zero_cost: bool,
+    /// Whether `d` holds the reduced costs of `cost`.
+    priced: bool,
+    map: Vec<ColMap>,
+    obj: Vec<f64>,
+    /// Original structural rows (tableau columns) and right-hand sides,
+    /// kept for rebuilding the tableau.
+    rows: Vec<Vec<(usize, f64)>>,
+    b: Vec<f64>,
+    since_refactor: usize,
+    /// Dual Devex reference weights, one per row.
+    weights: Vec<f64>,
+    /// The pivot row's nonzero columns, reused across pivots.
+    nz: Vec<usize>,
 }
 
-/// Simplex iterations with entering columns restricted to `0..col_limit`.
-///
-/// One budget tick is spent per pivot, so a tick cap bounds the work
-/// deterministically and a fired cancel token stops the loop within one
-/// check interval.
-fn run_simplex_restricted(
-    t: &mut Tableau,
-    cost: &[f64],
-    col_limit: usize,
-    iterations: &mut usize,
-    budget: &Budget,
-) -> Result<SimplexEnd, Exhaustion> {
-    let m = t.m;
-    let n = t.n;
-    let mut nz: Vec<usize> = Vec::new();
-    // Reduced costs maintained as an explicit objective row.
-    let mut z = cost.to_vec();
-    for r in 0..m {
-        let cb = cost[t.basis[r]];
-        if cb != 0.0 {
-            for c in 0..n {
-                z[c] -= cb * t.at(r, c);
+/// Deterministic stand-in cost in `[1, 2)` for column `j`.
+fn perturbation(j: usize) -> f64 {
+    1.0 + (j as f64 * 0.618_033_988_749_895).fract()
+}
+
+impl Lp {
+    /// Builds the slack-basis tableau for `p`, or `None` if some
+    /// column's bounds cross.
+    pub(crate) fn new(p: &LpProblem) -> Option<Lp> {
+        let ncols = p.num_cols();
+        let mut map = Vec::with_capacity(ncols);
+        let mut nx = 0usize;
+        for j in 0..ncols {
+            let (lo, hi) = (p.lo[j], p.hi[j]);
+            if lo > hi + FEAS_TOL {
+                return None;
             }
+            if lo >= hi {
+                map.push(ColMap::Fixed(lo));
+            } else {
+                map.push(ColMap::Col(nx));
+                nx += 1;
+            }
+        }
+        let m = p.rows.len();
+        let n = nx + m;
+        let mut rows = Vec::with_capacity(m);
+        let mut b = Vec::with_capacity(m);
+        let mut lo = vec![0.0; n];
+        let mut hi = vec![0.0; n];
+        let mut cost = vec![0.0; n];
+        for j in 0..ncols {
+            if let ColMap::Col(c) = map[j] {
+                lo[c] = p.lo[j];
+                hi[c] = p.hi[j];
+                cost[c] = p.obj[j];
+            }
+        }
+        for (r, (terms, sense, rhs)) in p.rows.iter().enumerate() {
+            let mut row = Vec::with_capacity(terms.len());
+            let mut br = *rhs;
+            for &(j, coeff) in terms {
+                match map[j] {
+                    ColMap::Col(c) => row.push((c, coeff)),
+                    ColMap::Fixed(v) => br -= coeff * v,
+                }
+            }
+            rows.push(row);
+            b.push(br);
+            (lo[nx + r], hi[nx + r]) = match sense {
+                Sense::Le => (0.0, f64::INFINITY),
+                Sense::Ge => (f64::NEG_INFINITY, 0.0),
+                Sense::Eq => (0.0, 0.0),
+            };
+        }
+        let zero_cost = cost.iter().all(|&c| c == 0.0);
+        let mut lp = Lp {
+            m,
+            n,
+            nx,
+            a: vec![0.0; m * n],
+            rhs: Vec::new(),
+            basis: Vec::new(),
+            row_of: Vec::new(),
+            x: vec![0.0; n],
+            lo,
+            hi,
+            d: vec![0.0; n],
+            cost,
+            zero_cost,
+            priced: false,
+            map,
+            obj: p.obj.clone(),
+            rows,
+            b,
+            since_refactor: 0,
+            weights: Vec::new(),
+            nz: Vec::new(),
+        };
+        lp.load_slack_basis();
+        // On the slack basis the reduced costs are the costs: each column
+        // starts at the bound its cost prefers (the nearer one to 0 when
+        // its cost is 0).
+        lp.reprice();
+        lp.place_nonbasics();
+        lp.start();
+        Some(lp)
+    }
+
+    /// Resets the tableau to `[A | I]` with the all-slack basis.
+    fn load_slack_basis(&mut self) {
+        let (m, n, nx) = (self.m, self.n, self.nx);
+        self.a.fill(0.0);
+        for (r, row) in self.rows.iter().enumerate() {
+            for &(c, v) in row {
+                self.a[r * n + c] += v;
+            }
+            self.a[r * n + nx + r] = 1.0;
+        }
+        self.rhs = self.b.clone();
+        self.basis = (nx..nx + m).collect();
+        self.row_of = vec![NONBASIC; n];
+        for r in 0..m {
+            self.row_of[nx + r] = r;
+        }
+        self.since_refactor = 0;
+        self.weights = vec![1.0; m];
+    }
+
+    /// Recomputes basic values and prices the current basis: a
+    /// zero-cost model adopts the perturbation of its current positions
+    /// (dual feasible by construction), any other is repriced.
+    fn start(&mut self) {
+        self.refresh_basics();
+        if self.zero_cost {
+            self.price_positions();
+        } else {
+            self.reprice();
         }
     }
-    let mut degen_run = 0usize;
-    let max_iter = 50 * (m + n).max(200);
-    for _ in 0..max_iter {
-        budget.tick()?;
-        let bland = degen_run >= DEGEN_SWITCH;
-        // Entering column.
-        let mut pc = usize::MAX;
-        if bland {
-            for c in 0..col_limit {
-                if z[c] < -FEAS_TOL {
-                    pc = c;
-                    break;
-                }
+
+    /// Crashes the hinted columns into the basis, each replacing the
+    /// slack with the largest pivot in its column. Returns the number of
+    /// pivots made (one tick each).
+    pub(crate) fn crash(&mut self, hint: &LpBasis, budget: &Budget) -> Result<usize, SolveError> {
+        let mut pivots = 0;
+        for &j in &hint.cols {
+            let Some(ColMap::Col(c)) = self.map.get(j).copied() else {
+                continue; // fixed, or from a differently-shaped model
+            };
+            if self.row_of[c] != NONBASIC {
+                continue;
             }
-        } else {
-            let mut best = -FEAS_TOL;
-            for c in 0..col_limit {
-                if z[c] < best {
-                    best = z[c];
-                    pc = c;
-                }
-            }
-        }
-        if pc == usize::MAX {
-            return Ok(SimplexEnd::Optimal);
-        }
-        // Ratio test.
-        let mut pr = usize::MAX;
-        let mut best_ratio = f64::INFINITY;
-        for r in 0..m {
-            let a = t.at(r, pc);
-            if a > PIVOT_TOL {
-                let ratio = t.rhs[r] / a;
-                if ratio < best_ratio - 1e-12
-                    || (ratio < best_ratio + 1e-12
-                        && (pr == usize::MAX || t.basis[r] < t.basis[pr]))
-                {
-                    best_ratio = ratio;
+            let mut pr = NONBASIC;
+            let mut best = PIVOT_TOL;
+            for r in 0..self.m {
+                let v = self.a[r * self.n + c].abs();
+                if self.basis[r] >= self.nx && v > best {
+                    best = v;
                     pr = r;
                 }
             }
-        }
-        if pr == usize::MAX {
-            return Ok(SimplexEnd::Unbounded);
-        }
-        if best_ratio.abs() <= 1e-12 {
-            degen_run += 1;
-        } else {
-            degen_run = 0;
-        }
-        // Pivot, then update the objective row over the same nonzero
-        // columns the pivot swept.
-        let f = z[pc];
-        t.pivot(pr, pc, &mut nz);
-        if f != 0.0 {
-            for &c in &nz {
-                z[c] -= f * t.at(pr, c);
+            if pr == NONBASIC {
+                continue;
             }
-            z[pc] = 0.0;
+            budget.tick().map_err(SolveError::from)?;
+            self.pivot(pr, c);
+            pivots += 1;
         }
-        *iterations += 1;
+        if pivots > 0 {
+            self.start();
+        }
+        Ok(pivots)
     }
-    // Pivot cap exhausted: extremely rare with the Bland fallback. The
-    // caller surfaces it as a numerical failure.
-    Ok(SimplexEnd::Stalled)
+
+    /// Sets every problem column's bounds; `false` if some pair crosses
+    /// (the node is infeasible without solving).
+    pub(crate) fn set_bounds(&mut self, lo: &[f64], hi: &[f64]) -> bool {
+        for (j, m) in self.map.iter().enumerate() {
+            match *m {
+                ColMap::Fixed(v) => {
+                    if lo[j] > v + FEAS_TOL || hi[j] < v - FEAS_TOL {
+                        return false;
+                    }
+                }
+                ColMap::Col(c) => {
+                    if lo[j] > hi[j] + FEAS_TOL {
+                        return false;
+                    }
+                    self.lo[c] = lo[j];
+                    self.hi[c] = hi[j].max(lo[j]);
+                }
+            }
+        }
+        true
+    }
+
+    /// The structural basis in problem-column space.
+    pub(crate) fn basis(&self) -> LpBasis {
+        let mut cols: Vec<usize> = self
+            .map
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| matches!(m, ColMap::Col(c) if self.row_of[*c] != NONBASIC))
+            .map(|(j, _)| j)
+            .collect();
+        cols.sort_unstable();
+        LpBasis { cols }
+    }
+
+    /// Re-solves from the current basis under the current bounds.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve_lp_with`].
+    pub(crate) fn solve(&mut self, budget: &Budget) -> Result<LpOutcome, SolveError> {
+        if self.since_refactor >= REFACTOR_PIVOTS {
+            self.refactor();
+        }
+        if !self.priced {
+            self.reprice();
+        }
+        let dual_feasible = self.place_nonbasics();
+        self.refresh_basics();
+        let mut iterations = 0usize;
+        let end = if dual_feasible {
+            self.dual(budget, &mut iterations)
+        } else {
+            // Price the current positions as optimal, reach a feasible
+            // vertex by dual iterations, then optimize the real cost.
+            self.price_positions();
+            match self.dual(budget, &mut iterations) {
+                Ok(End::Optimal) if !self.zero_cost => {
+                    self.reprice();
+                    self.primal(budget, &mut iterations)
+                }
+                other => other,
+            }
+        }
+        .map_err(SolveError::from)?;
+        match end {
+            End::Optimal => {
+                let x: Vec<f64> = self
+                    .map
+                    .iter()
+                    .map(|m| match *m {
+                        ColMap::Col(c) => self.x[c],
+                        ColMap::Fixed(v) => v,
+                    })
+                    .collect();
+                let objective = self.obj.iter().zip(&x).map(|(c, v)| c * v).sum();
+                Ok(LpOutcome::Optimal(LpSolution {
+                    x,
+                    objective,
+                    iterations,
+                }))
+            }
+            End::Infeasible => Ok(LpOutcome::Infeasible),
+            End::Unbounded => Ok(LpOutcome::Unbounded),
+            End::Stalled => Err(SolveError::Numerical(
+                "simplex stalled: pivot cap exhausted without convergence".into(),
+            )),
+        }
+    }
+
+    /// Moves every nonbasic column to the bound its reduced cost prefers
+    /// (a fixed column to its value, a free one with zero reduced cost
+    /// stays put). Returns whether the result is dual feasible: `false`
+    /// when some reduced cost points at an open bound.
+    fn place_nonbasics(&mut self) -> bool {
+        let mut feasible = true;
+        for j in 0..self.n {
+            if self.row_of[j] != NONBASIC {
+                continue;
+            }
+            let (l, h, v, dj) = (self.lo[j], self.hi[j], self.x[j], self.d[j]);
+            let nearest = || {
+                if v == l || v == h {
+                    v
+                } else if l.is_finite() && (!h.is_finite() || v - l <= h - v) {
+                    l
+                } else if h.is_finite() {
+                    h
+                } else {
+                    0.0
+                }
+            };
+            self.x[j] = if l >= h {
+                l
+            } else if dj > DUAL_TOL {
+                feasible &= l.is_finite();
+                if l.is_finite() {
+                    l
+                } else {
+                    nearest()
+                }
+            } else if dj < -DUAL_TOL {
+                feasible &= h.is_finite();
+                if h.is_finite() {
+                    h
+                } else {
+                    nearest()
+                }
+            } else {
+                nearest()
+            };
+        }
+        feasible
+    }
+
+    /// Recomputes every basic value as `B⁻¹b − B⁻¹N·x_N`.
+    fn refresh_basics(&mut self) {
+        let n = self.n;
+        let moved: Vec<usize> = (0..n)
+            .filter(|&j| self.row_of[j] == NONBASIC && self.x[j] != 0.0)
+            .collect();
+        for r in 0..self.m {
+            let row = &self.a[r * n..(r + 1) * n];
+            let mut v = self.rhs[r];
+            for &j in &moved {
+                v -= row[j] * self.x[j];
+            }
+            self.x[self.basis[r]] = v;
+        }
+    }
+
+    /// Value of row `r`'s basic column recomputed from scratch.
+    fn row_value(&self, r: usize) -> f64 {
+        let row = &self.a[r * self.n..(r + 1) * self.n];
+        let mut v = self.rhs[r];
+        for j in 0..self.n {
+            if self.row_of[j] == NONBASIC && self.x[j] != 0.0 {
+                v -= row[j] * self.x[j];
+            }
+        }
+        v
+    }
+
+    /// Reduced costs of `cost` for the current basis.
+    fn reprice(&mut self) {
+        let n = self.n;
+        self.d.copy_from_slice(&self.cost);
+        for r in 0..self.m {
+            let cb = self.cost[self.basis[r]];
+            if cb != 0.0 {
+                for (dc, &a) in self.d.iter_mut().zip(&self.a[r * n..(r + 1) * n]) {
+                    *dc -= cb * a;
+                }
+            }
+        }
+        for &j in &self.basis {
+            self.d[j] = 0.0;
+        }
+        self.priced = true;
+    }
+
+    /// Prices every nonbasic column toward the bound it sits at and every
+    /// basic one at zero, so the basis is dual feasible as it stands and
+    /// the cost is bounded over the box. A zero-cost model adopts this as
+    /// its cost; any other keeps its own, to be repriced.
+    fn price_positions(&mut self) {
+        for j in 0..self.n {
+            let (l, h, v) = (self.lo[j], self.hi[j], self.x[j]);
+            self.d[j] = if self.row_of[j] != NONBASIC || l >= h {
+                0.0
+            } else if v == l {
+                perturbation(j)
+            } else if v == h {
+                -perturbation(j)
+            } else {
+                0.0
+            };
+        }
+        if self.zero_cost {
+            self.cost.copy_from_slice(&self.d);
+            self.priced = true;
+        } else {
+            self.priced = false;
+        }
+    }
+
+    /// Rebuilds the tableau from the original rows and pivots the current
+    /// basis back in, largest pivot first. A column that no longer finds
+    /// a pivot stays out of the basis (its row keeps a slack); placement
+    /// then moves it to a bound.
+    fn refactor(&mut self) {
+        let nx = self.nx;
+        let mut keep_slack = vec![false; self.m];
+        let mut structural = Vec::new();
+        for &j in &self.basis {
+            if j >= nx {
+                keep_slack[j - nx] = true;
+            } else {
+                structural.push(j);
+            }
+        }
+        structural.sort_unstable();
+        self.load_slack_basis();
+        for c in structural {
+            let mut pr = NONBASIC;
+            let mut best = PIVOT_TOL;
+            for r in 0..self.m {
+                let s = self.basis[r];
+                let v = self.a[r * self.n + c].abs();
+                if s >= nx && !keep_slack[s - nx] && v > best {
+                    best = v;
+                    pr = r;
+                }
+            }
+            if pr != NONBASIC {
+                self.pivot(pr, c);
+            }
+        }
+        self.since_refactor = 0;
+        self.priced = false;
+    }
+
+    /// Pivots column `pc` into row `pr`, updating the tableau, the
+    /// reduced costs and the basis bookkeeping. Only the pivot row's
+    /// nonzeros are swept; every elimination this skips is
+    /// `row[c] -= f * (±0.0)`, a value-level no-op (see the module docs).
+    fn pivot(&mut self, pr: usize, pc: usize) {
+        let n = self.n;
+        let inv = 1.0 / self.a[pr * n + pc];
+        self.nz.clear();
+        for (c, v) in self.a[pr * n..(pr + 1) * n].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v *= inv;
+                self.nz.push(c);
+            }
+        }
+        self.rhs[pr] *= inv;
+        let rhs_pr = self.rhs[pr];
+        let (before, rest) = self.a.split_at_mut(pr * n);
+        let (prow, after) = rest.split_at_mut(n);
+        let others = before.chunks_exact_mut(n).enumerate().chain(
+            after
+                .chunks_exact_mut(n)
+                .enumerate()
+                .map(|(i, row)| (pr + 1 + i, row)),
+        );
+        for (ri, row) in others {
+            let f = row[pc];
+            if f != 0.0 {
+                for &c in &self.nz {
+                    row[c] -= f * prow[c];
+                }
+                row[pc] = 0.0; // exact zero to contain drift
+                self.rhs[ri] -= f * rhs_pr;
+            }
+        }
+        let f = self.d[pc];
+        if f != 0.0 {
+            for &c in &self.nz {
+                self.d[c] -= f * prow[c];
+            }
+        }
+        self.d[pc] = 0.0;
+        let out = self.basis[pr];
+        self.row_of[out] = NONBASIC;
+        self.row_of[pc] = pr;
+        self.basis[pr] = pc;
+        self.since_refactor += 1;
+    }
+
+    /// Moves nonbasic column `q` by `step`, carrying every basic value.
+    fn step(&mut self, q: usize, step: f64) {
+        let n = self.n;
+        for r in 0..self.m {
+            let f = self.a[r * n + q];
+            if f != 0.0 {
+                self.x[self.basis[r]] -= f * step;
+            }
+        }
+        self.x[q] += step;
+    }
+
+    /// Dual simplex iterations: repairs primal infeasibility while the
+    /// reduced costs stay dual feasible. One tick per iteration.
+    fn dual(&mut self, budget: &Budget, iterations: &mut usize) -> Result<End, Exhaustion> {
+        let (m, n) = (self.m, self.n);
+        let mut degen_run = 0usize;
+        for _ in 0..50 * (m + n).max(200) {
+            budget.tick()?;
+            let bland = degen_run >= DEGEN_SWITCH;
+            // Leaving row: the largest bound violation relative to its
+            // Devex weight (Bland: the least basic column index among
+            // violated rows).
+            let mut pr = NONBASIC;
+            let mut worst = 0.0;
+            for r in 0..m {
+                let j = self.basis[r];
+                let v = self.x[j];
+                let gap = if v < self.lo[j] - FEAS_TOL {
+                    self.lo[j] - v
+                } else if v > self.hi[j] + FEAS_TOL {
+                    v - self.hi[j]
+                } else {
+                    continue;
+                };
+                if bland {
+                    if pr == NONBASIC || j < self.basis[pr] {
+                        pr = r;
+                    }
+                } else if gap * gap > worst * self.weights[r] {
+                    worst = gap * gap / self.weights[r];
+                    pr = r;
+                }
+            }
+            if pr == NONBASIC {
+                return Ok(End::Optimal);
+            }
+            let p = self.basis[pr];
+            let rise = self.x[p] < self.lo[p];
+            let target = if rise { self.lo[p] } else { self.hi[p] };
+            // Entering column: x_p = rhs − Σ α_j x_j, so a column moves
+            // x_p toward `target` by rising when `α < 0` equals `rise`.
+            // Least dual ratio |d_j / α_j| (ties: larger |α|, or under
+            // Bland the least index).
+            let row = &self.a[pr * n..(pr + 1) * n];
+            let mut q = NONBASIC;
+            let mut best = f64::INFINITY;
+            let mut best_abs = 0.0;
+            for j in 0..n {
+                let alpha = row[j];
+                if alpha.abs() <= PIVOT_TOL || self.row_of[j] != NONBASIC {
+                    continue;
+                }
+                let up = (alpha < 0.0) == rise;
+                let movable = if up {
+                    self.x[j] < self.hi[j]
+                } else {
+                    self.x[j] > self.lo[j]
+                };
+                if !movable {
+                    continue;
+                }
+                let dj = if up { self.d[j] } else { -self.d[j] };
+                let ratio = dj.max(0.0) / alpha.abs();
+                let take = ratio < best - RATIO_TIE
+                    || (!bland && ratio <= best + RATIO_TIE && alpha.abs() > best_abs);
+                if take {
+                    best = ratio;
+                    best_abs = alpha.abs();
+                    q = j;
+                }
+            }
+            if q == NONBASIC {
+                // No column can repair the row. Confirm the violation
+                // on a freshly computed value before calling it.
+                let v = self.row_value(pr);
+                self.x[p] = v;
+                if v < self.lo[p] - FEAS_TOL || v > self.hi[p] + FEAS_TOL {
+                    return Ok(End::Infeasible);
+                }
+                continue;
+            }
+            if self.d[q].abs() <= DUAL_TOL {
+                degen_run += 1;
+            } else {
+                degen_run = 0;
+            }
+            // Devex weight update from the pivot column.
+            let alpha = self.a[pr * n + q];
+            let wr = self.weights[pr];
+            for r in 0..m {
+                let ratio = self.a[r * n + q] / alpha;
+                if ratio != 0.0 {
+                    self.weights[r] = self.weights[r].max(ratio * ratio * wr);
+                }
+            }
+            self.weights[pr] = (wr / (alpha * alpha)).max(1.0);
+            let delta = (self.x[p] - target) / alpha;
+            self.step(q, delta);
+            self.x[p] = target;
+            self.pivot(pr, q);
+            *iterations += 1;
+        }
+        Ok(End::Stalled)
+    }
+
+    /// Primal simplex iterations from a primal-feasible basis: optimizes
+    /// `cost` with bound flips in the ratio test. One tick per iteration.
+    fn primal(&mut self, budget: &Budget, iterations: &mut usize) -> Result<End, Exhaustion> {
+        let (m, n) = (self.m, self.n);
+        let mut degen_run = 0usize;
+        for _ in 0..50 * (m + n).max(200) {
+            budget.tick()?;
+            let bland = degen_run >= DEGEN_SWITCH;
+            // Entering column: the largest improving reduced cost whose
+            // column can move that way (Bland: the least such index).
+            let mut q = NONBASIC;
+            let mut best = DUAL_TOL;
+            for j in 0..n {
+                if self.row_of[j] != NONBASIC {
+                    continue;
+                }
+                let dj = self.d[j];
+                let improving = (dj < -DUAL_TOL && self.x[j] < self.hi[j])
+                    || (dj > DUAL_TOL && self.x[j] > self.lo[j]);
+                if !improving {
+                    continue;
+                }
+                if bland {
+                    q = j;
+                    break;
+                }
+                if dj.abs() > best {
+                    best = dj.abs();
+                    q = j;
+                }
+            }
+            if q == NONBASIC {
+                return Ok(End::Optimal);
+            }
+            let dir = if self.d[q] < 0.0 { 1.0 } else { -1.0 };
+            // Ratio test: the entering column's own range (a bound flip)
+            // against each basic column's room (ties: least basic index).
+            let mut step = self.hi[q] - self.lo[q];
+            let mut pr = NONBASIC;
+            for r in 0..m {
+                let g = self.a[r * n + q] * dir;
+                let j = self.basis[r];
+                let room = if g > PIVOT_TOL {
+                    (self.x[j] - self.lo[j]).max(0.0) / g
+                } else if g < -PIVOT_TOL {
+                    (self.hi[j] - self.x[j]).max(0.0) / -g
+                } else {
+                    continue;
+                };
+                if room < step - RATIO_TIE
+                    || (room <= step + RATIO_TIE && pr != NONBASIC && j < self.basis[pr])
+                {
+                    step = room;
+                    pr = r;
+                }
+            }
+            if step == f64::INFINITY {
+                return Ok(End::Unbounded);
+            }
+            if step <= RATIO_TIE {
+                degen_run += 1;
+            } else {
+                degen_run = 0;
+            }
+            let leaves_low = pr != NONBASIC && self.a[pr * n + q] * dir > 0.0;
+            self.step(q, dir * step);
+            if pr == NONBASIC {
+                self.x[q] = if dir > 0.0 { self.hi[q] } else { self.lo[q] };
+            } else {
+                let p = self.basis[pr];
+                self.x[p] = if leaves_low { self.lo[p] } else { self.hi[p] };
+                self.pivot(pr, q);
+            }
+            *iterations += 1;
+        }
+        Ok(End::Stalled)
+    }
 }
 
 #[cfg(test)]
@@ -889,5 +1093,94 @@ mod tests {
         );
         let s = solve(&p).optimal().expect("optimal");
         assert!((s.objective + 0.05).abs() < 1e-6);
+    }
+
+    /// A random LP over `0 <= x_j <= ub_j` with a handful of rows, and a
+    /// sequence of bound boxes inside the root box (tightenings and
+    /// relaxations alike), with a zero or a linear objective.
+    fn lp_and_boxes() -> impl proptest::strategy::Strategy<Value = (LpProblem, Vec<Vec<(f64, f64)>>)>
+    {
+        use proptest::prelude::*;
+        (2usize..=5, 1usize..=5, any::<bool>()).prop_flat_map(|(ncols, nrows, zero)| {
+            let row = (
+                proptest::collection::vec(-4i64..=4, ncols),
+                0usize..3,
+                -6i64..=12,
+            );
+            let bounds = proptest::collection::vec((0i64..=4, 0i64..=4), ncols);
+            (
+                proptest::collection::vec(-3i64..=3, ncols),
+                proptest::collection::vec(row, nrows),
+                proptest::collection::vec(bounds, 1..6),
+            )
+                .prop_map(move |(obj, rows, boxes)| {
+                    let p = LpProblem {
+                        obj: obj
+                            .iter()
+                            .map(|&c| if zero { 0.0 } else { c as f64 })
+                            .collect(),
+                        rows: rows
+                            .into_iter()
+                            .map(|(terms, sense, rhs)| {
+                                let terms = terms
+                                    .into_iter()
+                                    .enumerate()
+                                    .map(|(j, c)| (j, c as f64))
+                                    .collect();
+                                (terms, [Sense::Le, Sense::Ge, Sense::Eq][sense], rhs as f64)
+                            })
+                            .collect(),
+                        lo: vec![0.0; ncols],
+                        hi: vec![4.0; ncols],
+                    };
+                    let boxes = boxes
+                        .into_iter()
+                        .map(|b| {
+                            b.into_iter()
+                                .map(|(x, y)| (x.min(y) as f64, x.max(y) as f64))
+                                .collect()
+                        })
+                        .collect();
+                    (p, boxes)
+                })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// One live tableau re-solved in place through a sequence of
+        /// bound boxes reaches the verdict and optimum of a cold solve
+        /// of each box.
+        #[test]
+        fn in_place_resolves_match_cold_solves(case in lp_and_boxes()) {
+            let (p, boxes) = case;
+            let budget = Budget::unlimited();
+            let mut live = Lp::new(&p).expect("root bounds are ordered");
+            for b in boxes {
+                let lo: Vec<f64> = b.iter().map(|r| r.0).collect();
+                let hi: Vec<f64> = b.iter().map(|r| r.1).collect();
+                let cold = solve(&LpProblem { lo: lo.clone(), hi: hi.clone(), ..p.clone() });
+                proptest::prop_assert!(live.set_bounds(&lo, &hi));
+                match (cold, live.solve(&budget).expect("re-solve")) {
+                    (LpOutcome::Optimal(c), LpOutcome::Optimal(w)) => {
+                        proptest::prop_assert!((c.objective - w.objective).abs() < 1e-6,
+                            "objective: cold {} vs in place {}", c.objective, w.objective);
+                        let point = w.x.iter().zip(&lo).zip(&hi);
+                        proptest::prop_assert!(point.clone().all(|((&x, &l), &h)| l - 1e-6 <= x && x <= h + 1e-6));
+                        for (terms, sense, rhs) in &p.rows {
+                            let lhs: f64 = terms.iter().map(|&(j, c)| c * w.x[j]).sum();
+                            proptest::prop_assert!(match sense {
+                                Sense::Le => lhs <= rhs + 1e-6,
+                                Sense::Ge => lhs >= rhs - 1e-6,
+                                Sense::Eq => (lhs - rhs).abs() <= 1e-6,
+                            }, "row violated at {:?}", w.x);
+                        }
+                    }
+                    (LpOutcome::Infeasible, LpOutcome::Infeasible) => {}
+                    (c, w) => proptest::prop_assert!(false, "cold {c:?} vs in place {w:?}"),
+                }
+            }
+        }
     }
 }

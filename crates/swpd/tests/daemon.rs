@@ -405,7 +405,10 @@ fn starved_budget_reports_exhaustion() {
     let (handle, addr) = start(default_config());
     let mut client = SwpdClient::new(addr, 7);
 
-    let mut req = SolveRequest::new("starved-0", adversarial_case(0x7167, 0, 8));
+    // A case whose grace schedule lands above T_lb: with nothing
+    // refuted, that period stays unproven. (One that lands on T_lb is
+    // proven by the empty refutation frontier and reads `Solved`.)
+    let mut req = SolveRequest::new("starved-0", adversarial_case(0x7178, 7, 8));
     req.ticks = Some(1);
     req.timeout_ms = Some(0);
     req.heuristic = Some(false);

@@ -169,7 +169,33 @@ fn parsed_machine_and_loop_compose_end_to_end() {
 
 use proptest::prelude::*;
 use std::time::Instant;
-use swp::core::{Budget, FaultPlan, Optimality, PeriodOutcome, SolvedBy};
+use swp::core::{Budget, FaultPlan, Optimality, PeriodOutcome, ScheduleResult, SolvedBy};
+
+/// The tag a result is owed: `Proven` exactly when its period is the
+/// refutation frontier (the first period from `T_lb` up that no attempt
+/// refuted), `BudgetExhausted` at that frontier otherwise.
+fn owed_tag(r: &ScheduleResult) -> Optimality {
+    let refuted = |p: u32| {
+        r.attempts.iter().any(|a| {
+            a.period == p
+                && matches!(
+                    a.outcome,
+                    PeriodOutcome::Infeasible | PeriodOutcome::RejectedAtBuild
+                )
+        })
+    };
+    let mut frontier = r.t_lb();
+    while refuted(frontier) {
+        frontier += 1;
+    }
+    if r.schedule.initiation_interval() == frontier {
+        Optimality::Proven
+    } else {
+        Optimality::BudgetExhausted {
+            smallest_refuted: frontier,
+        }
+    }
+}
 
 /// Small well-formed loop on the 3-class example machines (same shape as
 /// the core pipeline proptests): forward edges keep distance 0 acyclic.
@@ -236,7 +262,7 @@ proptest! {
             .schedule_with(&g, &budget)
             .expect("degrades to a heuristic schedule, not an error");
         prop_assert_eq!(r.schedule.validate(&g, &machine), Ok(()));
-        prop_assert!(matches!(r.optimality, Optimality::BudgetExhausted { .. }));
+        prop_assert_eq!(r.optimality, owed_tag(&r));
     }
 }
 
@@ -437,7 +463,7 @@ fn fault_injection_exercises_every_degradation_path() {
     )
     .expect("grace pass schedules");
     assert!(verified(&r));
-    assert!(matches!(r.optimality, Optimality::BudgetExhausted { .. }));
+    assert_eq!(r.optimality, owed_tag(&r));
 
     // Budget dies right before the ILP stage: same graceful exit.
     let r = run(
@@ -449,5 +475,5 @@ fn fault_injection_exercises_every_degradation_path() {
     )
     .expect("grace pass schedules");
     assert!(verified(&r));
-    assert!(matches!(r.optimality, Optimality::BudgetExhausted { .. }));
+    assert_eq!(r.optimality, owed_tag(&r));
 }
