@@ -3,7 +3,9 @@
 # hammer it with the mixed load (including injected panics and
 # disconnects), drain it via the protocol, then restart it over the
 # same artifact and prove the crash-only recovery contract — every id
-# the first run solved must come back `cached`, across processes.
+# the first run solved must come back `cached`, across processes. The
+# restarted daemon has no queue at all (`--queue 0`), so the replay also
+# proves that a cache hit never takes a queue slot.
 #
 # Usage: ci/swpd-smoke.sh [seed]
 set -euo pipefail
@@ -46,7 +48,7 @@ test -s "$ART"    # the artifact holds the solved records
 test -s "$SOLVED" # ...and the load run recorded which ids they were
 
 echo "== run 2: restart over the artifact, 100% warm replay =="
-./target/release/swpd --addr 127.0.0.1:0 --workers 2 \
+./target/release/swpd --addr 127.0.0.1:0 --workers 2 --queue 0 \
   --artifact "$ART" --resume >"$LOG2" 2>&1 &
 SWPD2=$!
 ADDR2="$(scrape_addr "$LOG2")"

@@ -3,13 +3,27 @@
 //!
 //! # Connection model
 //!
-//! One thread accepts; each connection gets a reader thread (this one)
-//! plus a writer thread fed by an mpsc channel of replies, so slow
-//! solves never block the read side and replies stream out in
-//! completion order (clients correlate by `id`). The first bytes decide
-//! the transport: `POST ` / `GET ` means HTTP/1.1 (one request per
-//! connection, `Connection: close`), anything else is raw JSONL with
-//! pipelining.
+//! One thread accepts; each connection gets one thread of its own. The
+//! first line decides the transport: `POST ` / `GET ` means HTTP/1.1
+//! (one request per connection, `Connection: close`), anything else is
+//! raw JSONL with pipelining.
+//!
+//! A JSONL connection's thread reads request lines and answers all it
+//! can on the spot: pings, stats, session operations, bad requests and
+//! admission refusals, and cache hits. A solve request is parsed, keyed
+//! and looked up in the cache here ([`prepare`]); only a miss is queued,
+//! carrying its parsed problem to a worker. Whichever thread finishes a
+//! reply writes it straight to the connection's socket, one whole line
+//! per locked write, so replies stream out in completion order (clients
+//! correlate by `id`) and a cache hit costs no thread hand-off beyond
+//! the socket itself.
+//!
+//! Every line read is capped: a JSONL line at [`MAX_BODY_BYTES`], an
+//! HTTP request or header line at [`MAX_HEAD_LINE_BYTES`]. An over-long
+//! line is refused with one `bad_request`, and the connection closes.
+//! A client that stops reading its replies is cut off after
+//! [`WRITE_TIMEOUT`]: the failed write shuts the socket down, and the
+//! reader then sees EOF as on any disconnect.
 //!
 //! # Disconnect → cancellation
 //!
@@ -30,20 +44,35 @@
 
 use crate::proto::{Reply, ReplyStatus, Request};
 use crate::session;
-use crate::state::{DaemonConfig, Job, Shared};
-use crate::worker::worker_loop;
+use crate::state::{DaemonConfig, Job, ReplySink, Shared};
+use crate::worker::{prepare, worker_loop};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use swp_milp::CancelToken;
 
-/// Largest HTTP request body the daemon reads. A `Content-Length` above
-/// it (or one that is not a number) is refused before any allocation.
+/// Largest HTTP request body, and longest JSONL request line, the
+/// daemon reads. A `Content-Length` above it (or one that is not a
+/// number) is refused before any allocation.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest HTTP request line or header line the daemon reads.
+const MAX_HEAD_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines an HTTP request may carry.
+const MAX_HEADER_LINES: usize = 100;
+
+/// How long one reply write may block on a client that does not read
+/// its replies before the daemon drops the connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a refused connection's further input is discarded before
+/// the socket closes (see [`close_unread`]).
+const CLOSE_LINGER: Duration = Duration::from_secs(1);
 
 /// Factory for running daemons.
 #[derive(Debug)]
@@ -178,7 +207,37 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, addr: SocketAddr) {
     }
 }
 
+/// The outcome of reading one line under a byte cap.
+#[derive(Debug, PartialEq, Eq)]
+enum LineRead {
+    /// End of stream or a read error: the client is gone.
+    Eof,
+    /// A line, without its newline (the stream's last line may lack one).
+    Line,
+    /// More than the cap arrived without a newline.
+    TooLong,
+}
+
+/// Reads one line of at most `cap` bytes (newline excluded) into `buf`,
+/// never buffering more than `cap + 1` bytes of it.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize, buf: &mut Vec<u8>) -> LineRead {
+    buf.clear();
+    match reader.take(cap as u64 + 1).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => LineRead::Eof,
+        Ok(_) if buf.last() == Some(&b'\n') => {
+            buf.pop();
+            LineRead::Line
+        }
+        Ok(_) if buf.len() > cap => LineRead::TooLong,
+        Ok(_) => LineRead::Line,
+    }
+}
+
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream, addr: SocketAddr) {
+    // Replies from different workers are separate small writes; Nagle
+    // would hold each one back until the client acknowledged the last.
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let reader_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
@@ -187,14 +246,15 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream, addr: SocketAddr) {
         }
     };
     let mut reader = BufReader::new(reader_stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first).unwrap_or(0) == 0 {
+    let mut first = Vec::new();
+    let read = read_line_capped(&mut reader, MAX_BODY_BYTES, &mut first);
+    if read == LineRead::Eof {
         return; // immediate EOF (e.g. the drain's self-connect)
     }
-    if first.starts_with("POST ") || first.starts_with("GET ") {
+    if first.starts_with(b"POST ") || first.starts_with(b"GET ") {
         handle_http(shared, stream, reader, &first, addr);
     } else {
-        handle_jsonl(shared, stream, reader, first, addr);
+        handle_jsonl(shared, stream, reader, first, read, addr);
     }
 }
 
@@ -202,63 +262,55 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream, addr: SocketAddr) {
 fn handle_jsonl(
     shared: &Arc<Shared>,
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    first: String,
+    mut reader: BufReader<TcpStream>,
+    mut line: Vec<u8>,
+    mut read: LineRead,
     addr: SocketAddr,
 ) {
-    let (tx, rx) = channel::<Reply>();
-    let writer = thread::Builder::new()
-        .name("swpd-conn-writer".to_string())
-        .spawn(move || jsonl_writer(stream, &rx));
+    let sink = ReplySink::Socket(Arc::new(Mutex::new(stream)));
     let mut tokens: Vec<CancelToken> = Vec::new();
-
-    let mut lines = std::iter::once(Ok(first)).chain(reader.lines());
     loop {
-        let line = match lines.next() {
-            Some(Ok(l)) => l,
-            _ => break, // EOF or read error: client gone
-        };
-        if line.trim().is_empty() {
-            continue;
+        match read {
+            LineRead::Eof => break, // client gone
+            LineRead::TooLong => {
+                shared.stats.count_request();
+                let why = format!("request line exceeds the {MAX_BODY_BYTES}-byte limit");
+                shared.finish(&sink, Reply::error("", ReplyStatus::BadRequest, why));
+                close_unread(reader.get_ref());
+                break;
+            }
+            LineRead::Line => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => dispatch(shared, text.trim(), &sink, &mut tokens, addr),
+                Err(_) => dispatch_parsed(
+                    shared,
+                    Err("request line is not UTF-8".to_string()),
+                    &sink,
+                    &mut tokens,
+                    addr,
+                ),
+            },
         }
-        dispatch(shared, line.trim(), &tx, &mut tokens, addr);
+        read = read_line_capped(&mut reader, MAX_BODY_BYTES, &mut line);
     }
     // Disconnect: cancel everything this connection still has in
     // flight. Completed solves' tokens are inert.
     for t in &tokens {
         t.cancel();
     }
-    drop(tx);
-    if let Ok(w) = writer {
-        let _ = w.join();
-    }
 }
 
-fn jsonl_writer(stream: TcpStream, rx: &Receiver<Reply>) {
-    let mut out = io::BufWriter::new(stream);
-    while let Ok(reply) = rx.recv() {
-        let line = reply.to_json_line();
-        if out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .and_then(|()| out.flush())
-            .is_err()
-        {
-            return; // peer gone; replies are already classified
-        }
-    }
-}
-
-/// Routes one request line. Solve requests are enqueued (their reply
-/// arrives later through `tx`); everything else is answered inline.
+/// Routes one request line. Solve requests that miss the cache are
+/// enqueued (a worker sends their reply to `sink` later); everything
+/// else is answered inline.
 fn dispatch(
     shared: &Arc<Shared>,
     line: &str,
-    tx: &Sender<Reply>,
+    sink: &ReplySink,
     tokens: &mut Vec<CancelToken>,
     addr: SocketAddr,
 ) {
-    dispatch_parsed(shared, Request::from_json_line(line), tx, tokens, addr);
+    dispatch_parsed(shared, Request::from_json_line(line), sink, tokens, addr);
 }
 
 /// Routes one already-parsed (or parse-failed) request. Split from
@@ -267,7 +319,7 @@ fn dispatch(
 fn dispatch_parsed(
     shared: &Arc<Shared>,
     req: Result<Request, String>,
-    tx: &Sender<Reply>,
+    sink: &ReplySink,
     tokens: &mut Vec<CancelToken>,
     addr: SocketAddr,
 ) {
@@ -275,12 +327,12 @@ fn dispatch_parsed(
     let req = match req {
         Ok(r) => r,
         Err(why) => {
-            shared.finish(tx, Reply::error("", ReplyStatus::BadRequest, why));
+            shared.finish(sink, Reply::error("", ReplyStatus::BadRequest, why));
             return;
         }
     };
     match req {
-        Request::Ping { id } => shared.finish(tx, Reply::status(id, ReplyStatus::Ok)),
+        Request::Ping { id } => shared.finish(sink, Reply::status(id, ReplyStatus::Ok)),
         Request::Stats { id } => {
             // Classify this request *before* snapshotting so the
             // returned counters satisfy `requests == classified_total`
@@ -288,21 +340,21 @@ fn dispatch_parsed(
             shared.stats.count_reply(ReplyStatus::Ok);
             let mut r = Reply::status(id, ReplyStatus::Ok);
             r.counters = Some(shared.stats.snapshot());
-            let _ = tx.send(r);
+            sink.send(r);
         }
         Request::Shutdown { id } => {
-            shared.finish(tx, Reply::status(id, ReplyStatus::Ok));
+            shared.finish(sink, Reply::status(id, ReplyStatus::Ok));
             begin_drain(shared, addr);
         }
         Request::SessionOpen { id, case } => {
-            shared.finish(tx, session::open(shared, &id, &case));
+            shared.finish(sink, session::open(shared, &id, &case));
         }
         Request::SessionEdit {
             id,
             session: handle,
             edit,
         } => {
-            shared.finish(tx, session::edit(shared, &id, handle, &edit));
+            shared.finish(sink, session::edit(shared, &id, handle, &edit));
         }
         Request::SessionSolve {
             id,
@@ -316,7 +368,7 @@ fn dispatch_parsed(
             let cancel = CancelToken::new();
             tokens.push(cancel.clone());
             shared.finish(
-                tx,
+                sink,
                 session::solve(shared, &id, handle, ticks, timeout_ms, &cancel),
             );
         }
@@ -324,12 +376,12 @@ fn dispatch_parsed(
             id,
             session: handle,
         } => {
-            shared.finish(tx, session::close(shared, &id, handle));
+            shared.finish(sink, session::close(shared, &id, handle));
         }
         Request::Solve(solve) => {
             if solve.inject_panic && !shared.config.allow_fault_injection {
                 shared.finish(
-                    tx,
+                    sink,
                     Reply::error(
                         solve.id,
                         ReplyStatus::BadRequest,
@@ -338,16 +390,29 @@ fn dispatch_parsed(
                 );
                 return;
             }
+            // A draining daemon refuses every solve, cache hits too.
+            if let Some(refusal) = shared.draining_refusal(&solve.id) {
+                shared.finish(sink, refusal);
+                return;
+            }
+            let problem = match prepare(shared, &solve) {
+                Ok(problem) => problem,
+                Err(answer) => {
+                    shared.finish(sink, *answer);
+                    return;
+                }
+            };
             let cancel = CancelToken::new();
             let job = Job {
                 seq: shared.alloc_seq(),
                 req: solve,
-                reply_to: tx.clone(),
+                problem,
+                reply_to: sink.clone(),
                 cancel: cancel.clone(),
             };
             match shared.enqueue(job) {
                 Ok(()) => tokens.push(cancel),
-                Err(refusal) => shared.finish(tx, refusal),
+                Err(refusal) => shared.finish(sink, refusal),
             }
         }
     }
@@ -366,23 +431,40 @@ fn handle_http(
     shared: &Arc<Shared>,
     stream: TcpStream,
     mut reader: BufReader<TcpStream>,
-    request_line: &str,
+    request_line: &[u8],
     addr: SocketAddr,
 ) {
+    if request_line.len() > MAX_HEAD_LINE_BYTES {
+        let why = format!("request line exceeds the {MAX_HEAD_LINE_BYTES}-byte limit");
+        return refuse_http(shared, stream, why);
+    }
+    let request_line = String::from_utf8_lossy(request_line);
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
 
     // Headers: only Content-Length matters to us.
     let mut content_length = 0usize;
+    let mut line = Vec::new();
+    let mut headers = 0usize;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            return;
+        match read_line_capped(&mut reader, MAX_HEAD_LINE_BYTES, &mut line) {
+            LineRead::Eof => return,
+            LineRead::TooLong => {
+                let why = format!("header line exceeds the {MAX_HEAD_LINE_BYTES}-byte limit");
+                return refuse_http(shared, stream, why);
+            }
+            LineRead::Line => {}
         }
+        let line = String::from_utf8_lossy(&line);
         let line = line.trim();
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADER_LINES {
+            let why = format!("more than {MAX_HEADER_LINES} header lines");
+            return refuse_http(shared, stream, why);
         }
         if let Some(v) = line
             .to_ascii_lowercase()
@@ -393,15 +475,8 @@ fn handle_http(
         }
     }
     if content_length > MAX_BODY_BYTES {
-        shared.stats.count_request();
-        let r = Reply::error(
-            "",
-            ReplyStatus::BadRequest,
-            format!("content-length exceeds the {MAX_BODY_BYTES}-byte body limit"),
-        );
-        shared.stats.count_reply(r.status);
-        write_http_reply(stream, &r);
-        return;
+        let why = format!("content-length exceeds the {MAX_BODY_BYTES}-byte body limit");
+        return refuse_http(shared, stream, why);
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
@@ -435,7 +510,7 @@ fn handle_http(
         ("POST", "/solve") => {
             let (tx, rx) = channel::<Reply>();
             let mut tokens = Vec::new();
-            dispatch(shared, &body, &tx, &mut tokens, addr);
+            dispatch(shared, &body, &ReplySink::Channel(tx), &mut tokens, addr);
             wait_for_reply(&rx, &stream, &tokens)
         }
         ("POST", p) if p == "/session" || p.starts_with("/session/") => {
@@ -447,7 +522,7 @@ fn handle_http(
                 body
             };
             let req = route_session(p, &body);
-            dispatch_parsed(shared, req, &tx, &mut tokens, addr);
+            dispatch_parsed(shared, req, &ReplySink::Channel(tx), &mut tokens, addr);
             wait_for_reply(&rx, &stream, &tokens)
         }
         _ => {
@@ -461,11 +536,40 @@ fn handle_http(
             r
         }
     };
-    write_http_reply(stream, &reply);
+    write_http_reply(&stream, &reply);
 }
 
-/// Writes `reply` as a one-shot HTTP/1.1 response and closes.
-fn write_http_reply(mut stream: TcpStream, reply: &Reply) {
+/// Counts and answers an HTTP request whose head or declared body is
+/// over a limit, with one `bad_request`, and closes.
+fn refuse_http(shared: &Shared, stream: TcpStream, why: String) {
+    shared.stats.count_request();
+    let r = Reply::error("", ReplyStatus::BadRequest, why);
+    shared.stats.count_reply(r.status);
+    write_http_reply(&stream, &r);
+    close_unread(&stream);
+}
+
+/// Closes a connection refused while its client may still be sending.
+/// Closing a socket with unread input resets it, and the reset can
+/// destroy the refusal before the client reads it. So stop sending,
+/// then discard input until the client closes or [`CLOSE_LINGER`]
+/// passes.
+fn close_unread(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(CLOSE_LINGER));
+    let deadline = Instant::now() + CLOSE_LINGER;
+    let mut scratch = [0u8; 4096];
+    let mut input = stream;
+    while Instant::now() < deadline {
+        match input.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
+}
+
+/// Writes `reply` as a one-shot HTTP/1.1 response.
+fn write_http_reply(mut stream: &TcpStream, reply: &Reply) {
     let body = reply.to_json_line();
     let code = reply.status.http_code();
     let reason = match code {
@@ -550,5 +654,43 @@ fn wait_for_reply(rx: &Receiver<Reply>, stream: &TcpStream, tokens: &[CancelToke
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(input: &[u8], cap: usize) -> Vec<(LineRead, Vec<u8>)> {
+        let mut reader = input;
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let read = read_line_capped(&mut reader, cap, &mut buf);
+            let stop = read != LineRead::Line;
+            out.push((read, buf.clone()));
+            if stop {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn capped_reads_split_lines_and_stop_one_byte_over_the_cap() {
+        use LineRead::{Eof, Line, TooLong};
+        // A line of exactly the cap fits, newline or not; the stream's
+        // last line needs no newline.
+        assert_eq!(
+            lines(b"abcd\nab\nabcd", 4),
+            vec![
+                (Line, b"abcd".to_vec()),
+                (Line, b"ab".to_vec()),
+                (Line, b"abcd".to_vec()),
+                (Eof, Vec::new()),
+            ]
+        );
+        // One byte more is refused having buffered cap + 1 bytes only.
+        assert_eq!(lines(b"abcde\n", 4), vec![(TooLong, b"abcde".to_vec())]);
+        assert_eq!(lines(b"", 4), vec![(Eof, Vec::new())]);
     }
 }

@@ -10,12 +10,14 @@
 use crate::proto::{Reply, ReplyStatus, SolveRequest};
 use crate::session::SessionStore;
 use crate::stats::SwpdStats;
+use crate::worker::Problem;
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 use swp_harness::{JsonlSink, ResultCache};
 use swp_milp::{Budget, CancelToken};
@@ -28,7 +30,9 @@ pub struct DaemonConfig {
     /// Solver worker threads.
     pub workers: usize,
     /// Bounded queue capacity; a full queue load-sheds with
-    /// `overloaded`. Zero means "never queue" (useful in tests).
+    /// `overloaded`. Zero means "never queue": every cache miss is shed,
+    /// while cache hits, answered on the connection thread, are still
+    /// served.
     pub queue_capacity: usize,
     /// JSONL artifact path; `None` disables persistence (and therefore
     /// crash recovery — the cache is then memory-only).
@@ -72,9 +76,44 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One queued solve. The reply channel leads back to the owning
-/// connection's writer; the token is fired by that connection on
-/// disconnect, or by the drain supervisor on hard cancel.
+/// Where a connection's replies go.
+#[derive(Debug, Clone)]
+pub(crate) enum ReplySink {
+    /// A JSONL connection's socket, shared by its reader and the
+    /// workers solving its requests. Each reply is one line, written
+    /// whole under the lock, so replies never interleave.
+    Socket(Arc<Mutex<TcpStream>>),
+    /// The HTTP front door's one-shot channel, drained by the
+    /// connection thread while it watches the socket for a hang-up.
+    Channel(Sender<Reply>),
+}
+
+impl ReplySink {
+    /// Delivers a reply that has already been classified. A failed
+    /// delivery means the connection is gone, or its reader stopped
+    /// reading for the socket's write timeout; the socket is then shut
+    /// down, so its reader sees EOF and cancels the connection's work.
+    /// The reply is dropped: the counters have already recorded it.
+    pub fn send(&self, reply: Reply) {
+        match self {
+            ReplySink::Socket(stream) => {
+                let mut line = reply.to_json_line();
+                line.push('\n');
+                let mut stream = lock(stream);
+                if stream.write_all(line.as_bytes()).is_err() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+            ReplySink::Channel(tx) => {
+                let _ = tx.send(reply);
+            }
+        }
+    }
+}
+
+/// One queued solve: a cache miss, parsed and keyed on the connection
+/// thread. The token is fired by that connection on disconnect, or by
+/// the drain supervisor on hard cancel.
 #[derive(Debug)]
 pub(crate) struct Job {
     /// Daemon-unique sequence number (doubles as the artifact record
@@ -82,10 +121,10 @@ pub(crate) struct Job {
     pub seq: u64,
     /// The request.
     pub req: SolveRequest,
-    /// Where the classified reply goes. A send failure means the
-    /// connection is gone; replies are then dropped silently (the
-    /// classification counters have already recorded the outcome).
-    pub reply_to: Sender<Reply>,
+    /// The request's parsed problem, configuration and cache key.
+    pub problem: Problem,
+    /// Where the classified reply goes.
+    pub reply_to: ReplySink,
     /// Cancels this solve.
     pub cancel: CancelToken,
 }
@@ -168,21 +207,30 @@ impl Shared {
     /// Classifies and sends a reply. The single funnel through which
     /// every reply leaves the daemon — guarantees each request is
     /// counted exactly once.
-    pub fn finish(&self, reply_to: &Sender<Reply>, reply: Reply) {
+    pub fn finish(&self, reply_to: &ReplySink, reply: Reply) {
         self.stats.count_reply(reply.status);
         // The connection may already be gone; the classification above
         // is the durable part.
-        let _ = reply_to.send(reply);
+        reply_to.send(reply);
+    }
+
+    /// The `overloaded` refusal of a solve that arrives while the daemon
+    /// drains, or `None` when it does not.
+    pub fn draining_refusal(&self, id: &str) -> Option<Reply> {
+        if !self.draining.load(Ordering::Relaxed) {
+            return None;
+        }
+        let mut r = Reply::error(id, ReplyStatus::Overloaded, "daemon is draining");
+        r.retry_after_ms = Some(self.retry_after_ms());
+        Some(r)
     }
 
     /// Tries to enqueue a solve. On admission the job's token is
     /// registered in the in-flight map; on refusal an `overloaded`
     /// reply (with a backoff hint) is produced instead.
     pub fn enqueue(&self, job: Job) -> Result<(), Reply> {
-        if self.draining.load(Ordering::Relaxed) {
-            let mut r = Reply::error(job.req.id, ReplyStatus::Overloaded, "daemon is draining");
-            r.retry_after_ms = Some(self.retry_after_ms());
-            return Err(r);
+        if let Some(refused) = self.draining_refusal(&job.req.id) {
+            return Err(refused);
         }
         let mut q = lock(&self.queue);
         if q.len() >= self.config.queue_capacity {
@@ -286,13 +334,20 @@ impl Shared {
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
+    use swp_fuzz::{gen_case, write_regression, GenConfig};
 
     fn job(shared: &Shared, id: &str) -> Job {
         let (tx, _rx) = channel();
+        let req = SolveRequest::new(
+            id,
+            write_regression(&gen_case(&GenConfig::default(), 0), None),
+        );
+        let problem = crate::worker::prepare(shared, &req).expect("parses; the cache is empty");
         Job {
             seq: shared.alloc_seq(),
-            req: SolveRequest::new(id, "case"),
-            reply_to: tx,
+            req,
+            problem,
+            reply_to: ReplySink::Channel(tx),
             cancel: CancelToken::new(),
         }
     }

@@ -1,6 +1,11 @@
 //! Solver workers: pop jobs, solve under a per-request budget carved
 //! from the admission pool, classify the outcome, feed the cache.
 //!
+//! What comes before the queue lives here too: [`prepare`] parses and
+//! keys a solve request and looks it up in the cache on the connection
+//! thread, so a cache hit never waits for a worker and a miss reaches
+//! one already parsed.
+//!
 //! The classification here is *total*: every popped job produces exactly
 //! one reply, whatever happens — including a panicking solve, which
 //! `catch_unwind` confines to its own request. Deterministic outcomes
@@ -9,7 +14,7 @@
 //! what makes recovery crash-only: the artifact is the only state, and
 //! it is already durable the moment the reply leaves.
 
-use crate::proto::{Reply, ReplyStatus};
+use crate::proto::{Reply, ReplyStatus, SolveRequest};
 use crate::state::{lock, Job, Shared};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,8 +25,70 @@ use swp_core::{
     FaultPlan, Optimality, RateOptimalScheduler, ScheduleError, ScheduleResult, SchedulerConfig,
     WarmState,
 };
+use swp_ddg::Ddg;
 use swp_harness::{config_fingerprint, CacheKey, LoopRecord, SuiteOutcome};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
+use swp_machine::Machine;
+
+/// A solve request's problem, parsed and keyed on the connection thread.
+#[derive(Debug)]
+pub(crate) struct Problem {
+    pub machine: Machine,
+    pub ddg: Ddg,
+    pub config: SchedulerConfig,
+    pub key: CacheKey,
+}
+
+/// Parses a solve request's case text, builds its configuration and
+/// cache key, and looks the key up. `Err` is the reply when no solve is
+/// needed: `cached` on a hit, `bad_request` when the case text does not
+/// parse. A miss returns the problem for the queue.
+pub(crate) fn prepare(shared: &Shared, req: &SolveRequest) -> Result<Problem, Box<Reply>> {
+    let parsed = swp_fuzz::parse_regression(&req.id, &req.case)
+        .map_err(|why| Box::new(Reply::error(&req.id, ReplyStatus::BadRequest, why)))?
+        .case;
+    let (machine, ddg) = (parsed.machine, parsed.ddg);
+
+    // The request's deadline and ticks go on the budget, never on the
+    // config, so client budgets don't fragment the cache.
+    let config = SchedulerConfig {
+        time_limit_per_t: None,
+        max_t_above_lb: req.max_t.unwrap_or(8),
+        heuristic_incumbent: req.heuristic.unwrap_or(true),
+        engine: req.engine.unwrap_or_default(),
+        faults: FaultPlan {
+            panic_in_solver: req.inject_panic,
+            ..FaultPlan::default()
+        },
+        ..SchedulerConfig::default()
+    };
+    let key = CacheKey {
+        ddg: ddg_fingerprint(&ddg),
+        machine: machine_fingerprint(&machine),
+        config: config_fingerprint(&config, None),
+    };
+    if let Some(hit) = cached_reply(shared, req, &key) {
+        return Err(Box::new(hit));
+    }
+    Ok(Problem {
+        machine,
+        ddg,
+        config,
+        key,
+    })
+}
+
+/// The `cached` reply to `req` if its key is in the cache. Fault-injected
+/// requests bypass the cache: the injection must reach the solver even
+/// when the fingerprint happens to collide with an already-solved case
+/// (small DDGs collide readily).
+fn cached_reply(shared: &Shared, req: &SolveRequest, key: &CacheKey) -> Option<Reply> {
+    if req.inject_panic {
+        return None;
+    }
+    let cache = lock(&shared.cache);
+    cache.lookup(key).map(|rec| reply_from_record(&req.id, rec))
+}
 
 /// One worker thread's main loop: runs until draining *and* the queue
 /// is dry.
@@ -61,44 +128,22 @@ fn process(shared: &Shared, job: &Job) -> Reply {
         return Reply::error(&req.id, ReplyStatus::Cancelled, "cancelled before solve");
     }
 
-    let parsed = match swp_fuzz::parse_regression(&req.id, &req.case) {
-        Ok(p) => p.case,
-        Err(why) => return Reply::error(&req.id, ReplyStatus::BadRequest, why),
-    };
-    let (machine, ddg) = (parsed.machine, parsed.ddg);
-
-    // The request's deadline and ticks go on the budget, never on the
-    // config, so client budgets don't fragment the cache.
-    let config = SchedulerConfig {
-        time_limit_per_t: None,
-        max_t_above_lb: req.max_t.unwrap_or(8),
-        heuristic_incumbent: req.heuristic.unwrap_or(true),
-        engine: req.engine.unwrap_or_default(),
-        faults: FaultPlan {
-            panic_in_solver: req.inject_panic,
-            ..FaultPlan::default()
-        },
-        ..SchedulerConfig::default()
-    };
-    let key = CacheKey {
-        ddg: ddg_fingerprint(&ddg),
-        machine: machine_fingerprint(&machine),
-        config: config_fingerprint(&config, None),
-    };
-    // Fault-injected requests bypass the cache: the injection must
-    // reach the solver even when the fingerprint happens to collide
-    // with an already-solved case (small DDGs collide readily).
-    if !req.inject_panic {
-        if let Some(rec) = lock(&shared.cache).lookup(&key) {
-            return reply_from_record(&req.id, rec);
-        }
+    let Problem {
+        machine,
+        ddg,
+        config,
+        key,
+    } = &job.problem;
+    // A twin queued ahead of this request may have been solved since.
+    if let Some(hit) = cached_reply(shared, req, key) {
+        return hit;
     }
 
     let budget = match shared.admit(&req.id, req.ticks, req.timeout_ms, &job.cancel) {
         Ok(budget) => budget,
         Err(refused) => return *refused,
     };
-    let scheduler = RateOptimalScheduler::new(machine.clone(), config);
+    let scheduler = RateOptimalScheduler::new(machine.clone(), config.clone());
 
     let ticks_before = budget.ticks_used();
     let started = Instant::now();
@@ -106,7 +151,7 @@ fn process(shared: &Shared, job: &Job) -> Reply {
     // (cross-solve reuse is the session endpoints' job).
     let mut warm = WarmState::new();
     let solved = catch_unwind(AssertUnwindSafe(|| {
-        scheduler.schedule_with_warm(&ddg, &budget, &mut warm)
+        scheduler.schedule_with_warm(ddg, &budget, &mut warm)
     }));
     let solve_time = started.elapsed();
     let ticks = budget.ticks_used().saturating_sub(ticks_before);
@@ -122,9 +167,9 @@ fn process(shared: &Shared, job: &Job) -> Reply {
             &solved,
             job.seq as usize,
             &req.id,
-            &ddg,
-            &machine,
-            key,
+            ddg,
+            machine,
+            *key,
             ticks,
             &warm.reuse,
             solve_time,

@@ -345,6 +345,123 @@ fn oversized_http_body_is_refused_before_allocation() {
 }
 
 #[test]
+fn over_long_lines_are_refused_and_close_the_connection() {
+    let (handle, addr) = start(default_config());
+
+    // A JSONL "line" one byte over the cap, with no newline: refused
+    // once, then the daemon hangs up instead of buffering more.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(&vec![b'x'; (1 << 20) + 1])
+        .expect("write the over-long line");
+    writer.flush().expect("flush");
+    let mut out = String::new();
+    reader.read_line(&mut out).expect("read");
+    let reply = Reply::from_json_line(out.trim()).expect("parse reply");
+    assert_eq!(reply.status, ReplyStatus::BadRequest, "reply: {reply:?}");
+    assert!(reply.error.unwrap_or_default().contains("exceeds"));
+    out.clear();
+    assert_eq!(reader.read_line(&mut out).expect("read to EOF"), 0, "{out}");
+
+    // An HTTP header line over its own, smaller cap: a 400.
+    let (code, body) = http(
+        &addr,
+        format!(
+            "GET /health HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "y".repeat(16 << 10)
+        ),
+    );
+    assert_eq!(code, 400, "body: {body}");
+
+    // The daemon still serves fresh connections, and counted each
+    // refusal exactly once.
+    let mut client = SwpdClient::new(addr, 7);
+    assert_eq!(client.ping().expect("ping").status, ReplyStatus::Ok);
+    let stats = handle.stats();
+    assert_eq!(stats.bad_requests, 2);
+    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.requests, stats.classified_total());
+    handle.shutdown();
+}
+
+#[test]
+fn one_connection_pipelines_hits_misses_and_a_bad_request() {
+    let (handle, addr) = start(default_config());
+    let hot: Vec<String> = (0..3).map(|i| guaranteed_case(0x917E, i)).collect();
+    let mut client = SwpdClient::new(addr.clone(), 7);
+    for (i, case) in hot.iter().enumerate() {
+        let reply = client
+            .solve(&SolveRequest::new(format!("warm-{i}"), case.clone()))
+            .expect("presolve");
+        assert_eq!(reply.status, ReplyStatus::Solved, "reply: {reply:?}");
+    }
+
+    // Interleave hits, misses and a bad case text on one connection,
+    // all written before any reply is read.
+    let mut sent: Vec<(String, ReplyStatus)> = Vec::new();
+    let mut lines = Vec::new();
+    for i in 0..12 {
+        let (id, case, want) = match i % 4 {
+            0 | 2 => (format!("hit-{i}"), hot[i % 3].clone(), ReplyStatus::Cached),
+            1 => (
+                format!("miss-{i}"),
+                guaranteed_case(0x3155, i),
+                ReplyStatus::Solved,
+            ),
+            _ => (
+                format!("bad-{i}"),
+                "garbage".to_string(),
+                ReplyStatus::BadRequest,
+            ),
+        };
+        lines.push(Request::Solve(SolveRequest::new(id.clone(), case)).to_json_line());
+        sent.push((id, want));
+    }
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(format!("{}\n", lines.join("\n")).as_bytes())
+        .expect("write the pipeline");
+    writer.flush().expect("flush");
+
+    let mut got: Vec<(String, ReplyStatus)> = (0..sent.len())
+        .map(|_| {
+            let mut out = String::new();
+            reader.read_line(&mut out).expect("read");
+            let reply = Reply::from_json_line(out.trim()).expect("one whole reply per line");
+            (reply.id, reply.status)
+        })
+        .collect();
+    // A trailing ping's reply is the very next line: no request got a
+    // second reply.
+    writer
+        .write_all(b"{\"op\": \"ping\", \"id\": \"tail\"}\n")
+        .expect("write ping");
+    let mut out = String::new();
+    reader.read_line(&mut out).expect("read ping");
+    assert_eq!(
+        Reply::from_json_line(out.trim()).expect("ping reply").id,
+        "tail"
+    );
+
+    got.sort_by(|a, b| a.0.cmp(&b.0));
+    sent.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(got, sent);
+    let stats = handle.stats();
+    assert_eq!(stats.requests, stats.classified_total());
+    handle.shutdown();
+}
+
+#[test]
 fn zero_capacity_queue_sheds_with_retry_hint() {
     let (handle, addr) = start(DaemonConfig {
         workers: 1,
@@ -494,6 +611,51 @@ fn drain_then_restart_replays_artifact() {
         assert_eq!(reply.status, ReplyStatus::Cached, "id {}: {reply:?}", r.id);
     }
     handle2.shutdown();
+    let _ = std::fs::remove_file(&artifact);
+}
+
+#[test]
+fn resumed_daemon_with_no_queue_serves_every_solved_id_from_cache() {
+    let artifact =
+        std::env::temp_dir().join(format!("swpd-test-queue0-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&artifact);
+
+    let (handle, addr) = start(DaemonConfig {
+        workers: 2,
+        artifact: Some(artifact.clone()),
+        ..DaemonConfig::default()
+    });
+    let mut client = SwpdClient::new(addr, 7);
+    let solved: Vec<SolveRequest> = (0..4)
+        .map(|i| SolveRequest::new(format!("q0-{i}"), guaranteed_case(0x0E0, i)))
+        .filter(|r| client.solve(r).expect("solve").status == ReplyStatus::Solved)
+        .collect();
+    assert!(!solved.is_empty(), "mix produced no proven solves");
+    handle.shutdown();
+
+    // With no queue slot at all, every solved id is still answered: a
+    // cache hit never takes one. A cold case is shed.
+    let (handle, addr) = start(DaemonConfig {
+        workers: 1,
+        queue_capacity: 0,
+        artifact: Some(artifact.clone()),
+        resume: true,
+        ..DaemonConfig::default()
+    });
+    let mut client = SwpdClient::new(addr, 8);
+    client.max_retries = 0;
+    for r in &solved {
+        let reply = client.solve(r).expect("replay solve");
+        assert_eq!(reply.status, ReplyStatus::Cached, "id {}: {reply:?}", r.id);
+    }
+    let cold = client
+        .solve(&SolveRequest::new("q0-cold", guaranteed_case(0x0E1, 9)))
+        .expect("cold solve");
+    assert_eq!(cold.status, ReplyStatus::Overloaded, "reply: {cold:?}");
+    let stats = handle.stats();
+    assert_eq!(stats.cached, solved.len() as u64);
+    assert_eq!(stats.overloaded, 1);
+    handle.shutdown();
     let _ = std::fs::remove_file(&artifact);
 }
 
