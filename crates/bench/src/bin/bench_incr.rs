@@ -5,11 +5,11 @@
 //! script — solve; add a dependence; solve; revert it; solve; add an
 //! instruction; solve; revert it; solve — through two arms:
 //!
-//! * **warm**: one session per loop; edits invalidate only the touched
-//!   dependency cone, solves reuse carried bases/hints/no-goods, and
-//!   the two revert steps replay their fingerprint-identical results.
-//! * **cold**: a `warm_sweep`-off scheduler re-solving each step's DDG
-//!   snapshot from scratch (exactly the pre-session behaviour).
+//! * **warm**: one session per loop; solves seed the IMS probe with the
+//!   carried schedule hint, and the two revert steps replay their
+//!   fingerprint-identical results.
+//! * **cold**: `RateOptimalScheduler::schedule_with` re-solving each
+//!   step's DDG snapshot from scratch.
 //!
 //! Both arms run under identical deterministic per-solve tick budgets;
 //! the wall-time comparison is min-of-`REPS` with the arms interleaved
@@ -118,12 +118,11 @@ struct ArmResult {
     reuse: ReuseStats,
 }
 
-fn config(heuristic_incumbent: bool, warm: bool) -> SchedulerConfig {
+fn config(heuristic_incumbent: bool) -> SchedulerConfig {
     SchedulerConfig {
         time_limit_per_t: None,
         time_limit_total: None,
         heuristic_incumbent,
-        warm_sweep: warm,
         ..SchedulerConfig::default()
     }
 }
@@ -139,7 +138,7 @@ fn run_warm(
     let mut reuse = ReuseStats::default();
     let started = Instant::now();
     for (l, steps) in loops {
-        let mut session = SolveSession::from_ddg(machine.clone(), config(heuristic, true), &l.ddg);
+        let mut session = SolveSession::from_ddg(machine.clone(), config(heuristic), &l.ddg);
         for step in steps {
             if let Some(op) = step {
                 session.apply(op).expect("script edits are valid");
@@ -158,7 +157,7 @@ fn run_warm(
 
 /// The cold arm: every step's DDG snapshot solved from scratch.
 fn run_cold(machine: &Machine, snapshots: &[Vec<Ddg>], heuristic: bool, ticks: u64) -> ArmResult {
-    let scheduler = RateOptimalScheduler::new(machine.clone(), config(heuristic, false));
+    let scheduler = RateOptimalScheduler::new(machine.clone(), config(heuristic));
     let mut decisions = Vec::new();
     let started = Instant::now();
     for steps in snapshots {
@@ -210,11 +209,8 @@ fn run_suite(machine: &Machine, spec: &SuiteSpec) -> SuiteResult {
     let snapshots: Vec<Vec<Ddg>> = loops
         .iter()
         .map(|(l, steps)| {
-            let mut s = SolveSession::from_ddg(
-                machine.clone(),
-                config(spec.heuristic_incumbent, false),
-                &l.ddg,
-            );
+            let mut s =
+                SolveSession::from_ddg(machine.clone(), config(spec.heuristic_incumbent), &l.ddg);
             steps
                 .iter()
                 .map(|step| {
@@ -331,13 +327,8 @@ fn main() -> ExitCode {
             r.inconclusive
         );
         eprintln!(
-            "  reuse: {} replays, {} periods skipped, {} basis hits, {} IMS hint hits, {} no-good replays, {} cone nodes",
-            r.reuse.replays,
-            r.reuse.periods_skipped,
-            r.reuse.basis_hits,
-            r.reuse.ims_hint_hits,
-            r.reuse.nogood_replays,
-            r.reuse.cone_nodes
+            "  reuse: {} replays, {} IMS hint hits, {} cone nodes",
+            r.reuse.replays, r.reuse.ims_hint_hits, r.reuse.cone_nodes
         );
         results.push(r);
     }
@@ -348,7 +339,7 @@ fn main() -> ExitCode {
     ));
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"suite\": \"{}\", \"loops\": {}, \"steps\": {}, \"ticks_per_solve\": {}, \"warm_us\": {}, \"cold_us\": {}, \"speedup\": {:.2},\n     \"mismatches\": {}, \"inconclusive\": {},\n     \"reuse\": {{\"replays\": {}, \"periods_skipped\": {}, \"basis_hits\": {}, \"ims_hint_hits\": {}, \"nogood_replays\": {}, \"cone_nodes\": {}}}}}{}\n",
+            "    {{\"suite\": \"{}\", \"loops\": {}, \"steps\": {}, \"ticks_per_solve\": {}, \"warm_us\": {}, \"cold_us\": {}, \"speedup\": {:.2},\n     \"mismatches\": {}, \"inconclusive\": {},\n     \"reuse\": {{\"replays\": {}, \"ims_hint_hits\": {}, \"cone_nodes\": {}}}}}{}\n",
             r.name,
             r.loops,
             r.steps,
@@ -359,10 +350,7 @@ fn main() -> ExitCode {
             r.mismatches,
             r.inconclusive,
             r.reuse.replays,
-            r.reuse.periods_skipped,
-            r.reuse.basis_hits,
             r.reuse.ims_hint_hits,
-            r.reuse.nogood_replays,
             r.reuse.cone_nodes,
             if i + 1 < results.len() { "," } else { "" }
         ));

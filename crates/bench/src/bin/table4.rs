@@ -12,10 +12,7 @@
 //! * `--resume` — load `PATH` first and skip already-solved loops;
 //! * `--engine ilp|cp|portfolio` — the exact engine settling each
 //!   period (decision-equivalent; `portfolio` runs CP, then the ILP on
-//!   what CP leaves of the period budget);
-//! * `--cold` — disable the (default) warm-started `T`-sweep: no basis,
-//!   hint, or no-good carry-over from period `T` into `T+1`
-//!   (decision-equivalent; the A/B reference for `bench_incr`).
+//!   what CP leaves of the period budget).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -26,7 +23,7 @@ use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
 fn main() -> ExitCode {
-    let flags = match Flags::parse(std::env::args().skip(1), &["resume", "cold"]) {
+    let flags = match Flags::parse(std::env::args().skip(1), &["resume"]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("table4: {e}");
@@ -63,7 +60,6 @@ fn main() -> ExitCode {
         time_limit_per_t: Some(Duration::from_secs(secs)),
         max_t_above_lb: 8,
         engine,
-        warm_sweep: !flags.has("cold"),
         ..SchedulerConfig::default()
     };
     let config = HarnessConfig {

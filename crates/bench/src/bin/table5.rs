@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run -p swp-bench --release --bin table5 -- [num_loops] [per-T seconds]`
 //! Harness flags: `--workers N`, `--artifact PATH`, `--resume`,
-//! `--engine ilp|cp|portfolio`, `--cold` (as in `table4`).
+//! `--engine ilp|cp|portfolio` (as in `table4`).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -21,7 +21,7 @@ use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
 fn main() -> ExitCode {
-    let flags = match Flags::parse(std::env::args().skip(1), &["resume", "cold"]) {
+    let flags = match Flags::parse(std::env::args().skip(1), &["resume"]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("table5: {e}");
@@ -56,7 +56,6 @@ fn main() -> ExitCode {
         max_t_above_lb: 8,
         heuristic_incumbent: false,
         engine,
-        warm_sweep: !flags.has("cold"),
         ..SchedulerConfig::default()
     };
     let config = HarnessConfig {

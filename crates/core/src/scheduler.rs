@@ -143,12 +143,6 @@ pub struct SchedulerConfig {
     /// Which exact engine settles each candidate period (default: the
     /// ILP). See [`Engine`].
     pub engine: Engine,
-    /// Carry warm hints (simplex basis, CP no-goods, schedule hints)
-    /// across the `T`-sweep and across solves sharing a [`WarmState`]
-    /// (default on). Hints are re-validated before use and can never
-    /// change a verdict; turn off for a strictly cold, hint-free solve —
-    /// the pre-warm-start behaviour, byte for byte.
-    pub warm_sweep: bool,
     /// Register-pressure cap (default: none). When set, every engine —
     /// ILP rows, CP propagation, the IMS incumbent probe — bounds the
     /// number of simultaneously live values per pattern residue by this
@@ -172,7 +166,6 @@ impl Default for SchedulerConfig {
             max_t_above_lb: 16,
             heuristic_incumbent: true,
             engine: Engine::default(),
-            warm_sweep: true,
             max_live: None,
             faults: FaultPlan::default(),
         }
@@ -341,26 +334,15 @@ impl Optimality {
 }
 
 /// Telemetry for warm-started solving: what a [`WarmState`] actually
-/// bought across a sweep (and, at the session layer, across edits).
+/// bought across solves (and, at the session layer, across edits).
 ///
 /// Counters are cumulative over the life of the `WarmState`; callers
-/// snapshot-and-diff per solve. All reuse is *hint-shaped* — it can
-/// change effort counters, never verdicts — except `periods_skipped`,
-/// which relies on the caller's proof obligations (see
-/// [`WarmState::start_at`]).
+/// snapshot-and-diff per solve. All reuse is *hint-shaped*: it can
+/// change effort counters, never verdicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseStats {
-    /// Root LPs that were crash-started from a carried simplex basis.
-    pub basis_hits: u64,
-    /// Root bases exported for the next solve.
-    pub basis_exports: u64,
-    /// CP no-good clauses replayed from the carried store.
-    pub nogood_replays: u64,
     /// IMS probes settled by validating the carried schedule hint.
     pub ims_hint_hits: u64,
-    /// Sweep periods skipped because the caller carried their proven
-    /// refutations across ([`WarmState::start_at`]).
-    pub periods_skipped: u64,
     /// Whole solves answered by replaying a fingerprint-identical cached
     /// result (filled by the session layer, not this driver).
     pub replays: u64,
@@ -372,44 +354,25 @@ pub struct ReuseStats {
 impl ReuseStats {
     /// Merges `other` into `self` (all counters are additive).
     pub fn absorb(&mut self, other: &ReuseStats) {
-        self.basis_hits += other.basis_hits;
-        self.basis_exports += other.basis_exports;
-        self.nogood_replays += other.nogood_replays;
         self.ims_hint_hits += other.ims_hint_hits;
-        self.periods_skipped += other.periods_skipped;
         self.replays += other.replays;
         self.cone_nodes += other.cone_nodes;
     }
 }
 
-/// Cross-solve state for warm-started sweeps, owned by the caller (an
-/// incremental session, or the harness's per-loop sweep) and threaded
-/// through [`RateOptimalScheduler::schedule_with_warm`].
+/// Cross-solve state owned by the caller (an incremental session) and
+/// threaded through [`RateOptimalScheduler::schedule_with_warm`].
 ///
-/// Everything here is a **hint** except `start_at`: bases and schedule
-/// hints are re-validated (crash ratio test, cycle-accurate checker)
-/// before use, and CP no-goods are replayed only under the period match
-/// the store enforces itself, so a stale `WarmState` can cost extra work
-/// but never change a verdict. `start_at` is the one trusted field — it
-/// skips sweep periods outright, and the caller must only set it from
-/// refutations it has proven (or carried monotonically) for the *exact*
-/// instance being solved.
+/// The one carried input is a **hint**: the schedule is re-validated by
+/// the cycle-accurate checker at the probed period before it counts, so
+/// a stale `WarmState` can cost extra work but never change a verdict.
+/// Every refutation behind an optimality claim is made in the solve
+/// itself.
 #[derive(Default)]
 pub struct WarmState {
-    /// Simplex basis from the previous root relaxation, keyed by
-    /// variable name so it survives the `T → T+1` model re-build.
-    pub basis_names: Option<Vec<String>>,
     /// Last known-good schedule, used to seed the IMS incumbent probe
     /// and re-validated by the checker before it counts.
     pub ims_hint: Option<PipelinedSchedule>,
-    /// CP no-good store; self-flushes when the period changes. The
-    /// caller must [`clear`](swp_cpsat::NoGoodStore::clear) it on any
-    /// non-tightening edit.
-    pub nogoods: swp_cpsat::NoGoodStore,
-    /// First period the sweep should attempt; every period in
-    /// `t_lb..start_at` is treated as already refuted. Trusted — see the
-    /// type docs.
-    pub start_at: Option<u32>,
     /// Cumulative reuse telemetry.
     pub reuse: ReuseStats,
 }
@@ -658,19 +621,14 @@ impl RateOptimalScheduler {
         ddg: &Ddg,
         budget: &Budget,
     ) -> Result<ScheduleResult, ScheduleError> {
-        // A scratch warm state makes this exactly the cold path: no
-        // hints, no skips, byte-identical behaviour to before warm
-        // starting existed.
+        // A scratch warm state carries no hint: exactly the cold path.
         self.schedule_with_warm(ddg, budget, &mut WarmState::new())
     }
 
     /// [`Self::schedule_with`] threaded through a caller-owned
-    /// [`WarmState`]: the sweep crash-starts each root LP from the basis
-    /// the previous period exported, seeds the IMS incumbent probe with
-    /// the carried schedule hint, replays CP no-goods where the store
-    /// permits, and (when the caller proved it) skips already-refuted
-    /// periods. On success the schedule is written back into
-    /// [`WarmState::ims_hint`] for the caller's next solve.
+    /// [`WarmState`]: the IMS incumbent probe at each period first tries
+    /// the carried schedule hint. On success the schedule is written back
+    /// into [`WarmState::ims_hint`] for the caller's next solve.
     ///
     /// # Errors
     ///
@@ -701,21 +659,12 @@ impl RateOptimalScheduler {
         let t_lb = t_dep.max(t_res);
         let t_max = t_lb + self.config.max_t_above_lb;
         let mut attempts = Vec::new();
-        // Carried refutations: the caller vouches for `t_lb..start`, so
-        // the sweep begins there and those periods count as refuted.
-        let start = if self.config.warm_sweep {
-            warm.start_at
-                .map_or(t_lb, |s| s.clamp(t_lb, t_max.saturating_add(1)))
-        } else {
-            t_lb
-        };
-        warm.reuse.periods_skipped += u64::from(start - t_lb);
         // Periods in `t_lb..first_unrefuted` are proven infeasible.
-        let mut first_unrefuted = start;
+        let mut first_unrefuted = t_lb;
         let mut budget_hit = self.config.faults.expire_before_search;
 
         if !budget_hit {
-            for period in start..=t_max {
+            for period in t_lb..=t_max {
                 match budget.check() {
                     Ok(()) => {}
                     Err(Exhaustion::Cancelled) => return Err(ScheduleError::Cancelled),
@@ -897,7 +846,7 @@ impl RateOptimalScheduler {
             && self.config.mapping == MappingMode::UnifiedColoring
             && !self.config.faults.fail_heuristic_incumbent
         {
-            let hint = warm.ims_hint.as_ref().filter(|_| self.config.warm_sweep);
+            let hint = warm.ims_hint.as_ref();
             match self
                 .ims()
                 .schedule_at_with_hint(ddg, period, &c.period_budget, hint)
@@ -927,20 +876,13 @@ impl RateOptimalScheduler {
             return Ok(PeriodResult::BudgetExhausted);
         }
 
-        // A strictly cold solve never threads the warm state into the
-        // engines: no basis carry-over, no no-good replay, even within
-        // one sweep.
-        let hot = self.config.warm_sweep;
         let pb = &c.period_budget;
         let ((verdict, effort), engine) = match self.effective_engine() {
-            Engine::Ilp => (
-                self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm)),
-                SolvedBy::Ilp,
-            ),
+            Engine::Ilp => (self.run_ilp_exact(ddg, period, pb), SolvedBy::Ilp),
             engine @ (Engine::Cp | Engine::Portfolio) => {
                 let staged = engine == Engine::Portfolio;
                 let cp_budget = if staged { cp_stage(pb) } else { pb.clone() };
-                let settled = self.run_cp_exact(ddg, period, &cp_budget, hot.then_some(&mut *warm));
+                let settled = self.run_cp_exact(ddg, period, &cp_budget);
                 // The CP backend cannot color classes wider than its
                 // 64-bit unit domains; on such instances the ILP settles
                 // this period instead. A portfolio also hands the ILP
@@ -952,8 +894,7 @@ impl RateOptimalScheduler {
                     _ => false,
                 };
                 if hand_over {
-                    let ilp = self.run_ilp_exact(ddg, period, pb, hot.then_some(&mut *warm));
-                    (ilp, SolvedBy::Ilp)
+                    (self.run_ilp_exact(ddg, period, pb), SolvedBy::Ilp)
                 } else {
                     (settled, SolvedBy::Cp)
                 }
@@ -985,7 +926,6 @@ impl RateOptimalScheduler {
         ddg: &Ddg,
         period: u32,
         period_budget: &Budget,
-        mut warm: Option<&mut WarmState>,
     ) -> (ExactVerdict, Effort) {
         let f = match formulation::build_with(
             ddg,
@@ -1013,35 +953,16 @@ impl RateOptimalScheduler {
         if self.config.objective == Objective::Feasible {
             limits.stop_at_first_incumbent = true;
         }
-        if let Some(w) = warm.as_mut() {
-            if let Some(names) = &w.basis_names {
-                let hint = f.model.basis_from_names(names);
-                if !hint.is_empty() {
-                    w.reuse.basis_hits += 1;
-                    limits.warm_basis = Some(hint);
-                }
-            }
-        }
         let mut effort = Effort {
             num_vars: f.model.num_vars(),
             num_constrs: f.model.num_constrs(),
             ..Effort::default()
         };
-        let (solved, basis) = if self.config.faults.fail_ilp {
-            (Err(SolveError::Numerical("injected fault".into())), None)
-        } else if warm.is_some() {
-            f.model.solve_with_basis(&limits)
+        let solved = if self.config.faults.fail_ilp {
+            Err(SolveError::Numerical("injected fault".into()))
         } else {
-            (f.model.solve_with(&limits), None)
+            f.model.solve_with(&limits)
         };
-        if let Some(w) = warm {
-            // The basis is exported even off the infeasible path: refuted
-            // periods are exactly where the `T+1` crash start pays.
-            if let Some(b) = basis.filter(|b| !b.is_empty()) {
-                w.basis_names = Some(f.model.basis_to_names(&b));
-                w.reuse.basis_exports += 1;
-            }
-        }
         let verdict = match solved {
             Ok(sol) => {
                 effort.nodes = sol.stats().nodes;
@@ -1065,23 +986,12 @@ impl RateOptimalScheduler {
         ddg: &Ddg,
         period: u32,
         period_budget: &Budget,
-        warm: Option<&mut WarmState>,
     ) -> (ExactVerdict, Effort) {
         let opts = CpOptions {
             max_live: self.config.max_live,
             ..CpOptions::default()
         };
-        // A cold solve learns into a throwaway store.
-        let mut scratch = swp_cpsat::NoGoodStore::default();
-        let (store, reuse) = match warm {
-            Some(w) => (&mut w.nogoods, Some(&mut w.reuse)),
-            None => (&mut scratch, None),
-        };
-        let solved =
-            swp_cpsat::solve_at_warm(ddg, &self.machine, period, opts, period_budget, store);
-        if let (Some(reuse), Ok((_, stats))) = (reuse, &solved) {
-            reuse.nogood_replays += stats.nogoods_replayed;
-        }
+        let solved = swp_cpsat::solve_at(ddg, &self.machine, period, opts, period_budget);
         let verdict = match solved {
             Ok((CpOutcome::Feasible { starts, units }, stats)) => {
                 let effort = Effort {
@@ -1665,7 +1575,7 @@ mod tests {
                 (2, Infeasible, (0, 0, 22, 25)),
                 (3, Infeasible, (0, 0, 29, 32)),
                 (4, Infeasible, (0, 0, 36, 39)),
-                (5, Feasible(SolvedBy::Ilp), (40, 78, 43, 46)),
+                (5, Feasible(SolvedBy::Ilp), (57, 116, 43, 46)),
             ]
         );
         for engine in [Engine::Cp, Engine::Portfolio] {

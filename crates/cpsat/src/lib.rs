@@ -182,9 +182,6 @@ pub struct CpStats {
     pub nogoods_recorded: u64,
     /// Branches skipped because a recorded no-good subsumed them.
     pub nogoods_hit: u64,
-    /// No-goods carried in from a previous solve via
-    /// [`solve_at_warm`]'s store (0 on cold solves).
-    pub nogoods_replayed: u64,
 }
 
 fn spend(budget: &Budget) -> Result<(), CpError> {
@@ -811,52 +808,6 @@ fn assign(m: &CpModel, s: &mut CpState, v: Var, val: u32) {
     }
 }
 
-/// A persistable no-good store for warm re-solves at the **same period**.
-///
-/// No-goods are refuted decision prefixes: "under the root constraints,
-/// no solution extends this partial assignment". A clause learned for
-/// instance `I` stays valid for any instance whose root solution set is
-/// a **subset** of `I`'s — i.e. after constraint-*adding* edits (an edge
-/// added, or a node appended so existing node indices are stable). The
-/// caller owns that monotonicity judgement: replay only across
-/// tightening edits, [`NoGoodStore::clear`] on anything else. The store
-/// self-invalidates when the period changes, since literals encode
-/// residues modulo the period.
-#[derive(Default)]
-pub struct NoGoodStore {
-    ng: NoGoods,
-    period: Option<u32>,
-}
-
-impl NoGoodStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of clauses currently held.
-    pub fn len(&self) -> usize {
-        self.ng.clauses.len()
-    }
-
-    /// Whether the store holds no clauses.
-    pub fn is_empty(&self) -> bool {
-        self.ng.clauses.is_empty()
-    }
-
-    /// The period the clauses were learned at, if any.
-    pub fn period(&self) -> Option<u32> {
-        self.period
-    }
-
-    /// Drops every clause (required after a constraint-removing edit or
-    /// any edit that renumbers nodes).
-    pub fn clear(&mut self) {
-        self.ng = NoGoods::default();
-        self.period = None;
-    }
-}
-
 /// Refuted decision prefixes, indexed by literal for cheap lookup.
 #[derive(Default)]
 struct NoGoods {
@@ -986,43 +937,8 @@ pub fn solve_at(
     options: CpOptions,
     budget: &Budget,
 ) -> Result<(CpOutcome, CpStats), CpError> {
-    let mut fresh = NoGoodStore::new();
-    solve_at_warm(ddg, machine, period, options, budget, &mut fresh)
-}
-
-/// [`solve_at`] with a caller-owned [`NoGoodStore`]: clauses learned in
-/// this solve are appended to the store, and clauses already present are
-/// replayed (counted in [`CpStats::nogoods_replayed`]).
-///
-/// If the store was filled at a different period it is cleared first —
-/// residue literals do not transfer across periods. Replay across
-/// *edits* is sound only for constraint-adding edits with stable node
-/// indices; see [`NoGoodStore`].
-///
-/// # Errors
-///
-/// As [`solve_at`].
-///
-/// # Panics
-///
-/// Panics if `period == 0`.
-pub fn solve_at_warm(
-    ddg: &Ddg,
-    machine: &Machine,
-    period: u32,
-    options: CpOptions,
-    budget: &Budget,
-    store: &mut NoGoodStore,
-) -> Result<(CpOutcome, CpStats), CpError> {
     assert!(period > 0, "period must be positive");
-    if store.period != Some(period) {
-        store.clear();
-        store.period = Some(period);
-    }
-    let mut stats = CpStats {
-        nogoods_replayed: store.len() as u64,
-        ..CpStats::default()
-    };
+    let mut stats = CpStats::default();
     let n = ddg.num_nodes();
     if n == 0 {
         return Ok((
@@ -1202,7 +1118,7 @@ pub fn solve_at_warm(
         &state,
         budget,
         &mut stats,
-        &mut store.ng,
+        &mut NoGoods::default(),
         &mut decisions,
         &mut decision_set,
     )? {

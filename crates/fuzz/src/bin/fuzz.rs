@@ -26,8 +26,8 @@
 //!
 //! `--incremental` switches to the incremental-vs-cold differential: a
 //! warm [`SolveSession`] per case, a seeded `--edits`-step edit script,
-//! and a cold (`warm_sweep: false`) re-solve at every step. Warm reuse
-//! must never change a decision, and every warm-accepted schedule is
+//! and a cold `schedule_with` re-solve at every step. Warm reuse must
+//! never change a decision, and every warm-accepted schedule is
 //! re-verified by the checker and the cycle-accurate simulator.
 //!
 //! [`SolveSession`]: swp_incr::SolveSession
@@ -298,18 +298,14 @@ fn run_incremental(
     let completed = results.iter().flatten().count();
     let skipped = cases - completed;
     let (mut steps, mut compared) = (0usize, 0usize);
-    let (mut skips, mut basis, mut hints, mut replays, mut nogoods) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut hints, mut replays) = (0u64, 0u64);
     let mut failing: Vec<&(FuzzCase, IncrReport)> = Vec::new();
     for entry in results.iter().flatten() {
         let r = &entry.1;
         steps += r.steps;
         compared += r.compared;
-        skips += r.periods_skipped;
-        basis += r.basis_hits;
         hints += r.ims_hint_hits;
         replays += r.replays;
-        nogoods += r.nogood_replays;
         if !r.passed() {
             failing.push(entry);
         }
@@ -319,8 +315,7 @@ fn run_incremental(
          {steps} step(s), {compared} conclusive comparison(s)"
     );
     println!(
-        "reuse: {skips} period(s) skipped, {basis} basis hit(s), {hints} hint hit(s), \
-         {replays} replay(s), {nogoods} no-good replay(s) [{:.1}s]",
+        "reuse: {hints} hint hit(s), {replays} replay(s) [{:.1}s]",
         started.elapsed().as_secs_f64()
     );
 

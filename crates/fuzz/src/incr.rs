@@ -1,8 +1,9 @@
 //! The incremental-vs-cold differential mode.
 //!
 //! For each generated case, a seeded edit script is applied to a warm
-//! [`SolveSession`] while a cold solver (warm starting disabled) is run
-//! from scratch on the identical instance at every step. The oracle:
+//! [`SolveSession`] while a cold solver
+//! ([`RateOptimalScheduler::schedule_with`]) is run from scratch on the
+//! identical instance at every step. The oracle:
 //!
 //! 1. **Decision identity** — whenever both runs are conclusive (no
 //!    budget trips), they agree on the achieved period and the
@@ -66,12 +67,6 @@ pub struct IncrReport {
     pub compared: usize,
     /// Exact-replay answers served by the session.
     pub replays: u64,
-    /// Sweep periods skipped via carried refutations.
-    pub periods_skipped: u64,
-    /// Root LPs crash-started from a carried basis.
-    pub basis_hits: u64,
-    /// CP no-good clauses replayed.
-    pub nogood_replays: u64,
     /// IMS probes seeded from a still-valid previous schedule.
     pub ims_hint_hits: u64,
     /// Oracle violations.
@@ -183,12 +178,8 @@ pub fn run_incr_case(case: &FuzzCase, opts: &IncrOptions) -> IncrReport {
         max_live: case.max_live,
         ..SchedulerConfig::default()
     };
-    let cold_config = SchedulerConfig {
-        warm_sweep: false,
-        ..config.clone()
-    };
+    let cold = RateOptimalScheduler::new(case.machine.clone(), config.clone());
     let mut session = SolveSession::from_ddg(case.machine.clone(), config, &case.ddg);
-    let cold = RateOptimalScheduler::new(case.machine.clone(), cold_config);
     let mut violations: Vec<Violation> = Vec::new();
     let mut compared = 0;
     let mut steps = 0;
@@ -256,9 +247,6 @@ pub fn run_incr_case(case: &FuzzCase, opts: &IncrOptions) -> IncrReport {
         steps,
         compared,
         replays: reuse.replays,
-        periods_skipped: reuse.periods_skipped,
-        basis_hits: reuse.basis_hits,
-        nogood_replays: reuse.nogood_replays,
         ims_hint_hits: reuse.ims_hint_hits,
         violations,
     }
@@ -303,7 +291,7 @@ mod tests {
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.compared, b.compared);
             assert_eq!(a.replays, b.replays);
-            assert_eq!(a.periods_skipped, b.periods_skipped);
+            assert_eq!(a.ims_hint_hits, b.ims_hint_hits);
             assert_eq!(a.violations.len(), b.violations.len());
         }
     }
@@ -325,12 +313,7 @@ mod tests {
             .iter()
             .map(|c| run_incr_case(c, &opts))
             .collect();
-        let reused: u64 = reports
-            .iter()
-            .map(|r| {
-                r.periods_skipped + r.basis_hits + r.ims_hint_hits + r.replays + r.nogood_replays
-            })
-            .sum();
+        let reused: u64 = reports.iter().map(|r| r.ims_hint_hits + r.replays).sum();
         assert!(reused > 0, "no warm reuse observed across the campaign");
     }
 }

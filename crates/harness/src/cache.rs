@@ -157,7 +157,6 @@ mod tests {
             ticks: 60,
             periods_attempted: 1,
             any_timeout: false,
-            reuse: Default::default(),
             solve_time: Duration::from_micros(10),
             cached: false,
         }

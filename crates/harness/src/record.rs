@@ -20,8 +20,7 @@
 use crate::json::{parse_object, ObjectWriter};
 use std::time::Duration;
 use swp_core::{
-    MappingMode, Objective, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy,
-    SolverStats,
+    MappingMode, Objective, ScheduleError, ScheduleResult, SchedulerConfig, SolvedBy, SolverStats,
 };
 use swp_ddg::Ddg;
 use swp_loops::fingerprint::{from_hex, to_hex, Fnv64};
@@ -33,8 +32,10 @@ use swp_machine::Machine;
 /// counters when the portfolio became a staged CP-then-ILP solve, whose
 /// `ticks` and budget-limited periods differ from a v3 race's; v5 keys
 /// records by [`config_fingerprint`] over the whole `SchedulerConfig`
-/// and adds `reuse_exports`.
-pub const SCHEMA_VERSION: u64 = 5;
+/// and adds `reuse_exports`; v6 drops the `reuse_*` counters and the
+/// `warm_sweep` config word, since a per-loop solve carries nothing
+/// between periods or loops.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Stable fingerprint of a solve configuration: every
 /// [`SchedulerConfig`] field plus the per-loop tick cap the caller puts
@@ -54,7 +55,6 @@ pub fn config_fingerprint(config: &SchedulerConfig, per_loop_ticks: Option<u64>)
         max_t_above_lb,
         heuristic_incumbent,
         engine,
-        warm_sweep,
         max_live,
         // Test-only: the daemon sends fault-injected requests past its
         // cache, and no harness caller sets faults.
@@ -78,7 +78,6 @@ pub fn config_fingerprint(config: &SchedulerConfig, per_loop_ticks: Option<u64>)
     h.write_u64(u64::from(*max_t_above_lb));
     h.write_u64(u64::from(*heuristic_incumbent));
     h.write_str(engine.name());
-    h.write_u64(u64::from(*warm_sweep));
     h.write_u64(max_live.map_or(u64::MAX, u64::from));
     h.write_u64(per_loop_ticks.unwrap_or(u64::MAX));
     h.finish()
@@ -145,10 +144,6 @@ pub struct LoopRecord {
     pub periods_attempted: u32,
     /// Whether any attempted period timed out undecided.
     pub any_timeout: bool,
-    /// Warm-sweep reuse counters (all zeros under a cold config;
-    /// `replays` and `cone_nodes` are only filled by callers that host
-    /// incremental sessions, never by the corpus sweep).
-    pub reuse: ReuseStats,
     /// Per-loop on-thread solve time (see the module docs; zeroed when
     /// the harness runs with timing recording off).
     pub solve_time: Duration,
@@ -160,8 +155,7 @@ pub struct LoopRecord {
 
 impl LoopRecord {
     /// The record of one finished solve of `ddg` on `machine` — the one
-    /// place a solve becomes a record. `ticks`, `reuse` and `solve_time`
-    /// are what the caller measured around the solve. A failed solve
+    /// place a solve becomes a record. `ticks` and `solve_time` are what the caller measured around the solve. A failed solve
     /// records as [`SuiteOutcome::Unscheduled`]. `None` for a cancelled
     /// solve, which has no outcome to record.
     #[allow(clippy::too_many_arguments)]
@@ -173,7 +167,6 @@ impl LoopRecord {
         machine: &Machine,
         key: CacheKey,
         ticks: u64,
-        reuse: &ReuseStats,
         solve_time: Duration,
     ) -> Option<LoopRecord> {
         let unscheduled = |t_lb, stats| (t_lb, None, SuiteOutcome::Unscheduled, false, stats);
@@ -212,7 +205,6 @@ impl LoopRecord {
             ticks,
             periods_attempted: stats.periods_attempted,
             any_timeout: stats.any_timeout(),
-            reuse: *reuse,
             solve_time,
             cached: false,
         })
@@ -223,15 +215,12 @@ impl LoopRecord {
     /// Schema (`v` = [`SCHEMA_VERSION`]):
     ///
     /// ```json
-    /// {"v":5,"idx":7,"name":"loop0007","nodes":9,
+    /// {"v":6,"idx":7,"name":"loop0007","nodes":9,
     ///  "ddg_fp":"9f…16 hex…","mach_fp":"…","cfg_fp":"…",
     ///  "t_lb":4,"t_lb_counting":4,"status":"scheduled",
     ///  "period":4,"slack":0,"solved_by":"heuristic","proven":true,
     ///  "bb_nodes":0,"lp_iters":0,"ticks":151,"periods":1,
-    ///  "timeout":false,
-    ///  "reuse_basis":0,"reuse_exports":0,"reuse_nogoods":0,"reuse_hints":1,
-    ///  "reuse_skips":0,"reuse_replays":0,"reuse_cone":0,
-    ///  "solve_us":423}
+    ///  "timeout":false,"solve_us":423}
     /// ```
     ///
     /// `period`, `slack`, and `solved_by` are `null` for `"unscheduled"`
@@ -267,13 +256,6 @@ impl LoopRecord {
             .u64("ticks", self.ticks)
             .u64("periods", u64::from(self.periods_attempted))
             .bool("timeout", self.any_timeout)
-            .u64("reuse_basis", self.reuse.basis_hits)
-            .u64("reuse_exports", self.reuse.basis_exports)
-            .u64("reuse_nogoods", self.reuse.nogood_replays)
-            .u64("reuse_hints", self.reuse.ims_hint_hits)
-            .u64("reuse_skips", self.reuse.periods_skipped)
-            .u64("reuse_replays", self.reuse.replays)
-            .u64("reuse_cone", self.reuse.cone_nodes)
             .u64("solve_us", self.solve_time.as_micros() as u64);
         w.finish()
     }
@@ -343,15 +325,6 @@ impl LoopRecord {
             ticks: num("ticks")?,
             periods_attempted: num("periods")? as u32,
             any_timeout: flag("timeout")?,
-            reuse: ReuseStats {
-                basis_hits: num("reuse_basis")?,
-                basis_exports: num("reuse_exports")?,
-                nogood_replays: num("reuse_nogoods")?,
-                ims_hint_hits: num("reuse_hints")?,
-                periods_skipped: num("reuse_skips")?,
-                replays: num("reuse_replays")?,
-                cone_nodes: num("reuse_cone")?,
-            },
             solve_time: Duration::from_micros(num("solve_us")?),
             cached: false,
         })
@@ -390,15 +363,6 @@ mod tests {
             ticks: 151,
             periods_attempted: 1,
             any_timeout: !scheduled,
-            reuse: ReuseStats {
-                basis_hits: 2,
-                basis_exports: 5,
-                nogood_replays: 1,
-                ims_hint_hits: 3,
-                periods_skipped: 1,
-                replays: 0,
-                cone_nodes: 4,
-            },
             solve_time: Duration::from_micros(423),
             cached: false,
         }
@@ -493,10 +457,6 @@ mod tests {
             },
             SchedulerConfig {
                 engine: Engine::Portfolio,
-                ..base.clone()
-            },
-            SchedulerConfig {
-                warm_sweep: false,
                 ..base.clone()
             },
             SchedulerConfig {

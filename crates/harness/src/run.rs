@@ -33,7 +33,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use swp_core::{RateOptimalScheduler, SchedulerConfig, WarmState};
+use swp_core::{RateOptimalScheduler, SchedulerConfig};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
 use swp_loops::suite::GeneratedLoop;
 use swp_machine::Machine;
@@ -273,11 +273,7 @@ impl Harness {
             None => loop_budget,
         };
         let solve_started = Instant::now();
-        // One warm state per loop: the basis/hint/no-good carry-over is
-        // strictly within this loop's T-sweep, so nothing leaks between
-        // DDGs and per-loop records stay scheduling-independent.
-        let mut warm = WarmState::new();
-        let solved = scheduler.schedule_with_warm(&l.ddg, &loop_budget, &mut warm);
+        let solved = scheduler.schedule_with(&l.ddg, &loop_budget);
         let solve_time = if self.harness.record_timing {
             solve_started.elapsed()
         } else {
@@ -291,7 +287,6 @@ impl Harness {
             &self.machine,
             key,
             loop_budget.ticks_used(),
-            &warm.reuse,
             solve_time,
         )
     }
@@ -311,7 +306,6 @@ mod tests {
     use super::*;
     use crate::record::SuiteOutcome;
     use crate::sink::{NullSink, VecSink};
-    use swp_core::ReuseStats;
     use swp_loops::suite::{generate, SuiteConfig};
 
     fn small_corpus(n: usize) -> Vec<GeneratedLoop> {
@@ -401,52 +395,6 @@ mod tests {
         let report = h.run(&loops, &mut NullSink).expect("run");
         assert!(report.interrupted);
         assert!(report.records.is_empty());
-    }
-
-    #[test]
-    fn warm_and_cold_sweeps_make_identical_decisions() {
-        // Warm sweeps are the default; decisions (period, outcome,
-        // proven) must be exactly those of a cold run, with only the
-        // reuse telemetry and effort counters free to differ. Tick caps
-        // keep both runs deterministic.
-        let loops = small_corpus(16);
-        let run = |warm_sweep: bool| {
-            Harness::new(
-                Machine::example_pldi95(),
-                SchedulerConfig {
-                    time_limit_per_t: None,
-                    warm_sweep,
-                    ..fast_solve()
-                },
-                HarnessConfig {
-                    per_loop_ticks: Some(50_000),
-                    ..HarnessConfig::default()
-                },
-            )
-            .run(&loops, &mut NullSink)
-            .expect("run")
-        };
-        let (w, c) = (run(true), run(false));
-        assert_eq!(w.records.len(), c.records.len());
-        for (a, b) in w.records.iter().zip(&c.records) {
-            assert_eq!(a.period, b.period, "{}", a.name);
-            assert_eq!(a.outcome, b.outcome, "{}", a.name);
-            assert_eq!(a.proven, b.proven, "{}", a.name);
-            assert_eq!(
-                b.reuse,
-                ReuseStats::default(),
-                "cold record reports reuse: {}",
-                b.name
-            );
-        }
-        // The two configs must never share cache entries.
-        assert_ne!(w.records[0].key.config, c.records[0].key.config);
-        // Summary totals aggregate the per-record counters exactly.
-        let mut total = ReuseStats::default();
-        for r in &w.records {
-            total.absorb(&r.reuse);
-        }
-        assert_eq!(w.summary.reuse, total);
     }
 
     #[test]

@@ -139,7 +139,6 @@ mod tests {
             ticks: 0,
             periods_attempted: 0,
             any_timeout: false,
-            reuse: Default::default(),
             solve_time: Duration::ZERO,
             cached: false,
         }

@@ -10,7 +10,7 @@
 use crate::record::{LoopRecord, SuiteOutcome};
 use std::fmt::Write as _;
 use std::time::Duration;
-use swp_core::{ReuseStats, SolvedBy};
+use swp_core::SolvedBy;
 
 /// Upper edges of the solve-time histogram buckets.
 const BUCKET_EDGES_US: [(u64, &str); 6] = [
@@ -54,8 +54,6 @@ pub struct RunSummary {
     pub lp_iterations: u64,
     /// Total budget ticks (pivots + B&B nodes + IMS placements).
     pub ticks: u64,
-    /// Summed warm-sweep reuse counters (all zeros for a cold run).
-    pub reuse: ReuseStats,
     /// Sum of per-loop on-thread solve times (CPU-side effort).
     pub solve_time_total: Duration,
     /// Whole-run wall time (what a user actually waits).
@@ -108,7 +106,6 @@ impl RunSummary {
             s.bb_nodes += r.bb_nodes;
             s.lp_iterations += r.lp_iterations;
             s.ticks += r.ticks;
-            s.reuse.absorb(&r.reuse);
             s.solve_time_total += r.solve_time;
             let us = r.solve_time.as_micros() as u64;
             let bucket = BUCKET_EDGES_US
@@ -164,18 +161,6 @@ impl RunSummary {
             "effort: {} B&B nodes, {} simplex iterations, {} budget ticks",
             self.bb_nodes, self.lp_iterations, self.ticks
         );
-        if self.reuse != ReuseStats::default() {
-            let _ = writeln!(
-                out,
-                "reuse: {} basis hits, {} IMS hint hits, {} no-good replays, {} periods skipped, {} replays, {} cone nodes",
-                self.reuse.basis_hits,
-                self.reuse.ims_hint_hits,
-                self.reuse.nogood_replays,
-                self.reuse.periods_skipped,
-                self.reuse.replays,
-                self.reuse.cone_nodes
-            );
-        }
         let _ = writeln!(
             out,
             "time: {:.2?} wall, {:.2?} summed solve ({:.1} loops/s, speedup ×{:.2})",
@@ -236,10 +221,6 @@ mod tests {
             ticks: 111,
             periods_attempted: 1,
             any_timeout: false,
-            reuse: ReuseStats {
-                ims_hint_hits: 1,
-                ..ReuseStats::default()
-            },
             solve_time: Duration::from_micros(solve_us),
             cached,
         }
@@ -265,8 +246,6 @@ mod tests {
         assert_eq!(s.bb_nodes, 30);
         assert_eq!(s.lp_iterations, 300);
         assert_eq!(s.ticks, 333);
-        assert_eq!(s.reuse.ims_hint_hits, 3);
-        assert!(s.render().contains("reuse: 0 basis hits, 3 IMS hint hits"));
         assert_eq!(s.histogram[0], ("< 100 µs", 1));
         assert_eq!(s.histogram[2], ("< 10 ms", 1));
         assert_eq!(s.histogram[6], ("≥ 10 s", 1));

@@ -12,25 +12,20 @@
 //!   the cached [`ScheduleResult`] bit for bit — same schedule, same
 //!   attempt log, same optimality claim. Always sound: same instance,
 //!   same deterministic solver.
-//! * **Monotone facts.** Across *different* fingerprints the session
-//!   carries facts that stay true under the edit's direction.
-//!   Tightening edits ([`EditOp::AddEdge`], [`EditOp::AddNode`]) only
-//!   shrink the solution set, so proven period refutations survive and
-//!   the next sweep starts above them ([`WarmState::start_at`]), and CP
-//!   no-good clauses remain valid refutations. Relaxing edits
-//!   ([`EditOp::RemoveEdge`], [`EditOp::RemoveNode`]) only grow the
-//!   solution set, so refutations and no-goods are flushed, while the
-//!   last feasible schedule survives as a *hint* (projected onto the
-//!   remaining instructions on node removal) — it is re-validated by
-//!   the cycle-accurate checker before it is ever trusted.
+//! * **Schedule hint.** Across *different* fingerprints the session
+//!   carries only the last feasible schedule ([`WarmState::ims_hint`]),
+//!   projected onto the remaining instructions on node removal and
+//!   dropped when a node is added. The IMS probe tries it first at each
+//!   candidate period, and the cycle-accurate checker re-validates it
+//!   before it counts, so a stale hint can at worst waste the work of
+//!   checking it. Every refutation behind an optimality claim is made
+//!   in the solve itself; nothing proven for an earlier instance is
+//!   trusted for the next one.
 //!
-//! Everything else the session carries — the simplex basis keyed by
-//! variable name, the IMS schedule hint — is advisory by construction:
-//! the solver re-validates hints and can at worst waste the work of
-//! checking them. The differential obligation (`swp-fuzz`'s
-//! incremental-vs-cold mode) is that for any edit script the session
-//! and a cold solver agree on achieved period, optimality claim, and
-//! schedule validity at every step.
+//! The differential obligation (`swp-fuzz`'s incremental-vs-cold mode)
+//! is that for any edit script the session and a cold
+//! [`RateOptimalScheduler::schedule_with`] agree on achieved period,
+//! optimality claim, and schedule validity at every step.
 //!
 //! Node identity is positional, like [`Ddg`]: `add_node` returns the
 //! next index, and [`EditOp::RemoveNode`] shifts every higher index
@@ -42,8 +37,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use swp_core::{
-    Optimality, RateOptimalScheduler, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig,
-    WarmState,
+    RateOptimalScheduler, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig, WarmState,
 };
 use swp_ddg::{Ddg, OpClass};
 use swp_machine::{Machine, PipelinedSchedule};
@@ -235,8 +229,8 @@ impl SolveSession {
         self.ddg.as_ref().expect("just built")
     }
 
-    /// Applies one edit, adjusting the carried warm facts to whatever
-    /// remains true on the other side. Returns the size of the
+    /// Applies one edit, adjusting the carried schedule hint to the
+    /// edited instance. Returns the size of the
     /// dependency cone the edit invalidated (also accumulated into
     /// [`ReuseStats::cone_nodes`]).
     pub fn apply(&mut self, op: &EditOp) -> Result<usize, SessionError> {
@@ -281,11 +275,8 @@ impl SolveSession {
                         distance: *distance,
                     })?;
                 self.edges.remove(at);
-                // Relaxing: refutations and learned clauses no longer
-                // bind; the old schedule stays feasible and survives as
-                // a hint.
-                self.warm.start_at = None;
-                self.warm.nogoods.clear();
+                // Relaxing: the old schedule stays feasible and survives
+                // as a hint.
                 self.cone(*src, *dst)
             }
             EditOp::RemoveNode { index } => {
@@ -303,8 +294,6 @@ impl SolveSession {
                         *d -= 1;
                     }
                 }
-                self.warm.start_at = None;
-                self.warm.nogoods.clear();
                 // Project the carried schedule onto the survivors: the
                 // remaining placements use a subset of the resources, so
                 // the projection stays feasible — and is re-validated
@@ -344,19 +333,17 @@ impl SolveSession {
 
     /// Solves the current instance under an explicit budget, reusing
     /// carried state: fingerprint-identical instances replay the cached
-    /// result outright; otherwise the warm sweep runs with whatever
-    /// monotone facts and hints survived the intervening edits.
+    /// result outright; otherwise the sweep runs with the schedule hint
+    /// that survived the intervening edits.
     pub fn solve_with(&mut self, budget: &Budget) -> Result<ScheduleResult, ScheduleError> {
         self.solves += 1;
         let fp = self.fingerprint();
         if let Some(hit) = self.cache.get(&fp) {
             let result = hit.clone();
             self.warm.reuse.replays += 1;
-            // Re-anchor the monotone facts on the replayed instance so
-            // the *next* edit chains off it, exactly as if we had
-            // re-solved.
+            // Re-anchor the hint on the replayed instance so the *next*
+            // edit chains off it, exactly as if we had re-solved.
             self.warm.ims_hint = Some(result.schedule.clone());
-            self.warm.start_at = Some(first_unrefuted(&result));
             return Ok(result);
         }
         self.ddg();
@@ -366,7 +353,6 @@ impl SolveSession {
             .schedule_with_warm(&ddg, budget, &mut self.warm);
         self.ddg = Some(ddg);
         if let Ok(res) = &solved {
-            self.warm.start_at = Some(first_unrefuted(res));
             if self.cache.len() >= MAX_CACHED_SOLVES {
                 self.cache.clear();
             }
@@ -434,16 +420,6 @@ impl SolveSession {
 
     fn time_limit_total(&self) -> Option<Duration> {
         self.scheduler.config().time_limit_total
-    }
-}
-
-/// The first period whose refutation `result` does *not* carry: every
-/// period below it is proven infeasible and may be skipped by the next
-/// warm sweep of the same (or a tightened) instance.
-fn first_unrefuted(result: &ScheduleResult) -> u32 {
-    match result.optimality {
-        Optimality::Proven => result.schedule.initiation_interval(),
-        Optimality::BudgetExhausted { smallest_refuted } => smallest_refuted,
     }
 }
 
@@ -549,26 +525,49 @@ mod tests {
         assert_eq!(res.schedule.num_ops(), 2);
     }
 
+    /// A first solve that refutes `T_lb` under a pressure cap, then a
+    /// tightening edit (one more ALU op): the warm re-solve must
+    /// reach the same decision as a cold solve of the edited instance,
+    /// making its own refutations rather than inheriting the first's.
     #[test]
-    fn tightening_carries_refutations() {
-        let mut s = seeded();
+    fn tightened_resolve_matches_cold() {
+        let config = SchedulerConfig {
+            max_live: Some(2),
+            ..SchedulerConfig::default()
+        };
+        let mut ddg = Ddg::new();
+        let a = ddg.add_node("a", OpClass::new(0), 1);
+        let b = ddg.add_node("b", OpClass::new(1), 2);
+        let c = ddg.add_node("c", OpClass::new(0), 1);
+        ddg.add_edge(a, b, 0).expect("edge");
+        ddg.add_edge(a, c, 0).expect("edge");
+        ddg.add_edge(b, c, 0).expect("edge");
+        let mut s = SolveSession::from_ddg(machine(), config.clone(), &ddg);
         let first = s.solve().expect("feasible");
-        s.apply(&EditOp::AddEdge {
-            src: 0,
-            dst: 1,
-            distance: 1,
+        let t_lb = first.t_dep.max(first.t_res);
+        assert!(first.is_proven_optimal());
+        assert!(
+            first.schedule.initiation_interval() > t_lb,
+            "T_lb is refuted"
+        );
+        s.apply(&EditOp::AddNode {
+            name: "d".into(),
+            class: 0,
+            latency: 1,
         })
         .expect("apply");
-        let skipped_before = s.reuse().periods_skipped;
-        let second = s.solve().expect("feasible");
-        // The tightened instance can only be as hard or harder.
-        assert!(second.schedule.initiation_interval() >= first.schedule.initiation_interval());
-        // If the first solve refuted anything, the second skipped it.
-        if first.optimality.is_proven()
-            && first.schedule.initiation_interval() > first.t_dep.max(first.t_res)
-        {
-            assert!(s.reuse().periods_skipped > skipped_before);
-        }
+        let warm = s.solve().expect("feasible");
+        let cold = RateOptimalScheduler::new(machine(), config)
+            .schedule_with(s.ddg(), &Budget::unlimited())
+            .expect("feasible");
+        let decision =
+            |r: &ScheduleResult| (r.schedule.initiation_interval(), r.is_proven_optimal());
+        assert_eq!(decision(&warm), decision(&cold));
+        // The re-solve sweeps from its own lower bound, below the first
+        // solve's proven period, and refutes it itself.
+        let warm_lb = warm.t_dep.max(warm.t_res);
+        assert!(warm_lb < first.schedule.initiation_interval());
+        assert_eq!(warm.attempts.first().map(|a| a.period), Some(warm_lb));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use swp_core::{Optimality, RateOptimalScheduler, SchedulerConfig};
 use swp_ddg::{Ddg, NodeId, OpClass};
 use swp_incr::{EditOp, SolveSession};
 use swp_machine::{FuType, Machine, ReservationTable};
+use swp_milp::Budget;
 
 fn gen_machine(rng: &mut SmallRng) -> Machine {
     let classes = rng.gen_range(1..=2usize);
@@ -140,8 +141,7 @@ proptest! {
         let machine = gen_machine(&mut rng);
         let ddg = gen_ddg(&mut rng, &machine);
         let mut session = SolveSession::from_ddg(machine.clone(), config(), &ddg);
-        let cold_cfg = SchedulerConfig { warm_sweep: false, ..config() };
-        let cold = RateOptimalScheduler::new(machine.clone(), cold_cfg);
+        let cold = RateOptimalScheduler::new(machine.clone(), config());
         let steps = rng.gen_range(1..=3usize);
         for step in 0..=steps {
             if step > 0 {
@@ -149,7 +149,7 @@ proptest! {
                 session.apply(&op).expect("generated edits are valid");
             }
             let warm_res = session.solve();
-            let cold_res = cold.schedule(session.ddg());
+            let cold_res = cold.schedule_with(session.ddg(), &Budget::unlimited());
             prop_assert_eq!(
                 decide(&warm_res),
                 decide(&cold_res),

@@ -29,10 +29,10 @@
 //!   dead clients stop within one budget check interval.
 //! * **Incremental sessions** — `POST /session` (op `session_open`)
 //!   pins a [`swp_incr::SolveSession`] in daemon memory; edits
-//!   (`/session/{id}/edit`) invalidate only the touched dependency
-//!   cone's warm facts, solves (`/session/{id}/solve`) run warm-started,
-//!   and the per-operation reuse deltas (basis hits, no-good replays,
-//!   skipped periods) land in the monotone `stats` counters.
+//!   (`/session/{id}/edit`) adjust its carried schedule hint, solves
+//!   (`/session/{id}/solve`) replay a cached result or run with that
+//!   hint, and the per-operation reuse deltas (replays, IMS hint hits,
+//!   cone sizes) land in the monotone `stats` counters.
 //! * **Graceful drain, crash-only recovery** — a shutdown request stops
 //!   the accept loop, finishes (or budget-cancels, after a grace
 //!   period) in-flight work, and flushes the JSONL artifact; because

@@ -22,15 +22,16 @@
 //! HTTP request or header line at [`MAX_HEAD_LINE_BYTES`]. An over-long
 //! line is refused with one `bad_request`, and the connection closes.
 //! A client that stops reading its replies is cut off after
-//! [`WRITE_TIMEOUT`]: the failed write shuts the socket down, and the
-//! reader then sees EOF as on any disconnect.
+//! [`WRITE_TIMEOUT`]: the failed write marks the connection's sink dead
+//! and shuts the socket down, and the reader stops dispatching the
+//! requests it has already buffered, as on any disconnect.
 //!
 //! # Disconnect → cancellation
 //!
-//! The reader owns a clone of every cancel token it enqueued. EOF or a
-//! read error fires them all; in-flight solves for that connection stop
-//! at their next budget check and classify as `cancelled`. Finished
-//! tokens are inert, so firing the whole list is harmless.
+//! Each connection owns one cancel token, shared by every solve it
+//! starts, queued or session. EOF, a read error or a dead sink fires
+//! it; in-flight solves for that connection stop at their next budget
+//! check and classify as `cancelled`.
 //!
 //! # Drain
 //!
@@ -50,7 +51,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use swp_milp::CancelToken;
@@ -267,9 +268,11 @@ fn handle_jsonl(
     mut read: LineRead,
     addr: SocketAddr,
 ) {
-    let sink = ReplySink::Socket(Arc::new(Mutex::new(stream)));
-    let mut tokens: Vec<CancelToken> = Vec::new();
-    loop {
+    let sink = ReplySink::socket(stream);
+    let cancel = CancelToken::new();
+    // A dead sink means the client stopped reading: answering what is
+    // still buffered would only write into a closed socket.
+    while !sink.is_dead() {
         match read {
             LineRead::Eof => break, // client gone
             LineRead::TooLong => {
@@ -281,12 +284,12 @@ fn handle_jsonl(
             }
             LineRead::Line => match std::str::from_utf8(&line) {
                 Ok(text) if text.trim().is_empty() => {}
-                Ok(text) => dispatch(shared, text.trim(), &sink, &mut tokens, addr),
+                Ok(text) => dispatch(shared, text.trim(), &sink, &cancel, addr),
                 Err(_) => dispatch_parsed(
                     shared,
                     Err("request line is not UTF-8".to_string()),
                     &sink,
-                    &mut tokens,
+                    &cancel,
                     addr,
                 ),
             },
@@ -294,10 +297,8 @@ fn handle_jsonl(
         read = read_line_capped(&mut reader, MAX_BODY_BYTES, &mut line);
     }
     // Disconnect: cancel everything this connection still has in
-    // flight. Completed solves' tokens are inert.
-    for t in &tokens {
-        t.cancel();
-    }
+    // flight.
+    cancel.cancel();
 }
 
 /// Routes one request line. Solve requests that miss the cache are
@@ -307,10 +308,10 @@ fn dispatch(
     shared: &Arc<Shared>,
     line: &str,
     sink: &ReplySink,
-    tokens: &mut Vec<CancelToken>,
+    cancel: &CancelToken,
     addr: SocketAddr,
 ) {
-    dispatch_parsed(shared, Request::from_json_line(line), sink, tokens, addr);
+    dispatch_parsed(shared, Request::from_json_line(line), sink, cancel, addr);
 }
 
 /// Routes one already-parsed (or parse-failed) request. Split from
@@ -320,7 +321,7 @@ fn dispatch_parsed(
     shared: &Arc<Shared>,
     req: Result<Request, String>,
     sink: &ReplySink,
-    tokens: &mut Vec<CancelToken>,
+    cancel: &CancelToken,
     addr: SocketAddr,
 ) {
     shared.stats.count_request();
@@ -363,13 +364,11 @@ fn dispatch_parsed(
             timeout_ms,
         } => {
             // Runs inline on this thread (session ops are causally
-            // ordered per client), but registers a cancel token so a
-            // drain hard-stop still interrupts it.
-            let cancel = CancelToken::new();
-            tokens.push(cancel.clone());
+            // ordered per client); it registers the connection's token
+            // so a drain hard-stop still interrupts it.
             shared.finish(
                 sink,
-                session::solve(shared, &id, handle, ticks, timeout_ms, &cancel),
+                session::solve(shared, &id, handle, ticks, timeout_ms, cancel),
             );
         }
         Request::SessionClose {
@@ -402,7 +401,6 @@ fn dispatch_parsed(
                     return;
                 }
             };
-            let cancel = CancelToken::new();
             let job = Job {
                 seq: shared.alloc_seq(),
                 req: solve,
@@ -410,9 +408,8 @@ fn dispatch_parsed(
                 reply_to: sink.clone(),
                 cancel: cancel.clone(),
             };
-            match shared.enqueue(job) {
-                Ok(()) => tokens.push(cancel),
-                Err(refusal) => shared.finish(sink, refusal),
+            if let Err(refusal) = shared.enqueue(job) {
+                shared.finish(sink, refusal);
             }
         }
     }
@@ -509,21 +506,21 @@ fn handle_http(
         }
         ("POST", "/solve") => {
             let (tx, rx) = channel::<Reply>();
-            let mut tokens = Vec::new();
-            dispatch(shared, &body, &ReplySink::Channel(tx), &mut tokens, addr);
-            wait_for_reply(&rx, &stream, &tokens)
+            let cancel = CancelToken::new();
+            dispatch(shared, &body, &ReplySink::Channel(tx), &cancel, addr);
+            wait_for_reply(&rx, &stream, &cancel)
         }
         ("POST", p) if p == "/session" || p.starts_with("/session/") => {
             let (tx, rx) = channel::<Reply>();
-            let mut tokens = Vec::new();
+            let cancel = CancelToken::new();
             let body = if body.trim().is_empty() {
                 "{}".to_string()
             } else {
                 body
             };
             let req = route_session(p, &body);
-            dispatch_parsed(shared, req, &ReplySink::Channel(tx), &mut tokens, addr);
-            wait_for_reply(&rx, &stream, &tokens)
+            dispatch_parsed(shared, req, &ReplySink::Channel(tx), &cancel, addr);
+            wait_for_reply(&rx, &stream, &cancel)
         }
         _ => {
             shared.stats.count_request();
@@ -615,7 +612,7 @@ fn route_session(path: &str, body: &str) -> Result<Request, String> {
 /// Waits for the solve reply while watching the socket for a client
 /// disconnect, which fires the request's cancel token. The solve always
 /// replies (classification is total), so this loop always terminates.
-fn wait_for_reply(rx: &Receiver<Reply>, stream: &TcpStream, tokens: &[CancelToken]) -> Reply {
+fn wait_for_reply(rx: &Receiver<Reply>, stream: &TcpStream, cancel: &CancelToken) -> Reply {
     let mut probe = [0u8; 1];
     let mut watch = stream.try_clone().ok();
     if let Some(s) = &watch {
@@ -635,9 +632,7 @@ fn wait_for_reply(rx: &Receiver<Reply>, stream: &TcpStream, tokens: &[CancelToke
                     match s.read(&mut probe) {
                         Ok(0) => {
                             // EOF: the client hung up mid-solve.
-                            for t in tokens {
-                                t.cancel();
-                            }
+                            cancel.cancel();
                             watch = None; // stop probing; just await the reply
                         }
                         Ok(_) => {} // pipelined garbage; ignore
@@ -645,9 +640,7 @@ fn wait_for_reply(rx: &Receiver<Reply>, stream: &TcpStream, tokens: &[CancelToke
                             if e.kind() == io::ErrorKind::WouldBlock
                                 || e.kind() == io::ErrorKind::TimedOut => {}
                         Err(_) => {
-                            for t in tokens {
-                                t.cancel();
-                            }
+                            cancel.cancel();
                             watch = None;
                         }
                     }

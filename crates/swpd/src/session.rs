@@ -1,12 +1,12 @@
 //! Daemon-hosted incremental solve sessions.
 //!
 //! A session (`POST /session`, op `session_open`) pins one parsed case
-//! plus its [`SolveSession`] warm state — carried refutations, simplex
-//! basis, schedule hint, CP no-goods, exact-replay cache — in daemon
-//! memory. Edits (`POST /session/{id}/edit`) invalidate only the edit's
-//! dependency cone worth of facts; solves (`POST /session/{id}/solve`)
-//! then run warm, and every operation feeds its reuse-counter delta into
-//! the daemon's monotone telemetry.
+//! plus its [`SolveSession`] warm state — the exact-replay cache and the
+//! last schedule as an IMS hint — in daemon memory. Edits
+//! (`POST /session/{id}/edit`) adjust the hint to the edited instance;
+//! solves (`POST /session/{id}/solve`) then replay or run with it, and
+//! every operation feeds its reuse-counter delta into the daemon's
+//! monotone telemetry.
 //!
 //! Session operations run on the connection thread, not the worker
 //! pool: a session's edits and solves are causally ordered per client,
@@ -68,15 +68,11 @@ impl SessionStore {
 /// field is a lifetime total and monotone, so plain subtraction is the
 /// delta).
 fn reuse_delta(now: &ReuseStats, reported: &ReuseStats) -> ReuseStats {
-    let mut d = ReuseStats::default();
-    d.basis_hits = now.basis_hits - reported.basis_hits;
-    d.basis_exports = now.basis_exports - reported.basis_exports;
-    d.nogood_replays = now.nogood_replays - reported.nogood_replays;
-    d.ims_hint_hits = now.ims_hint_hits - reported.ims_hint_hits;
-    d.periods_skipped = now.periods_skipped - reported.periods_skipped;
-    d.replays = now.replays - reported.replays;
-    d.cone_nodes = now.cone_nodes - reported.cone_nodes;
-    d
+    ReuseStats {
+        ims_hint_hits: now.ims_hint_hits - reported.ims_hint_hits,
+        replays: now.replays - reported.replays,
+        cone_nodes: now.cone_nodes - reported.cone_nodes,
+    }
 }
 
 fn publish_reuse(shared: &Shared, hosted: &mut Hosted) {
@@ -237,16 +233,19 @@ mod tests {
 
     #[test]
     fn reuse_delta_subtracts_fieldwise() {
-        let mut now = ReuseStats::default();
-        now.basis_hits = 5;
-        now.periods_skipped = 3;
-        now.cone_nodes = 7;
-        let mut reported = ReuseStats::default();
-        reported.basis_hits = 2;
-        reported.cone_nodes = 7;
+        let now = ReuseStats {
+            ims_hint_hits: 5,
+            replays: 3,
+            cone_nodes: 7,
+        };
+        let reported = ReuseStats {
+            ims_hint_hits: 2,
+            cone_nodes: 7,
+            ..ReuseStats::default()
+        };
         let d = reuse_delta(&now, &reported);
-        assert_eq!(d.basis_hits, 3);
-        assert_eq!(d.periods_skipped, 3);
+        assert_eq!(d.ims_hint_hits, 3);
+        assert_eq!(d.replays, 3);
         assert_eq!(d.cone_nodes, 0);
     }
 }

@@ -76,31 +76,53 @@ impl Default for DaemonConfig {
     }
 }
 
+/// A JSONL connection's socket, shared by its reader and the workers
+/// solving its requests. Each reply is one line, written whole under
+/// the lock, so replies never interleave.
+#[derive(Debug)]
+pub(crate) struct SocketSink {
+    stream: Mutex<TcpStream>,
+    /// Set by the first failed write; nothing is written after it.
+    /// `Relaxed`: the flag publishes no other data.
+    dead: AtomicBool,
+}
+
 /// Where a connection's replies go.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplySink {
-    /// A JSONL connection's socket, shared by its reader and the
-    /// workers solving its requests. Each reply is one line, written
-    /// whole under the lock, so replies never interleave.
-    Socket(Arc<Mutex<TcpStream>>),
+    /// A JSONL connection's socket.
+    Socket(Arc<SocketSink>),
     /// The HTTP front door's one-shot channel, drained by the
     /// connection thread while it watches the socket for a hang-up.
     Channel(Sender<Reply>),
 }
 
 impl ReplySink {
+    /// The sink of a JSONL connection's socket.
+    pub fn socket(stream: TcpStream) -> ReplySink {
+        ReplySink::Socket(Arc::new(SocketSink {
+            stream: Mutex::new(stream),
+            dead: AtomicBool::new(false),
+        }))
+    }
+
     /// Delivers a reply that has already been classified. A failed
     /// delivery means the connection is gone, or its reader stopped
-    /// reading for the socket's write timeout; the socket is then shut
-    /// down, so its reader sees EOF and cancels the connection's work.
-    /// The reply is dropped: the counters have already recorded it.
+    /// reading for the socket's write timeout; the sink is then marked
+    /// dead and the socket shut down, so the connection's reader stops
+    /// dispatching and cancels the connection's work. The reply is
+    /// dropped: the counters have already recorded it.
     pub fn send(&self, reply: Reply) {
         match self {
-            ReplySink::Socket(stream) => {
+            ReplySink::Socket(socket) => {
+                if socket.dead.load(Ordering::Relaxed) {
+                    return;
+                }
                 let mut line = reply.to_json_line();
                 line.push('\n');
-                let mut stream = lock(stream);
+                let mut stream = lock(&socket.stream);
                 if stream.write_all(line.as_bytes()).is_err() {
+                    socket.dead.store(true, Ordering::Relaxed);
                     let _ = stream.shutdown(Shutdown::Both);
                 }
             }
@@ -109,11 +131,20 @@ impl ReplySink {
             }
         }
     }
+
+    /// Whether a write to this sink has failed; a dead sink takes no
+    /// more replies.
+    pub fn is_dead(&self) -> bool {
+        match self {
+            ReplySink::Socket(socket) => socket.dead.load(Ordering::Relaxed),
+            ReplySink::Channel(_) => false,
+        }
+    }
 }
 
 /// One queued solve: a cache miss, parsed and keyed on the connection
-/// thread. The token is fired by that connection on disconnect, or by
-/// the drain supervisor on hard cancel.
+/// thread. The token is the connection's, fired by that connection on
+/// disconnect, or by the drain supervisor on hard cancel.
 #[derive(Debug)]
 pub(crate) struct Job {
     /// Daemon-unique sequence number (doubles as the artifact record
@@ -125,7 +156,7 @@ pub(crate) struct Job {
     pub problem: Problem,
     /// Where the classified reply goes.
     pub reply_to: ReplySink,
-    /// Cancels this solve.
+    /// Cancels this solve (and the connection's other work).
     pub cancel: CancelToken,
 }
 
@@ -394,6 +425,27 @@ mod tests {
         assert!(t1.is_cancelled() && t2.is_cancelled());
         shared.deregister(0);
         assert_eq!(lock(&shared.inflight).len(), 1);
+    }
+
+    #[test]
+    fn a_write_to_a_reset_peer_marks_the_sink_dead() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let mut watch = server.try_clone().expect("clone");
+        watch
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let sink = ReplySink::socket(server);
+        sink.send(Reply::status("a", ReplyStatus::Ok));
+        assert!(!sink.is_dead(), "the peer is still there");
+        // Closing with the first reply unread resets the connection;
+        // the read returns once the reset has arrived.
+        drop(peer);
+        let _ = std::io::Read::read(&mut watch, &mut [0u8; 1]);
+        sink.send(Reply::status("b", ReplyStatus::Ok));
+        assert!(sink.is_dead());
     }
 
     #[test]

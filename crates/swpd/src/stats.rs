@@ -36,10 +36,7 @@ pub struct SwpdStats {
     sessions_opened: AtomicU64,
     session_edits: AtomicU64,
     session_solves: AtomicU64,
-    reuse_periods_skipped: AtomicU64,
-    reuse_basis_hits: AtomicU64,
     reuse_ims_hint_hits: AtomicU64,
-    reuse_nogood_replays: AtomicU64,
     reuse_replays: AtomicU64,
     reuse_cone_nodes: AtomicU64,
     draining: AtomicBool,
@@ -106,14 +103,8 @@ impl SwpdStats {
     /// Accumulates a session's reuse-counter *delta* (what this one
     /// operation added to the session's lifetime totals).
     pub fn record_reuse(&self, delta: &ReuseStats) {
-        self.reuse_periods_skipped
-            .fetch_add(delta.periods_skipped, Ordering::Relaxed);
-        self.reuse_basis_hits
-            .fetch_add(delta.basis_hits, Ordering::Relaxed);
         self.reuse_ims_hint_hits
             .fetch_add(delta.ims_hint_hits, Ordering::Relaxed);
-        self.reuse_nogood_replays
-            .fetch_add(delta.nogood_replays, Ordering::Relaxed);
         self.reuse_replays
             .fetch_add(delta.replays, Ordering::Relaxed);
         self.reuse_cone_nodes
@@ -145,10 +136,7 @@ impl SwpdStats {
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             session_edits: self.session_edits.load(Ordering::Relaxed),
             session_solves: self.session_solves.load(Ordering::Relaxed),
-            reuse_periods_skipped: self.reuse_periods_skipped.load(Ordering::Relaxed),
-            reuse_basis_hits: self.reuse_basis_hits.load(Ordering::Relaxed),
             reuse_ims_hint_hits: self.reuse_ims_hint_hits.load(Ordering::Relaxed),
-            reuse_nogood_replays: self.reuse_nogood_replays.load(Ordering::Relaxed),
             reuse_replays: self.reuse_replays.load(Ordering::Relaxed),
             reuse_cone_nodes: self.reuse_cone_nodes.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::Relaxed),
@@ -194,14 +182,8 @@ pub struct StatsSnapshot {
     pub session_edits: u64,
     /// Session solves executed (warm or replayed).
     pub session_solves: u64,
-    /// Sweep periods skipped via carried refutations.
-    pub reuse_periods_skipped: u64,
-    /// Root LPs crash-started from a carried simplex basis.
-    pub reuse_basis_hits: u64,
     /// IMS probes seeded from a still-valid previous schedule.
     pub reuse_ims_hint_hits: u64,
-    /// CP no-good clauses replayed into warm solves.
-    pub reuse_nogood_replays: u64,
     /// Exact replays served from session caches.
     pub reuse_replays: u64,
     /// Total nodes in edit-invalidated dependency cones.
@@ -232,7 +214,7 @@ impl StatsSnapshot {
     /// `earlier` snapshot, returning the first violation's field name.
     /// The gauges and the latch are exempt.
     pub fn monotone_regression_from(&self, earlier: &StatsSnapshot) -> Option<&'static str> {
-        let pairs: [(&'static str, u64, u64); 20] = [
+        let pairs: [(&'static str, u64, u64); 17] = [
             ("requests", earlier.requests, self.requests),
             ("ok", earlier.ok, self.ok),
             ("solved", earlier.solved, self.solved),
@@ -264,24 +246,9 @@ impl StatsSnapshot {
                 self.session_solves,
             ),
             (
-                "reuse_periods_skipped",
-                earlier.reuse_periods_skipped,
-                self.reuse_periods_skipped,
-            ),
-            (
-                "reuse_basis_hits",
-                earlier.reuse_basis_hits,
-                self.reuse_basis_hits,
-            ),
-            (
                 "reuse_ims_hint_hits",
                 earlier.reuse_ims_hint_hits,
                 self.reuse_ims_hint_hits,
-            ),
-            (
-                "reuse_nogood_replays",
-                earlier.reuse_nogood_replays,
-                self.reuse_nogood_replays,
             ),
             ("reuse_replays", earlier.reuse_replays, self.reuse_replays),
             (
@@ -315,10 +282,7 @@ impl StatsSnapshot {
             .u64("sessions_opened", self.sessions_opened)
             .u64("session_edits", self.session_edits)
             .u64("session_solves", self.session_solves)
-            .u64("reuse_periods_skipped", self.reuse_periods_skipped)
-            .u64("reuse_basis_hits", self.reuse_basis_hits)
             .u64("reuse_ims_hint_hits", self.reuse_ims_hint_hits)
-            .u64("reuse_nogood_replays", self.reuse_nogood_replays)
             .u64("reuse_replays", self.reuse_replays)
             .u64("reuse_cone_nodes", self.reuse_cone_nodes)
             .bool("draining", self.draining);
@@ -346,10 +310,7 @@ impl StatsSnapshot {
             sessions_opened: num("sessions_opened")?,
             session_edits: num("session_edits")?,
             session_solves: num("session_solves")?,
-            reuse_periods_skipped: num("reuse_periods_skipped")?,
-            reuse_basis_hits: num("reuse_basis_hits")?,
             reuse_ims_hint_hits: num("reuse_ims_hint_hits")?,
-            reuse_nogood_replays: num("reuse_nogood_replays")?,
             reuse_replays: num("reuse_replays")?,
             reuse_cone_nodes: num("reuse_cone_nodes")?,
             draining: m.get("draining").and_then(JsonValue::as_bool)?,
@@ -390,27 +351,24 @@ mod tests {
         stats.count_session_edit();
         stats.count_session_edit();
         stats.count_session_solve();
-        let mut delta = ReuseStats::default();
-        delta.periods_skipped = 2;
-        delta.basis_hits = 1;
-        delta.ims_hint_hits = 3;
-        delta.replays = 1;
-        delta.cone_nodes = 5;
+        let delta = ReuseStats {
+            ims_hint_hits: 3,
+            replays: 1,
+            cone_nodes: 5,
+        };
         let before = stats.snapshot();
         stats.record_reuse(&delta);
         let after = stats.snapshot();
         assert_eq!(after.sessions_opened, 1);
         assert_eq!(after.session_edits, 2);
         assert_eq!(after.session_solves, 1);
-        assert_eq!(after.reuse_periods_skipped, 2);
-        assert_eq!(after.reuse_basis_hits, 1);
         assert_eq!(after.reuse_ims_hint_hits, 3);
         assert_eq!(after.reuse_replays, 1);
         assert_eq!(after.reuse_cone_nodes, 5);
         assert_eq!(after.monotone_regression_from(&before), None);
         assert_eq!(
             before.monotone_regression_from(&after),
-            Some("reuse_periods_skipped")
+            Some("reuse_ims_hint_hits")
         );
 
         let mut w = ObjectWriter::new();

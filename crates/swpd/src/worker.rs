@@ -23,7 +23,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swp_core::{
     FaultPlan, Optimality, RateOptimalScheduler, ScheduleError, ScheduleResult, SchedulerConfig,
-    WarmState,
 };
 use swp_ddg::Ddg;
 use swp_harness::{config_fingerprint, CacheKey, LoopRecord, SuiteOutcome};
@@ -147,16 +146,11 @@ fn process(shared: &Shared, job: &Job) -> Reply {
 
     let ticks_before = budget.ticks_used();
     let started = Instant::now();
-    // Per-request warm state: reuse is within this solve's T-sweep only
-    // (cross-solve reuse is the session endpoints' job).
-    let mut warm = WarmState::new();
-    let solved = catch_unwind(AssertUnwindSafe(|| {
-        scheduler.schedule_with_warm(ddg, &budget, &mut warm)
-    }));
+    // Cross-solve reuse is the session endpoints' job.
+    let solved = catch_unwind(AssertUnwindSafe(|| scheduler.schedule_with(ddg, &budget)));
     let solve_time = started.elapsed();
     let ticks = budget.ticks_used().saturating_sub(ticks_before);
     shared.observe_solve_us(solve_time.as_micros() as u64);
-    shared.stats.record_reuse(&warm.reuse);
 
     let reply = classify(&req.id, &solved, ticks, solve_time);
     let Ok(solved) = solved else { return reply };
@@ -171,7 +165,6 @@ fn process(shared: &Shared, job: &Job) -> Reply {
             machine,
             *key,
             ticks,
-            &warm.reuse,
             solve_time,
         );
         if let Some(record) = record {
