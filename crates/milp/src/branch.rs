@@ -5,16 +5,28 @@
 //! to the current basis and re-solves it in place by dual simplex, so a
 //! node costs the pivots it needs and nothing more. Branching picks the
 //! most fractional integer variable; the child whose branch is nearer the
-//! LP value is explored first. An LP-rounding primal heuristic runs at
-//! the root and periodically thereafter, which matters for the
-//! scheduling models in `swp-core`: their LP relaxations are often
-//! integral or nearly so, and rounding finds a schedule without
-//! descending the tree.
+//! LP value is explored first.
+//!
+//! One primal heuristic rides along: a fix-and-propagate completion. At
+//! a node whose LP point has every binary column integral but some
+//! general integer fractional, it fixes the binaries at their LP values,
+//! propagates the other columns' bounds (activity-based, with integer
+//! rounding) to a fixpoint over the rows that hold a non-binary column,
+//! and offers the point with every such column at its lower bound. On
+//! the scheduling models in `swp-core` the rows left once the residues
+//! `a_{t,i}` are fixed are difference constraints, so that point is the
+//! earliest placement `t_i = T·k_i + r_i` the dependences allow, and
+//! the search need not branch on the stage counts `k_i` to find it. The
+//! point becomes an incumbent only if it passes the same check as an
+//! integral leaf; the tree and its pruning are otherwise unchanged.
+//! Propagation spends ticks at the simplex's rate: one per pivot's worth
+//! of tableau entries.
 
 use crate::budget::{Budget, Exhaustion};
-use crate::model::{Model, VarKind};
+use crate::model::{Model, Sense, VarKind};
 use crate::simplex::{Lp, LpBasis, LpOutcome, LpProblem, PivotLayout, FEAS_TOL};
 use crate::SolveError;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Integrality tolerance: an LP value within this of an integer counts
@@ -148,7 +160,12 @@ pub struct BranchBound<'a> {
     /// model maximizes), the rows, and the root bounds (integer bounds
     /// rounded inward).
     root: LpProblem,
+    /// The fix-and-propagate completion's row index.
+    completion: Completion,
 }
+
+/// Tolerance at which an incumbent must satisfy every row and bound.
+const INCUMBENT_TOL: f64 = 1e-5;
 
 impl<'a> BranchBound<'a> {
     /// Prepares a search over `model` with the given `limits`; the
@@ -185,12 +202,27 @@ impl<'a> BranchBound<'a> {
                 hi[j] = (hi[j] + INT_TOL).floor();
             }
         }
+        let root = LpProblem { obj, rows, lo, hi };
+        let completion = Completion::new(model, &root);
         BranchBound {
             model,
             limits,
             int_vars,
-            root: LpProblem { obj, rows, lo, hi },
+            root,
+            completion,
         }
+    }
+
+    /// Makes `x` the incumbent if it beats the current one and satisfies
+    /// every row and bound; returns whether it did.
+    fn offer(&self, incumbent: &mut Option<(Vec<f64>, f64)>, x: Vec<f64>) -> bool {
+        let obj = self.min_objective(&x);
+        let better = incumbent.as_ref().is_none_or(|(_, inc)| obj < *inc - 1e-9);
+        let accepted = better && self.model.is_feasible_point(&x, INCUMBENT_TOL);
+        if accepted {
+            *incumbent = Some((x, obj));
+        }
+        accepted
     }
 
     /// Minimization objective of a point.
@@ -317,9 +349,13 @@ impl<'a> BranchBound<'a> {
             // Most fractional integer variable.
             let mut branch_var = None;
             let mut best_frac = INT_TOL;
+            let mut binaries_integral = true;
             for &j in &self.int_vars {
                 let x = sol.x[j];
                 let frac = (x - x.round()).abs();
+                if frac > INT_TOL && self.completion.binary[j] {
+                    binaries_integral = false;
+                }
                 if frac > best_frac {
                     best_frac = frac;
                     branch_var = Some(j);
@@ -333,36 +369,38 @@ impl<'a> BranchBound<'a> {
                     for &j in &self.int_vars {
                         x[j] = x[j].round();
                     }
-                    let obj = self.min_objective(&x);
-                    let better = incumbent
-                        .as_ref()
-                        .map(|(_, inc)| obj < *inc - 1e-9)
-                        .unwrap_or(true);
-                    if better && self.model.is_feasible_point(&x, 1e-5) {
-                        incumbent = Some((x, obj));
-                        if self.limits.stop_at_first_incumbent {
-                            truncated = true;
-                            stats.stop_reason = StopReason::FirstIncumbent;
-                            break 'search;
-                        }
+                    if self.offer(&mut incumbent, x) && self.limits.stop_at_first_incumbent {
+                        truncated = true;
+                        stats.stop_reason = StopReason::FirstIncumbent;
+                        break 'search;
                     }
                 }
                 Some(j) => {
-                    // Rounding heuristic: occasionally try snapping the whole
-                    // LP point.
-                    if stats.nodes == 1 || stats.nodes % 64 == 0 {
-                        if let Some((x, obj)) = self.try_round(&sol.x, &node) {
-                            let better = incumbent
-                                .as_ref()
-                                .map(|(_, inc)| obj < *inc - 1e-9)
-                                .unwrap_or(true);
-                            if better {
-                                incumbent = Some((x, obj));
-                                if self.limits.stop_at_first_incumbent {
+                    if binaries_integral {
+                        match self.completion.complete(&self.root, &sol.x, &node, budget) {
+                            Ok(Some(y)) => {
+                                if self.offer(&mut incumbent, y)
+                                    && self.limits.stop_at_first_incumbent
+                                {
                                     truncated = true;
                                     stats.stop_reason = StopReason::FirstIncumbent;
                                     break 'search;
                                 }
+                            }
+                            Ok(None) => {}
+                            Err(Exhaustion::Cancelled) => {
+                                return (Err(SolveError::Cancelled), root_basis)
+                            }
+                            Err(e) => {
+                                truncated = true;
+                                stats.stop_reason = StopReason::Budget(e);
+                                break;
+                            }
+                        }
+                        // Bound pruning again, against a completed incumbent.
+                        if let Some((_, inc)) = &incumbent {
+                            if sol.objective >= *inc - 1e-9 {
+                                continue;
                             }
                         }
                     }
@@ -406,20 +444,241 @@ impl<'a> BranchBound<'a> {
         };
         (result, root_basis)
     }
+}
 
-    /// Rounds the LP point to integers (within node bounds) and accepts it
-    /// if it satisfies every constraint.
-    fn try_round(&self, x: &[f64], node: &Node) -> Option<(Vec<f64>, f64)> {
-        let mut y = x.to_vec();
-        for &j in &self.int_vars {
-            y[j] = y[j].round().clamp(node.lo[j], node.hi[j]);
+/// The fix-and-propagate completion's index over a model's rows.
+struct Completion {
+    /// Whether each column is binary.
+    binary: Vec<bool>,
+    /// Whether each column is integer (binary or general).
+    integer: Vec<bool>,
+    /// The rows that hold a non-binary column: once the binaries are
+    /// fixed, only these can move a bound.
+    rows: Vec<usize>,
+    /// Column → rows index over `rows`: column `j` sits in rows
+    /// `col_rows[col_start[j]..col_start[j + 1]]` (none for binaries).
+    col_start: Vec<usize>,
+    col_rows: Vec<usize>,
+    /// Passes after which propagation gives up on reaching a fixpoint.
+    max_passes: usize,
+    /// Term visits one tick buys: the `m × (n + m)` entries of the
+    /// tableau `B⁻¹[A | I]` that a simplex pivot updates, so a tick of
+    /// propagation is no more work than a tick of simplex.
+    terms_per_tick: usize,
+    /// Term visits not yet paid for, carried from one completion to the
+    /// next.
+    unpaid: Cell<usize>,
+}
+
+impl Completion {
+    fn new(model: &Model, root: &LpProblem) -> Self {
+        let binary: Vec<bool> = model
+            .vars
+            .iter()
+            .map(|v| v.kind == VarKind::Binary)
+            .collect();
+        let integer = model
+            .vars
+            .iter()
+            .map(|v| v.kind != VarKind::Continuous)
+            .collect();
+        let mut degree = vec![0usize; binary.len()];
+        let mut rows = Vec::new();
+        for (r, (terms, _, _)) in root.rows.iter().enumerate() {
+            let mut any = false;
+            for &(j, _) in terms {
+                if !binary[j] {
+                    degree[j] += 1;
+                    any = true;
+                }
+            }
+            if any {
+                rows.push(r);
+            }
         }
-        if self.model.is_feasible_point(&y, FEAS_TOL * 10.0) {
-            let obj = self.min_objective(&y);
-            Some((y, obj))
-        } else {
-            None
+        let mut col_start = vec![0; binary.len() + 1];
+        for (j, &d) in degree.iter().enumerate() {
+            col_start[j + 1] = col_start[j] + d;
         }
+        let mut fill = col_start.clone();
+        let mut col_rows = vec![0; fill[binary.len()]];
+        for &r in &rows {
+            for &(j, _) in &root.rows[r].0 {
+                if !binary[j] {
+                    col_rows[fill[j]] = r;
+                    fill[j] += 1;
+                }
+            }
+        }
+        let general = binary.iter().filter(|&&b| !b).count();
+        Completion {
+            binary,
+            integer,
+            rows,
+            col_start,
+            col_rows,
+            max_passes: 2 * general + 8,
+            terms_per_tick: (root.rows.len() * (root.obj.len() + root.rows.len())).max(1),
+            unpaid: Cell::new(0),
+        }
+    }
+
+    /// Completes the LP point `x`, whose binary columns are integral, at
+    /// `node`: fixes the binaries, propagates the other columns' bounds
+    /// to a fixpoint, and returns the point with each of them at its
+    /// lower bound. Only rows holding a column whose bound moved are
+    /// revisited. `None` when a domain empties, a lower bound stays
+    /// infinite, or no fixpoint is reached within the pass cap. The
+    /// point is not checked against the rows here.
+    ///
+    /// Spends a tick per pivot's worth of term visits.
+    fn complete(
+        &self,
+        root: &LpProblem,
+        x: &[f64],
+        node: &Node,
+        budget: &Budget,
+    ) -> Result<Option<Vec<f64>>, Exhaustion> {
+        let (mut lo, mut hi) = (node.lo.clone(), node.hi.clone());
+        for (j, _) in self.binary.iter().enumerate().filter(|&(_, &b)| b) {
+            lo[j] = x[j].round();
+            hi[j] = lo[j];
+        }
+        let mut queued = vec![false; root.rows.len()];
+        for &r in &self.rows {
+            queued[r] = true;
+        }
+        let mut pass = self.rows.clone();
+        let mut next = Vec::new();
+        let mut changed = Vec::new();
+        let mut passes = 0;
+        while !pass.is_empty() {
+            if passes == self.max_passes {
+                return Ok(None);
+            }
+            passes += 1;
+            for &r in &pass {
+                queued[r] = false;
+                let (terms, sense, rhs) = &root.rows[r];
+                self.pay(terms.len(), budget)?;
+                if !self.tighten(terms, *sense, *rhs, &mut lo, &mut hi, &mut changed) {
+                    return Ok(None);
+                }
+                for j in changed.drain(..) {
+                    for &r2 in &self.col_rows[self.col_start[j]..self.col_start[j + 1]] {
+                        if !queued[r2] {
+                            queued[r2] = true;
+                            next.push(r2);
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut pass, &mut next);
+            next.clear();
+        }
+        Ok(lo.iter().all(|v| v.is_finite()).then_some(lo))
+    }
+
+    /// Counts `terms` term visits, spending a tick each time
+    /// `terms_per_tick` of them have accrued.
+    fn pay(&self, terms: usize, budget: &Budget) -> Result<(), Exhaustion> {
+        let mut unpaid = self.unpaid.get() + terms;
+        while unpaid >= self.terms_per_tick {
+            unpaid -= self.terms_per_tick;
+            budget.tick()?;
+        }
+        self.unpaid.set(unpaid);
+        Ok(())
+    }
+
+    /// Tightens the non-binary columns of one row `Σ a_j·x_j (sense) rhs`
+    /// from the activity bounds of the rest of the row, rounding integer
+    /// columns inward, and pushes each column it moves onto `changed`.
+    /// Returns `false` if a domain empties.
+    fn tighten(
+        &self,
+        terms: &[(usize, f64)],
+        sense: Sense,
+        rhs: f64,
+        lo: &mut [f64],
+        hi: &mut [f64],
+        changed: &mut Vec<usize>,
+    ) -> bool {
+        // Each term's least and greatest contribution.
+        let span = |j: usize, a: f64, lo: &[f64], hi: &[f64]| {
+            if a > 0.0 {
+                (a * lo[j], a * hi[j])
+            } else {
+                (a * hi[j], a * lo[j])
+            }
+        };
+        // Activity bounds as (finite sum, count of infinite terms).
+        let (mut min_sum, mut min_inf, mut max_sum, mut max_inf) = (0.0, 0, 0.0, 0);
+        for &(j, a) in terms {
+            let (l, h) = span(j, a, lo, hi);
+            match l.is_finite() {
+                true => min_sum += l,
+                false => min_inf += 1,
+            }
+            match h.is_finite() {
+                true => max_sum += h,
+                false => max_inf += 1,
+            }
+        }
+        // The activity of the row without one term, when finite.
+        let rest = |sum: f64, inf: usize, own: f64| match (inf, own.is_finite()) {
+            (0, _) => Some(sum - own),
+            (1, false) => Some(sum),
+            _ => None,
+        };
+        for &(j, a) in terms {
+            if self.binary[j] || a == 0.0 {
+                continue;
+            }
+            let (l, h) = span(j, a, lo, hi);
+            // `a·x_j ≤ rhs − min(rest)` for ≤ rows, `a·x_j ≥ rhs − max(rest)` for ≥.
+            let upper = rest(min_sum, min_inf, l)
+                .filter(|_| sense != Sense::Ge)
+                .map(|r| (rhs - r) / a);
+            let lower = rest(max_sum, max_inf, h)
+                .filter(|_| sense != Sense::Le)
+                .map(|r| (rhs - r) / a);
+            let (new_lo, new_hi) = if a > 0.0 {
+                (lower, upper)
+            } else {
+                (upper, lower)
+            };
+            let mut moved = false;
+            if let Some(b) = new_lo {
+                let b = if self.integer[j] {
+                    (b - INT_TOL).ceil()
+                } else {
+                    b
+                };
+                if b > lo[j] + FEAS_TOL {
+                    lo[j] = b;
+                    moved = true;
+                }
+            }
+            if let Some(b) = new_hi {
+                let b = if self.integer[j] {
+                    (b + INT_TOL).floor()
+                } else {
+                    b
+                };
+                if b < hi[j] - FEAS_TOL {
+                    hi[j] = b;
+                    moved = true;
+                }
+            }
+            if lo[j] > hi[j] + FEAS_TOL {
+                return false;
+            }
+            if moved {
+                changed.push(j);
+            }
+        }
+        true
     }
 }
 
@@ -534,6 +793,61 @@ mod tests {
             m.solve_with(&limits).unwrap_err(),
             SolveError::LimitReached(None)
         );
+    }
+
+    /// Two ops at period 3 in the shape of the scheduling models: one-hot
+    /// residues `a`, stage counts `k`, starts `t = 3·k + r` and a
+    /// dependence `t1 − t0 ≥ 5`. Both residues are pinned (op 0 to 0, op
+    /// 1 to 1), so the root LP's binaries are integral while
+    /// `k1 = 4/3` is not.
+    fn residue_model() -> (Model, crate::VarId, crate::VarId) {
+        let mut m = Model::new();
+        let mut ts = Vec::new();
+        let mut ks = Vec::new();
+        for (i, r) in [0usize, 1].into_iter().enumerate() {
+            let a: Vec<_> = (0..3)
+                .map(|t| m.add_binary(format!("a[{t},{i}]")))
+                .collect();
+            for (t, &v) in a.iter().enumerate() {
+                if t != r {
+                    m.set_upper_bound(v, 0.0);
+                }
+            }
+            let t = m.add_var(VarKind::Integer, 0.0, 20.0, format!("t[{i}]"));
+            let k = m.add_var(VarKind::Integer, 0.0, 6.0, format!("k[{i}]"));
+            m.add_constr(
+                a.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+                Sense::Eq,
+                1.0,
+            );
+            let mut link = vec![(t, 1.0), (k, -3.0)];
+            link.extend(a.iter().enumerate().skip(1).map(|(r, &v)| (v, -(r as f64))));
+            m.add_constr(link, Sense::Eq, 0.0);
+            ts.push(t);
+            ks.push(k);
+        }
+        m.add_constr([(ts[1], 1.0), (ts[0], -1.0)], Sense::Ge, 5.0);
+        m.minimize([(ts[0], 1.0), (ts[1], 1.0)]);
+        (m, ts[1], ks[1])
+    }
+
+    #[test]
+    fn completion_settles_a_fractional_stage_count_at_the_root() {
+        let (m, t1, k1) = residue_model();
+        // The earliest start of op 1 with residue 1 after t1 ≥ 5 is 7.
+        let limits = SolveLimits {
+            stop_at_first_incumbent: true,
+            ..SolveLimits::default()
+        };
+        let sol = m.solve_with(&limits).expect("feasible");
+        assert_eq!(sol.stats().nodes, 1);
+        assert_eq!((sol.value_int(t1), sol.value_int(k1)), (7, 2));
+        // To prove it optimal the search still branches on `k1` once:
+        // `k1 ≤ 1` is infeasible and `k1 ≥ 2` meets the incumbent.
+        let sol = m.solve().expect("feasible");
+        assert!(sol.is_proven_optimal());
+        assert_eq!(sol.stats().nodes, 3);
+        assert_eq!(sol.value_int(t1), 7);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   feasibility after bounds change and primal ones to finish a cold
 //!   start, sparse-row pivoting, and a Bland anti-cycling fallback.
 //! * [`branch`] — branch-and-bound for mixed-integer models with
-//!   most-fractional branching, depth-first search, an LP-rounding
-//!   primal heuristic, and budget limits. The relaxation's tableau is
-//!   built once and re-solved in place at every node.
+//!   most-fractional branching, depth-first search, a fix-and-propagate
+//!   completion at nodes whose binaries are integral, and budget limits.
+//!   The relaxation's tableau is built once and re-solved in place at
+//!   every node.
 //! * [`exact`] — arbitrary-precision integers and rationals plus a dense
 //!   exact rational simplex, used in tests and audits to cross-check the
 //!   `f64` path on small instances.

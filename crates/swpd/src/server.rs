@@ -11,18 +11,18 @@
 //! A JSONL connection's thread reads request lines and answers all it
 //! can on the spot: pings, stats, session operations, bad requests and
 //! admission refusals, and cache hits. A solve request is parsed, keyed
-//! and looked up in the cache here ([`prepare`]); only a miss is queued,
+//! and looked up in the cache here (`worker::prepare`); only a miss is queued,
 //! carrying its parsed problem to a worker. Whichever thread finishes a
 //! reply writes it straight to the connection's socket, one whole line
 //! per locked write, so replies stream out in completion order (clients
 //! correlate by `id`) and a cache hit costs no thread hand-off beyond
 //! the socket itself.
 //!
-//! Every line read is capped: a JSONL line at [`MAX_BODY_BYTES`], an
-//! HTTP request or header line at [`MAX_HEAD_LINE_BYTES`]. An over-long
+//! Every line read is capped: a JSONL line at `MAX_BODY_BYTES` (1 MiB), an
+//! HTTP request or header line at `MAX_HEAD_LINE_BYTES` (8 KiB). An over-long
 //! line is refused with one `bad_request`, and the connection closes.
 //! A client that stops reading its replies is cut off after
-//! [`WRITE_TIMEOUT`]: the failed write marks the connection's sink dead
+//! `WRITE_TIMEOUT` (10 s): the failed write marks the connection's sink dead
 //! and shuts the socket down, and the reader stops dispatching the
 //! requests it has already buffered, as on any disconnect.
 //!
