@@ -13,14 +13,28 @@
 //! stages CP before the ILP, so on loops CP settles alone it should
 //! track CP. The one gate is decision identity.
 //!
-//! Run: `cargo run -p swp-bench --release --bin bench_cpsat -- [num_loops] [--out PATH] [--ticks N]`
+//! Run: `cargo run -p swp-bench --release --bin bench_cpsat`. Its
+//! defaults are the committed artifact's: 32 loops at 100,000 ticks per
+//! loop; `--help` lists the flags.
 
 use std::process::ExitCode;
 use swp_bench::ab;
 use swp_core::{Engine, SchedulerConfig};
-use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink};
+use swp_harness::{Cli, Flags, Harness, HarnessConfig, LoopRecord, NullSink};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
+
+const CLI: Cli = Cli {
+    name: "bench_cpsat",
+    usage: "\
+usage: bench_cpsat [NUM_LOOPS] [--ticks N] [--out PATH]
+
+  NUM_LOOPS    corpus loops to run under each engine (default 32)
+  --ticks N    deterministic tick budget per loop (default 100000)
+  --out PATH   where to write the artifact (default BENCH_cpsat.json)
+  -h, --help   print this help
+",
+};
 
 /// Interleaved repetitions per engine; per-loop minimum is kept.
 const AB_REPS: usize = 3;
@@ -70,27 +84,12 @@ fn decision(r: &LoopRecord) -> (Option<u32>, bool, bool) {
 }
 
 fn main() -> ExitCode {
-    let flags = match Flags::parse(std::env::args().skip(1), &[]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench_cpsat: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let num_loops: usize = match flags.positional_or(0, 128) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("bench_cpsat: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ticks: u64 = match flags.get_or("ticks", 500_000) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("bench_cpsat: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    CLI.run(run)
+}
+
+fn run(flags: &Flags) -> Result<ExitCode, String> {
+    let num_loops: usize = flags.positional_or(0, 32)?;
+    let ticks: u64 = flags.get_or("ticks", 100_000)?;
     let out = flags.get("out").unwrap_or("BENCH_cpsat.json").to_string();
     let machine = Machine::example_pldi95();
     let loops = generate(&SuiteConfig {
@@ -187,15 +186,11 @@ fn main() -> ExitCode {
          \"per_loop\": [\n{per_loop}  ]\n}}\n",
         ilp.wall_us, cp.wall_us, port.wall_us
     );
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("bench_cpsat: writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("wrote {out}");
 
     if mismatches > 0 {
-        eprintln!("bench_cpsat: engines DISAGREED on fully-settled loops");
-        return ExitCode::FAILURE;
+        return Err("engines DISAGREED on fully-settled loops".into());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -24,7 +24,8 @@
 //! corpus slice at a quarter of the tick budget — exact solves are
 //! seconds-per-loop there, see `BENCH_cpsat.json`).
 //!
-//! Run: `cargo run -p swp-bench --release --bin bench_incr -- [num_loops] [--out PATH] [--ticks N]`
+//! Run: `cargo run -p swp-bench --release --bin bench_incr -- --help`
+//! for the arguments.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -34,7 +35,7 @@ use swp_core::{
     SchedulerConfig,
 };
 use swp_ddg::Ddg;
-use swp_harness::Flags;
+use swp_harness::{Cli, Flags};
 use swp_incr::{EditOp, SolveSession};
 use swp_loops::suite::{generate, GeneratedLoop, SuiteConfig};
 use swp_machine::Machine;
@@ -42,6 +43,20 @@ use swp_milp::Budget;
 
 /// Timed A/B repetitions; the minimum total is reported.
 const REPS: usize = 3;
+
+const CLI: Cli = Cli {
+    name: "bench_incr",
+    usage: "\
+usage: bench_incr [NUM_LOOPS] [--ticks N] [--out PATH]
+
+  NUM_LOOPS    table4-suite loops (default 192; the table5 suite runs
+               NUM_LOOPS / 16, at least 8)
+  --ticks N    tick budget per table4 solve (default 400000; table5
+               solves get a quarter)
+  --out PATH   where to write the artifact (default BENCH_incr.json)
+  -h, --help   print this help
+",
+};
 
 /// One step of the per-loop script: the edit to apply before solving
 /// (`None` for the initial solve).
@@ -121,7 +136,6 @@ struct ArmResult {
 fn config(heuristic_incumbent: bool) -> SchedulerConfig {
     SchedulerConfig {
         time_limit_per_t: None,
-        time_limit_total: None,
         heuristic_incumbent,
         ..SchedulerConfig::default()
     }
@@ -267,25 +281,12 @@ fn run_suite(machine: &Machine, spec: &SuiteSpec) -> SuiteResult {
 }
 
 fn main() -> ExitCode {
-    let flags = match Flags::parse(std::env::args().skip(1), &[]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench_incr: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = (|| -> Result<_, String> {
-        let num_loops: usize = flags.positional_or(0, 192)?;
-        let ticks: u64 = flags.get_or("ticks", 400_000)?;
-        Ok((num_loops, ticks))
-    })();
-    let (num_loops, ticks) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bench_incr: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    CLI.run(run)
+}
+
+fn run(flags: &Flags) -> Result<ExitCode, String> {
+    let num_loops: usize = flags.positional_or(0, 192)?;
+    let ticks: u64 = flags.get_or("ticks", 400_000)?;
     let out = flags.get("out").unwrap_or("BENCH_incr.json").to_string();
     let machine = Machine::example_pldi95();
     // The pure-ILP stack is orders of magnitude slower per solve (see
@@ -356,16 +357,12 @@ fn main() -> ExitCode {
         ));
     }
     json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("bench_incr: writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("wrote {out}");
 
     let mismatches: usize = results.iter().map(|r| r.mismatches).sum();
     if mismatches > 0 {
-        eprintln!("bench_incr: warm and cold decisions DIVERGED ({mismatches})");
-        return ExitCode::FAILURE;
+        return Err(format!("warm and cold decisions DIVERGED ({mismatches})"));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

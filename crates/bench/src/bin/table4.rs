@@ -3,58 +3,49 @@
 //! bucket (the paper reports 735 loops at `T_lb` with mean 6 nodes, and
 //! a small large-loop tail at `T_lb+2` / `T_lb+4` with means 16–17).
 //!
-//! Run: `cargo run -p swp-bench --release --bin table4 -- [num_loops] [per-T seconds] [machine]`
-//! where `machine` is `example` (default) or `ppc604`. Harness flags:
-//!
-//! * `--workers N` — shard the corpus over `N` threads (`0` = all CPUs;
-//!   the bucket counts are identical at any worker count);
-//! * `--artifact PATH` — stream per-loop JSONL records to `PATH`;
-//! * `--resume` — load `PATH` first and skip already-solved loops;
-//! * `--engine ilp|cp|portfolio` — the exact engine settling each
-//!   period (decision-equivalent; `portfolio` runs CP, then the ILP on
-//!   what CP leaves of the period budget).
+//! Run: `cargo run -p swp-bench --release --bin table4 -- --help` for
+//! the arguments and harness flags.
 
 use std::process::ExitCode;
 use std::time::Duration;
 use swp_bench::{parse_engine, render_table};
 use swp_core::SchedulerConfig;
-use swp_harness::{Flags, Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome};
+use swp_harness::{Cli, Flags, Harness, HarnessConfig, LoopRecord, NullSink, SuiteOutcome};
 use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
+const CLI: Cli = Cli {
+    name: "table4",
+    usage: "\
+usage: table4 [NUM_LOOPS] [PER_T_SECONDS] [MACHINE] [flags]
+
+  NUM_LOOPS                corpus loops to schedule (default 1066)
+  PER_T_SECONDS            wall-clock budget per candidate period (default 3)
+  MACHINE                  example (default) or ppc604
+  --workers N              shard the corpus over N threads (0 = all CPUs;
+                           the buckets are identical at any worker count)
+  --artifact PATH          stream per-loop JSONL records to PATH
+  --resume                 load PATH first and skip already-solved loops
+  --engine ilp|cp|portfolio
+                           the exact engine settling each period (default ilp)
+  -h, --help               print this help
+",
+};
+
 fn main() -> ExitCode {
-    let flags = match Flags::parse(std::env::args().skip(1), &["resume"]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("table4: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = (|| -> Result<_, String> {
-        let num_loops: usize = flags.positional_or(0, 1066)?;
-        let secs: u64 = flags.positional_or(1, 3)?;
-        let workers: usize = flags.get_or("workers", 1)?;
-        Ok((num_loops, secs, workers))
-    })();
-    let (num_loops, secs, workers) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("table4: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    CLI.run(run)
+}
+
+fn run(flags: &Flags) -> Result<ExitCode, String> {
+    let num_loops: usize = flags.positional_or(0, 1066)?;
+    let secs: u64 = flags.positional_or(1, 3)?;
+    let workers: usize = flags.get_or("workers", 1)?;
+    let engine = parse_engine(flags)?;
     let which = flags.positional(2).unwrap_or("example").to_string();
     let (machine, corpus) = match which.as_str() {
+        "example" => (Machine::example_pldi95(), SuiteConfig::pldi95_default()),
         "ppc604" => (Machine::ppc604(), SuiteConfig::ppc604()),
-        _ => (Machine::example_pldi95(), SuiteConfig::pldi95_default()),
-    };
-
-    let engine = match parse_engine(&flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("table4: {e}");
-            return ExitCode::FAILURE;
-        }
+        other => return Err(format!("unknown machine `{other}` (use example or ppc604)")),
     };
     let run = SchedulerConfig {
         time_limit_per_t: Some(Duration::from_secs(secs)),
@@ -76,13 +67,9 @@ fn main() -> ExitCode {
         ..corpus
     });
     let harness = Harness::new(machine, run, config);
-    let report = match harness.run(&loops, &mut NullSink) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("table4: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = harness
+        .run(&loops, &mut NullSink)
+        .map_err(|e| e.to_string())?;
 
     print_buckets(&report.records);
     println!("{}", report.summary.render());
@@ -92,10 +79,9 @@ fn main() -> ExitCode {
          at the bound, larger DDGs dominating the slack tail."
     );
     if report.interrupted {
-        eprintln!("table4: run interrupted before the whole corpus was covered");
-        return ExitCode::FAILURE;
+        return Err("run interrupted before the whole corpus was covered".into());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Buckets records by slack above the paper's counting `T_lb` (what the

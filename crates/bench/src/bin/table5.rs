@@ -8,49 +8,45 @@
 //! CPU-side effort), not wall time, so they are meaningful at any worker
 //! count.
 //!
-//! Run: `cargo run -p swp-bench --release --bin table5 -- [num_loops] [per-T seconds]`
-//! Harness flags: `--workers N`, `--artifact PATH`, `--resume`,
-//! `--engine ilp|cp|portfolio` (as in `table4`).
+//! Run: `cargo run -p swp-bench --release --bin table5 -- --help` for
+//! the arguments and harness flags.
 
 use std::process::ExitCode;
 use std::time::Duration;
 use swp_bench::{parse_engine, render_table};
 use swp_core::{SchedulerConfig, SolvedBy};
-use swp_harness::{Flags, Harness, HarnessConfig, NullSink, SuiteOutcome};
+use swp_harness::{Cli, Flags, Harness, HarnessConfig, NullSink, SuiteOutcome};
 use swp_loops::suite::{generate, SuiteConfig};
 use swp_machine::Machine;
 
+const CLI: Cli = Cli {
+    name: "table5",
+    usage: "\
+usage: table5 [NUM_LOOPS] [PER_T_SECONDS] [flags]
+
+  NUM_LOOPS                corpus loops to schedule (default 200)
+  PER_T_SECONDS            wall-clock budget per candidate period (default 3)
+  --workers N              shard the corpus over N threads (0 = all CPUs)
+  --artifact PATH          stream per-loop JSONL records to PATH
+  --resume                 load PATH first and skip already-solved loops
+  --engine ilp|cp|portfolio
+                           the exact engine settling each period (default ilp)
+  -h, --help               print this help
+",
+};
+
 fn main() -> ExitCode {
-    let flags = match Flags::parse(std::env::args().skip(1), &["resume"]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("table5: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = (|| -> Result<_, String> {
-        let num_loops: usize = flags.positional_or(0, 200)?;
-        let secs: u64 = flags.positional_or(1, 3)?;
-        let workers: usize = flags.get_or("workers", 1)?;
-        Ok((num_loops, secs, workers))
-    })();
-    let (num_loops, secs, workers) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("table5: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    CLI.run(run)
+}
+
+fn run(flags: &Flags) -> Result<ExitCode, String> {
+    let num_loops: usize = flags.positional_or(0, 200)?;
+    let secs: u64 = flags.positional_or(1, 3)?;
+    let workers: usize = flags.get_or("workers", 1)?;
+    let engine = parse_engine(flags)?;
     println!(
         "== Table 5: ILP solve effort ({num_loops} loops, pure ILP, {secs}s per period, {workers} workers) ==\n"
     );
-    let engine = match parse_engine(&flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("table5: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let run = SchedulerConfig {
         time_limit_per_t: Some(Duration::from_secs(secs)),
         max_t_above_lb: 8,
@@ -69,13 +65,9 @@ fn main() -> ExitCode {
         ..SuiteConfig::pldi95_default()
     });
     let harness = Harness::new(Machine::example_pldi95(), run, config);
-    let report = match harness.run(&loops, &mut NullSink) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("table5: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = harness
+        .run(&loops, &mut NullSink)
+        .map_err(|e| e.to_string())?;
     let recs = &report.records;
 
     let budgets_ms = [10u128, 100, 1000, 10_000, 60_000];
@@ -133,8 +125,7 @@ fn main() -> ExitCode {
     }
     println!("\n{}", report.summary.render());
     if report.interrupted {
-        eprintln!("table5: run interrupted before the whole corpus was covered");
-        return ExitCode::FAILURE;
+        return Err("run interrupted before the whole corpus was covered".into());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,5 +1,5 @@
 //! Shared experiment machinery for the table/figure regeneration
-//! binaries and the Criterion benches.
+//! binaries and the A/B binaries `bench_cpsat` and `bench_incr`.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` (run `cargo run -p swp-bench --release --bin table4`);

@@ -166,7 +166,6 @@ fn exact_config(engine: Engine, max_live: Option<u32>) -> SchedulerConfig {
     SchedulerConfig {
         // Tick budgets only: outcomes are machine-speed independent.
         time_limit_per_t: None,
-        time_limit_total: None,
         // No heuristic incumbent, so the pinned `by=` column names the
         // exact engine that settled the period.
         heuristic_incumbent: false,

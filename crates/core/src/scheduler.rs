@@ -126,12 +126,6 @@ pub struct SchedulerConfig {
     pub objective: Objective,
     /// ILP budget per candidate period (default 10 s).
     pub time_limit_per_t: Option<Duration>,
-    /// Wall-clock budget for the *whole* search across all candidate
-    /// periods (default: none). When it runs out, the driver returns the
-    /// best schedule it can still certify, tagged
-    /// [`Optimality::BudgetExhausted`]. For tick caps or cancellation use
-    /// [`RateOptimalScheduler::schedule_with`] directly.
-    pub time_limit_total: Option<Duration>,
     /// Give up after `T_lb + max_t_above_lb` (default 16).
     pub max_t_above_lb: u32,
     /// Try iterative modulo scheduling at each candidate period before
@@ -162,7 +156,6 @@ impl Default for SchedulerConfig {
             mapping: MappingMode::default(),
             objective: Objective::default(),
             time_limit_per_t: Some(Duration::from_secs(10)),
-            time_limit_total: None,
             max_t_above_lb: 16,
             heuristic_incumbent: true,
             engine: Engine::default(),
@@ -582,9 +575,9 @@ impl RateOptimalScheduler {
         IterativeModuloScheduler::new(self.machine.clone()).with_max_live(self.config.max_live)
     }
 
-    /// Finds a schedule at the smallest feasible period `≥ T_lb`, under a
-    /// global budget derived from
-    /// [`SchedulerConfig::time_limit_total`] (unlimited if `None`).
+    /// Finds a schedule at the smallest feasible period `≥ T_lb`, with no
+    /// budget on the whole search. For a deadline, a tick cap or
+    /// cancellation use [`schedule_with`](Self::schedule_with).
     ///
     /// # Errors
     ///
@@ -596,11 +589,7 @@ impl RateOptimalScheduler {
     /// * [`ScheduleError::VerificationFailed`] — both engines produced
     ///   only schedules the independent checker rejected.
     pub fn schedule(&self, ddg: &Ddg) -> Result<ScheduleResult, ScheduleError> {
-        let budget = match self.config.time_limit_total {
-            Some(d) => Budget::with_deadline(d),
-            None => Budget::unlimited(),
-        };
-        self.schedule_with(ddg, &budget)
+        self.schedule_with(ddg, &Budget::unlimited())
     }
 
     /// Like [`schedule`](Self::schedule), but under an explicit shared

@@ -1,15 +1,6 @@
-//! The differential fuzzing campaign driver.
-//!
-//! ```text
-//! cargo run -p swp-fuzz --release --bin fuzz -- \
-//!     --seed 5 --cases 500 --workers 4 [--budget-ms 60000] [--shrink] \
-//!     [--artifact fuzz.jsonl] [--out DIR] [--adversarial 0.6] \
-//!     [--max-nodes 8] [--ticks 2000000] [--no-metamorphic] \
-//!     [--engine ilp|cp|portfolio] \
-//!     [--machine-family classic|vliw|regpressure] \
-//!     [--inject-fault reject-schedules|fail-ilp|fail-heuristic] \
-//!     [--incremental [--edits 4]]
-//! ```
+//! The differential fuzzing campaign driver
+//! (`cargo run -p swp-fuzz --release --bin fuzz -- --help` lists its
+//! flags).
 //!
 //! Cases are sharded over the `swp-harness` thread-pool executor and
 //! reported in campaign order, so the JSONL artifact for a completed
@@ -41,8 +32,36 @@ use swp_fuzz::{
     gen_case, run_case, run_incr_case, shrink, to_json_line, write_regression, CaseReport,
     DiffOptions, FuzzCase, GenConfig, IncrOptions, IncrReport, MachineFamily,
 };
-use swp_harness::{executor, Flags};
+use swp_harness::{executor, Cli, Flags};
 use swp_loops::fingerprint::{ddg_fingerprint, machine_fingerprint};
+
+const CLI: Cli = Cli {
+    name: "fuzz",
+    usage: "\
+usage: fuzz [flags]
+
+  --seed N                 campaign seed (default 0)
+  --cases N                cases to generate (default 200)
+  --workers N              worker threads (default 1)
+  --budget-ms MS           skip cases not started within MS (default: no limit)
+  --ticks N                tick cap per engine invocation (default 2000000)
+  --adversarial F          share of adversarial cases (default 0.6)
+  --max-nodes N            largest generated DDG (default 8)
+  --machine-family classic|vliw|regpressure
+                           machine generator (default classic)
+  --engine ilp|cp|portfolio
+                           run only this exact engine's configurations
+  --inject-fault reject-schedules|reject-ilp|reject-heuristic|fail-ilp|fail-heuristic
+                           break the baseline configuration on purpose
+  --no-metamorphic         skip the metamorphic relations
+  --incremental            incremental-vs-cold differential instead
+  --edits N                edit-script length per case (default 4)
+  --artifact PATH          write the timing-free JSONL artifact to PATH
+  --shrink                 minimize one counterexample per violation kind
+  --out DIR                write regression files to DIR (default: stderr)
+  -h, --help               print this help
+",
+};
 
 fn parse_fault(name: &str) -> Result<FaultPlan, String> {
     match name {
@@ -75,21 +94,11 @@ fn parse_fault(name: &str) -> Result<FaultPlan, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("fuzz: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    CLI.run(run)
 }
 
 #[allow(clippy::too_many_lines)]
-fn run() -> Result<ExitCode, String> {
-    let flags = Flags::parse(
-        std::env::args().skip(1),
-        &["shrink", "no-metamorphic", "incremental"],
-    )?;
+fn run(flags: &Flags) -> Result<ExitCode, String> {
     let seed: u64 = flags.get_or("seed", 0)?;
     let cases: usize = flags.get_or("cases", 200)?;
     let workers: usize = flags.get_or("workers", 1)?;
@@ -113,14 +122,30 @@ fn run() -> Result<ExitCode, String> {
         ..GenConfig::default()
     };
 
-    if flags.has("incremental") {
+    // Each mode rejects the flags only the other one reads.
+    const DIFF_ONLY: &[&str] = &[
+        "engine",
+        "inject-fault",
+        "artifact",
+        "shrink",
+        "no-metamorphic",
+    ];
+    let incremental = flags.has("incremental");
+    let other_mode = if incremental { DIFF_ONLY } else { &["edits"] };
+    if let Some(name) = other_mode
+        .iter()
+        .find(|&&n| flags.get(n).is_some() || flags.has(n))
+    {
+        let mode = if incremental { "with" } else { "without" };
+        return Err(format!("flag --{name} has no effect {mode} --incremental"));
+    }
+    if incremental {
         let incr_opts = IncrOptions {
             seed,
             ticks_per_solve: ticks,
             edits: flags.get_or("edits", 4)?,
-            ..IncrOptions::default()
         };
-        return run_incremental(&flags, &gen_config, &incr_opts, cases, workers, budget_ms);
+        return run_incremental(flags, &gen_config, &incr_opts, cases, workers, budget_ms);
     }
     let mut opts = DiffOptions {
         ticks_per_config: ticks,

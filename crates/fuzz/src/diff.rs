@@ -168,8 +168,6 @@ pub struct DiffOptions {
     /// Fault plan injected into the *baseline* configuration only; used
     /// to prove the oracle catches a deliberately broken pipeline.
     pub faults: FaultPlan,
-    /// Iterations fed to the cycle-accurate simulator.
-    pub sim_iterations: u32,
     /// When set, restricts the driver matrix to configurations using
     /// this exact engine, plus the baseline (which every cross-check and
     /// metamorphic relation compares against). `None` runs everything.
@@ -182,7 +180,6 @@ impl Default for DiffOptions {
             ticks_per_config: 2_000_000,
             metamorphic: true,
             faults: FaultPlan::default(),
-            sim_iterations: 4,
             engine_filter: None,
         }
     }
@@ -259,7 +256,6 @@ fn scheduler_config(
         // Wall-clock limits off: ticks are the only budget, so outcomes
         // are machine-speed independent.
         time_limit_per_t: None,
-        time_limit_total: None,
         heuristic_incumbent,
         engine,
         faults,
@@ -326,6 +322,9 @@ fn summarize(outcome: &DriverOutcome) -> String {
     }
 }
 
+/// Iterations of every accepted schedule the cycle-accurate simulator runs.
+const SIM_ITERATIONS: u32 = 4;
+
 /// Checks one accepted schedule against the exact checker and the
 /// cycle-accurate simulator.
 pub(crate) fn check_schedule(
@@ -334,7 +333,6 @@ pub(crate) fn check_schedule(
     ddg: &Ddg,
     machine: &Machine,
     max_live: Option<u32>,
-    sim_iterations: u32,
     violations: &mut Vec<Violation>,
 ) {
     if let Err(e) = schedule.validate(ddg, machine) {
@@ -360,7 +358,7 @@ pub(crate) fn check_schedule(
     } else {
         UnitPolicy::Dynamic
     };
-    if let Err(e) = simulate(machine, ddg, schedule, sim_iterations, policy) {
+    if let Err(e) = simulate(machine, ddg, schedule, SIM_ITERATIONS, policy) {
         violations.push(Violation {
             kind: ViolationKind::SimulatorReject,
             config: config.to_string(),
@@ -433,7 +431,6 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
                     &case.ddg,
                     &case.machine,
                     case.max_live,
-                    opts.sim_iterations,
                     &mut violations,
                 );
                 let t = r.schedule.initiation_interval();
@@ -563,7 +560,6 @@ pub fn run_case(case: &FuzzCase, opts: &DiffOptions) -> CaseReport {
                 &case.ddg,
                 &case.machine,
                 case.max_live,
-                opts.sim_iterations,
                 &mut violations,
             );
             if ii < t_lb {
@@ -895,7 +891,6 @@ fn metamorphic_t_plus_one(
                     &case.ddg,
                     &case.machine,
                     case.max_live,
-                    opts.sim_iterations,
                     violations,
                 );
                 // Re-tag verification failures under the metamorphic kind

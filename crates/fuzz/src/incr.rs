@@ -39,8 +39,6 @@ pub struct IncrOptions {
     pub ticks_per_solve: u64,
     /// Edit-script length per case.
     pub edits: usize,
-    /// Iterations fed to the cycle-accurate simulator.
-    pub sim_iterations: u32,
 }
 
 impl Default for IncrOptions {
@@ -49,7 +47,6 @@ impl Default for IncrOptions {
             seed: 0,
             ticks_per_solve: 2_000_000,
             edits: 4,
-            sim_iterations: 4,
         }
     }
 }
@@ -174,7 +171,6 @@ pub fn run_incr_case(case: &FuzzCase, opts: &IncrOptions) -> IncrReport {
     let mut rng = SmallRng::seed_from_u64(splitmix(opts.seed ^ 0x1C4E_55A1, case.index as u64));
     let config = SchedulerConfig {
         time_limit_per_t: None,
-        time_limit_total: None,
         max_live: case.max_live,
         ..SchedulerConfig::default()
     };
@@ -215,7 +211,6 @@ pub fn run_incr_case(case: &FuzzCase, opts: &IncrOptions) -> IncrReport {
                 session.ddg(),
                 &case.machine,
                 case.max_live,
-                opts.sim_iterations,
                 &mut violations,
             );
         }

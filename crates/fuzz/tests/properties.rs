@@ -30,7 +30,6 @@ use swp_machine::{
 fn exact(engine: Engine, max_live: Option<u32>) -> SchedulerConfig {
     SchedulerConfig {
         time_limit_per_t: None,
-        time_limit_total: None,
         engine,
         max_live,
         ..SchedulerConfig::default()

@@ -45,7 +45,7 @@ pub mod sink;
 pub mod telemetry;
 
 pub use cache::ResultCache;
-pub use cli::Flags;
+pub use cli::{Cli, Flags};
 pub use record::{config_fingerprint, CacheKey, LoopRecord, SuiteOutcome, SCHEMA_VERSION};
 pub use run::{Harness, HarnessConfig, HarnessError, RunReport};
 pub use sink::{JsonlSink, NullSink, RunSink, VecSink};

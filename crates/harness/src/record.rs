@@ -51,7 +51,6 @@ pub fn config_fingerprint(config: &SchedulerConfig, per_loop_ticks: Option<u64>)
         mapping,
         objective,
         time_limit_per_t,
-        time_limit_total,
         max_t_above_lb,
         heuristic_incumbent,
         engine,
@@ -74,7 +73,6 @@ pub fn config_fingerprint(config: &SchedulerConfig, per_loop_ticks: Option<u64>)
         Objective::MinBuffers => 3,
     });
     h.write_u64(millis(time_limit_per_t));
-    h.write_u64(millis(time_limit_total));
     h.write_u64(u64::from(*max_t_above_lb));
     h.write_u64(u64::from(*heuristic_incumbent));
     h.write_str(engine.name());
@@ -437,10 +435,6 @@ mod tests {
             },
             SchedulerConfig {
                 time_limit_per_t: None,
-                ..base.clone()
-            },
-            SchedulerConfig {
-                time_limit_total: Some(Duration::from_secs(1)),
                 ..base.clone()
             },
             SchedulerConfig {

@@ -34,7 +34,6 @@
 //! the daemon's session protocol simply exposes the same convention.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use swp_core::{
     RateOptimalScheduler, ReuseStats, ScheduleError, ScheduleResult, SchedulerConfig, WarmState,
@@ -320,15 +319,10 @@ impl SolveSession {
         Ok(cone)
     }
 
-    /// Solves the current instance, warm. Budget comes from the
-    /// configuration's total time limit (none = unlimited), mirroring
+    /// Solves the current instance, warm, with no budget, mirroring
     /// [`RateOptimalScheduler::schedule`].
     pub fn solve(&mut self) -> Result<ScheduleResult, ScheduleError> {
-        let budget = match self.time_limit_total() {
-            Some(d) => Budget::with_deadline(d),
-            None => Budget::unlimited(),
-        };
-        self.solve_with(&budget)
+        self.solve_with(&Budget::unlimited())
     }
 
     /// Solves the current instance under an explicit budget, reusing
@@ -416,10 +410,6 @@ impl SolveSession {
             }
         }
         (0..n).filter(|&v| in_cone[v] || down[v]).count()
-    }
-
-    fn time_limit_total(&self) -> Option<Duration> {
-        self.scheduler.config().time_limit_total
     }
 }
 

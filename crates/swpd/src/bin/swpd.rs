@@ -1,47 +1,42 @@
-//! The `swpd` daemon binary.
-//!
-//! ```text
-//! swpd [--addr 127.0.0.1:0] [--workers 4] [--queue 64]
-//!      [--artifact swpd.jsonl] [--resume] [--admission-ticks N]
-//!      [--default-timeout-ms 10000] [--max-timeout-ms 120000]
-//!      [--drain-grace-ms 5000] [--allow-fault-injection]
-//! ```
+//! The `swpd` daemon binary (`swpd --help` lists its flags).
 //!
 //! Prints `swpd listening on <addr>` once ready (scripts scrape the
 //! port from it), then serves until a `shutdown` request drains it.
 //! Exits 0 after a clean drain.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Duration;
-use swp_harness::Flags;
+use swp_harness::{Cli, Flags};
 use swp_swpd::{Daemon, DaemonConfig};
 
-fn main() {
-    let flags = match Flags::parse(
-        std::env::args().skip(1),
-        &["resume", "allow-fault-injection"],
-    ) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("swpd: {e}");
-            std::process::exit(2);
-        }
-    };
-    let config = match build_config(&flags) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("swpd: {e}");
-            std::process::exit(2);
-        }
-    };
+const CLI: Cli = Cli {
+    name: "swpd",
+    usage: "\
+usage: swpd [flags]
 
-    let handle = match Daemon::start(config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("swpd: failed to start: {e}");
-            std::process::exit(1);
-        }
-    };
+  --addr HOST:PORT          listen address (default 127.0.0.1:0)
+  --workers N               solver threads (default 4)
+  --queue N                 queued solves before `overloaded` (default 64)
+  --sessions N              incremental sessions held open at once (default 16)
+  --artifact PATH           persist every solve to a JSONL artifact
+  --resume                  replay PATH into the cache and append to it
+  --admission-ticks N       cap the tick pool every solve drains (default: none)
+  --default-timeout-ms MS   per-request deadline when none is given (default 10000)
+  --max-timeout-ms MS       largest deadline a request may ask for (default 120000)
+  --drain-grace-ms MS       how long a drain waits for in-flight solves (default 5000)
+  --allow-fault-injection   honour `panic` fault injection in requests (load tests)
+  -h, --help                print this help
+",
+};
+
+fn main() -> ExitCode {
+    CLI.run(run)
+}
+
+fn run(flags: &Flags) -> Result<ExitCode, String> {
+    let config = build_config(flags)?;
+    let handle = Daemon::start(config).map_err(|e| format!("failed to start: {e}"))?;
     println!("swpd listening on {}", handle.addr());
 
     let stats = handle.wait();
@@ -62,7 +57,11 @@ fn main() {
         stats.replayed,
     );
     let clean = stats.in_flight == 0 && stats.queue_depth == 0 && stats.internal_errors == 0;
-    std::process::exit(if clean { 0 } else { 1 });
+    Ok(if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 fn build_config(flags: &Flags) -> Result<DaemonConfig, String> {

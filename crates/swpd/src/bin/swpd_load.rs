@@ -1,12 +1,5 @@
 //! `swpd-load` — hammers a daemon with concurrent mixed traffic and
-//! asserts the robustness contract.
-//!
-//! ```text
-//! swpd-load [--requests 1000] [--clients 24] [--seed 1] [--workers 4]
-//!           [--queue 48] [--artifact PATH] [--keep-artifact]
-//!           [--addr HOST:PORT] [--shutdown] [--solved-out FILE]
-//!           [--solved-in FILE] [--smoke]
-//! ```
+//! asserts the robustness contract (`swpd-load --help` lists its flags).
 //!
 //! Without `--addr` it starts an in-process daemon (over real TCP) and
 //! runs the full acceptance: a seeded deterministic mix of hot
@@ -41,7 +34,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use swp_fuzz::{gen_case, gen_cases, write_regression, GenConfig};
-use swp_harness::Flags;
+use swp_harness::Cli;
 use swp_swpd::{
     Daemon, DaemonConfig, Reply, ReplyStatus, Request, SolveRequest, StatsSnapshot, SwpdClient,
 };
@@ -216,29 +209,50 @@ struct Outcome {
     violations: Vec<String>,
 }
 
+const CLI: Cli = Cli {
+    name: "swpd-load",
+    usage: "\
+usage: swpd-load [flags]
+
+  --smoke              smoke scale: 150 requests from 8 clients
+  --requests N         requests in the main phase (default 1000)
+  --clients N          pipelined client connections (default 24)
+  --seed N             traffic-mix seed (default 1)
+  --workers N          in-process daemon's solver threads (default 4)
+  --queue N            in-process daemon's queue capacity (default 48)
+  --artifact PATH      in-process daemon's artifact (default: a temp file)
+  --keep-artifact      keep the in-process daemon's artifact after the run
+  --addr HOST:PORT     drive an external daemon instead
+  --solved-out FILE    record the solved request ids (with --addr)
+  --solved-in FILE     replay FILE's ids, expecting 100% cache hits (with --addr)
+  --shutdown           send the drain request at the end (with --addr)
+  -h, --help           print this help
+",
+};
+
 fn main() {
     std::process::exit(run());
 }
 
 fn run() -> i32 {
-    let flags = match Flags::parse(
-        std::env::args().skip(1),
-        &["smoke", "keep-artifact", "shutdown"],
-    ) {
-        Ok(f) => f,
+    let flags = CLI.parse_env();
+    let smoke = flags.has("smoke");
+    let parsed = (|| -> Result<(u64, usize, usize, usize, usize), String> {
+        Ok((
+            flags.get_or("seed", 1)?,
+            flags.get_or("requests", if smoke { 150 } else { 1000 })?,
+            flags.get_or("clients", if smoke { 8 } else { 24 })?,
+            flags.get_or("workers", 4)?,
+            flags.get_or("queue", 48)?,
+        ))
+    })();
+    let (seed, requests, clients, workers, queue_capacity) = match parsed {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("swpd-load: {e}");
             return 2;
         }
     };
-    let smoke = flags.has("smoke");
-    let seed: u64 = flags.get_or("seed", 1).unwrap_or(1);
-    let requests: usize = flags
-        .get_or("requests", if smoke { 150 } else { 1000 })
-        .unwrap_or(1000);
-    let clients: usize = flags
-        .get_or("clients", if smoke { 8 } else { 24 })
-        .unwrap_or(24);
     let disconnects = (requests / 25).clamp(4, 50);
     let mix = Arc::new(Mix::new(seed));
 
@@ -275,8 +289,8 @@ fn run() -> i32 {
         None
     } else {
         let config = DaemonConfig {
-            workers: flags.get_or("workers", 4).unwrap_or(4),
-            queue_capacity: flags.get_or("queue", 48).unwrap_or(48),
+            workers,
+            queue_capacity,
             artifact: Some(artifact.clone()),
             resume: false,
             default_timeout_ms: 30_000,

@@ -96,7 +96,6 @@ pub(crate) fn open(shared: &Shared, id: &str, case: &str) -> Reply {
     };
     let config = SchedulerConfig {
         time_limit_per_t: None,
-        time_limit_total: None,
         ..SchedulerConfig::default()
     };
     let session = SolveSession::from_ddg(parsed.machine, config, &parsed.ddg);

@@ -173,7 +173,6 @@ fn family_kernels_agree_across_all_engines() {
                     case.machine.clone(),
                     SchedulerConfig {
                         time_limit_per_t: None,
-                        time_limit_total: None,
                         engine,
                         max_live: case.max_live,
                         ..Default::default()
