@@ -8,8 +8,11 @@
 //! repetitions with the per-loop **minimum** solve time kept (`AB_REPS`
 //! reps), decision identity asserted across engines.
 //!
-//! The artifact records, per loop, the min solve time under each engine
-//! and the portfolio's ratio against `min(ILP, CP)`. The portfolio
+//! The artifact records, per loop, the min solve time under each engine,
+//! the portfolio's ratio against `min(ILP, CP)`, and whether any engine
+//! hit its tick budget there. `wall_us.ilp_settled` and
+//! `wall_us.cp_settled` sum the per-loop minimums over the loops no
+//! engine capped, so they measure exact solving rather than budgets. The portfolio
 //! stages CP before the ILP, so on loops CP settles alone it should
 //! track CP. The one gate is decision identity.
 //!
@@ -123,16 +126,16 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
     // the same tick budget the (period, proven, timeout) triple must
     // agree wherever no engine tripped its budget. Budget-tripped loops
     // may legitimately differ (the engines spend ticks differently).
+    let decisions: Vec<[_; 3]> = (0..num_loops)
+        .map(|i| [&ilp, &cp, &port].map(|run| decision(&run.records[i])))
+        .collect();
+    let limited: Vec<bool> = decisions
+        .iter()
+        .map(|d| d.iter().any(|&(_, _, timeout)| timeout))
+        .collect();
     let mut mismatches = 0usize;
-    let mut budget_limited = 0usize;
-    for i in 0..num_loops {
-        let d = [
-            decision(&ilp.records[i]),
-            decision(&cp.records[i]),
-            decision(&port.records[i]),
-        ];
-        if d.iter().any(|&(_, _, timeout)| timeout) {
-            budget_limited += 1;
+    for (i, d) in decisions.iter().enumerate() {
+        if limited[i] {
             continue;
         }
         if d[1] != d[0] || d[2] != d[0] {
@@ -146,11 +149,25 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
         }
     }
 
+    let budget_limited = limited.iter().filter(|&&l| l).count();
+    // Solve time summed over the loops no engine capped: a capped loop
+    // costs whatever its budget allows, so it measures the budget, not
+    // the engine.
+    let settled_us = |run: &EngineRun| -> u64 {
+        run.per_loop_us
+            .iter()
+            .zip(&limited)
+            .filter(|&(_, &l)| !l)
+            .map(|(&us, _)| us)
+            .sum()
+    };
+    let (ilp_settled, cp_settled) = (settled_us(&ilp), settled_us(&cp));
+
     // Per-loop comparison on the minimums.
     let mut cp_faster = 0usize;
     let mut worst_ratio = 0.0f64;
     let mut per_loop = String::new();
-    for i in 0..num_loops {
+    for (i, capped) in limited.iter().enumerate() {
         let (i_us, c_us, p_us) = (ilp.per_loop_us[i], cp.per_loop_us[i], port.per_loop_us[i]);
         let floor = i_us.min(c_us);
         if c_us < i_us {
@@ -160,13 +177,16 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
         worst_ratio = worst_ratio.max(ratio);
         per_loop.push_str(&format!(
             "    {{\"loop\": {i}, \"period\": {}, \"ilp_us\": {i_us}, \"cp_us\": {c_us}, \
-             \"portfolio_us\": {p_us}, \"ratio_vs_best\": {ratio:.2}}}{}\n",
+             \"portfolio_us\": {p_us}, \"ratio_vs_best\": {ratio:.2}, \
+             \"budget_limited\": {}}}{}\n",
             ilp.records[i].period.map_or(-1i64, i64::from),
+            capped,
             if i + 1 < num_loops { "," } else { "" }
         ));
     }
     eprintln!(
-        "wall: ilp {} µs | cp {} µs | portfolio {} µs",
+        "wall: ilp {} µs | cp {} µs | portfolio {} µs | settled loops: ilp {ilp_settled} µs, \
+         cp {cp_settled} µs",
         ilp.wall_us, cp.wall_us, port.wall_us
     );
     eprintln!(
@@ -179,7 +199,8 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
         "{{\n  \"machine\": \"example_pldi95\",\n  \"loops\": {num_loops},\n  \
          \"per_loop_ticks\": {ticks},\n  \"reps\": {AB_REPS},\n  \
          \"heuristic_incumbent\": false,\n  \
-         \"wall_us\": {{\"ilp\": {}, \"cp\": {}, \"portfolio\": {}}},\n  \
+         \"wall_us\": {{\"ilp\": {}, \"cp\": {}, \"portfolio\": {}, \
+         \"ilp_settled\": {ilp_settled}, \"cp_settled\": {cp_settled}}},\n  \
          \"per_loop_summary\": {{\"cp_faster_than_ilp\": {cp_faster}, \
          \"worst_portfolio_ratio\": {worst_ratio:.2}, \
          \"decision_mismatches\": {mismatches}, \"budget_limited\": {budget_limited}}},\n  \

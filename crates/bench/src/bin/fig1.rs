@@ -4,10 +4,25 @@
 //! Run: `cargo run -p swp-bench --release --bin fig1`
 
 use swp_bench::render_table;
+use swp_harness::Cli;
 use swp_loops::kernels;
 use swp_machine::Machine;
 
+const CLI: Cli = Cli {
+    name: "fig1",
+    usage: "\
+usage: fig1
+
+Prints Figure 1: the motivating example's DDG, its critical cycle
+and the period lower bounds.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     let ddg = kernels::motivating_example();
     let machine = Machine::example_pldi95();
     println!("== Figure 1: motivating-example DDG ==\n");

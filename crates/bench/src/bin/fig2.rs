@@ -8,6 +8,7 @@
 use swp_bench::kernel_gantt;
 use swp_core::{RateOptimalScheduler, SchedulerConfig};
 use swp_ddg::OpClass;
+use swp_harness::Cli;
 use swp_loops::kernels;
 use swp_machine::Machine;
 
@@ -28,7 +29,21 @@ fn modulo_table(machine: &Machine, class: OpClass, period: u32) -> String {
     out
 }
 
+const CLI: Cli = Cli {
+    name: "fig2",
+    usage: "\
+usage: fig2
+
+Prints Figure 2: the hazard pipeline's reservation tables mod T and
+Schedule B's resource usage.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     let machine = Machine::example_pldi95();
     let fp = OpClass::new(1);
     println!("== Figure 2: reservation tables and resource usage ==\n");

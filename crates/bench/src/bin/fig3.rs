@@ -5,10 +5,24 @@
 //! Run: `cargo run -p swp-bench --release --bin fig3`
 
 use swp_core::{RateOptimalScheduler, SchedulerConfig};
+use swp_harness::Cli;
 use swp_loops::kernels;
 use swp_machine::{Machine, PipelinedSchedule};
 
+const CLI: Cli = Cli {
+    name: "fig3",
+    usage: "\
+usage: fig3
+
+Prints Figure 3: the T, K and A matrices of Schedule B.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     println!("== Figure 3: T/K/A matrices ==\n");
     let ddg = kernels::motivating_example();
     let machine = Machine::example_pldi95();

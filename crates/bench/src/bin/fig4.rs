@@ -7,10 +7,24 @@
 use swp_core::coloring::OverlapGraph;
 use swp_core::{RateOptimalScheduler, SchedulerConfig};
 use swp_ddg::OpClass;
+use swp_harness::Cli;
 use swp_loops::kernels;
 use swp_machine::Machine;
 
+const CLI: Cli = Cli {
+    name: "fig4",
+    usage: "\
+usage: fig4
+
+Prints Figure 4: the FP operations' circular arcs and their coloring.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     println!("== Figure 4: circular arcs and the coloring ==\n");
     let ddg = kernels::motivating_example();
     let machine = Machine::example_pldi95();

@@ -8,10 +8,25 @@ use swp_bench::flat_gantt;
 use swp_core::coloring::OverlapGraph;
 use swp_core::{MappingMode, RateOptimalScheduler, SchedulerConfig};
 use swp_ddg::OpClass;
+use swp_harness::Cli;
 use swp_loops::kernels;
 use swp_machine::{check_capacity_only, Machine};
 
+const CLI: Cli = Cli {
+    name: "table1",
+    usage: "\
+usage: table1
+
+Prints Table 1: a capacity-only schedule of the motivating example
+that admits no fixed function-unit assignment.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     let ddg = kernels::motivating_example();
     let machine = Machine::example_pldi95();
     println!("== Table 1: Schedule A — run-time unit choice vs. fixed assignment ==\n");

@@ -7,10 +7,25 @@
 
 use swp_bench::{flat_gantt, kernel_gantt};
 use swp_core::{MappingMode, RateOptimalScheduler, SchedulerConfig};
+use swp_harness::Cli;
 use swp_loops::kernels;
 use swp_machine::{Machine, PipelinedSchedule};
 
+const CLI: Cli = Cli {
+    name: "table2",
+    usage: "\
+usage: table2
+
+Prints Table 2: the unified ILP's schedule of the motivating example,
+with its fixed function-unit assignment.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     let ddg = kernels::motivating_example();
     let machine = Machine::example_pldi95();
     println!("== Table 2: Schedule B — unified scheduling and mapping ==\n");

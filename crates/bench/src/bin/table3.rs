@@ -5,6 +5,7 @@
 //! Run: `cargo run -p swp-bench --release --bin table3`
 
 use swp_bench::render_table;
+use swp_harness::Cli;
 use swp_machine::{CollisionInfo, Machine};
 
 fn describe(name: &str, machine: &Machine) {
@@ -51,7 +52,21 @@ fn describe(name: &str, machine: &Machine) {
     }
 }
 
+const CLI: Cli = Cli {
+    name: "table3",
+    usage: "\
+usage: table3
+
+Prints Table 3: the machine configurations, with each unit's
+reservation table, forbidden latencies and MAL.
+It takes no arguments.
+
+  -h, --help    print this help
+",
+};
+
 fn main() {
+    CLI.parse_env();
     println!("== Table 3: machine configurations ==\n");
     describe(
         "Motivating-example machine (PLDI '95 §2, reconstructed)",
